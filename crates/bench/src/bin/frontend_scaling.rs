@@ -43,7 +43,7 @@ struct Point {
     wire_p99_us: u64,
 }
 
-fn bind_frontend(service: &Arc<dyn LmService>) -> Frontend {
+fn bind_frontend(service: &Arc<InferenceService>) -> Frontend {
     // A 1ms tick: on the bench box (often a single core) the per-tick
     // poll sweep over 1024 idle sockets has to leave CPU for decoding;
     // deadline knobs are in ticks, so semantics are unchanged.
@@ -91,7 +91,7 @@ fn probe_mean(addr: SocketAddr, prompt: &[u32], events: usize) -> Duration {
 /// One sweep point: `total` requests paced at `rate` req/s over `conns`
 /// connections (dealt round-robin), all pumped from this thread.
 fn run_point(
-    service: &Arc<dyn LmService>,
+    service: &Arc<InferenceService>,
     prompt: &[u32],
     conns: usize,
     total: usize,
@@ -170,7 +170,11 @@ fn run_point(
 /// The drain leg: one request in flight on each of `conns` connections,
 /// then `shutdown()` races the deliveries. Returns (delivered, lost,
 /// connections that saw GOAWAY).
-fn run_drain(service: &Arc<dyn LmService>, prompt: &[u32], conns: usize) -> (usize, usize, usize) {
+fn run_drain(
+    service: &Arc<InferenceService>,
+    prompt: &[u32],
+    conns: usize,
+) -> (usize, usize, usize) {
     let frontend = bind_frontend(service);
     let mut swarm = WireSwarm::connect(frontend.local_addr(), conns).expect("drain swarm");
     for i in 0..conns {
@@ -215,7 +219,7 @@ fn main() {
     let prompt = model
         .tokenizer()
         .encode("Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ");
-    let service: Arc<dyn LmService> = Arc::new(
+    let service = Arc::new(
         InferenceService::builder()
             .model("default", model.clone())
             .queue_capacity(256)

@@ -2,10 +2,10 @@
 //!
 //! Replays one synthesized trace — Poisson arrivals, Zipf-popular prompt
 //! groups, mixed per-request deadlines, all from a seeded RNG — against a
-//! single-shard [`InferenceService`] and a sharded [`ShardedService`]
-//! built with identical *per-shard* knobs, and reports completion
-//! latencies (p50/p99/p999), shed/deadline counts, and goodput-under-SLO
-//! for each. `bench_out/loadgen.txt` records the full run.
+//! single-shard [`InferenceService`] and a sharded one built with
+//! identical *per-shard* knobs, and reports completion latencies
+//! (p50/p99/p999), shed/deadline counts, and goodput-under-SLO for each.
+//! `bench_out/loadgen.txt` records the full run.
 //!
 //! The interesting number is the goodput ratio on one machine: the shards
 //! win not by CPU parallelism but by **aggregate prefix-cache capacity**.
@@ -213,7 +213,7 @@ fn build_request(p: &Params, prompts: &[Vec<u32>], ev: &Event, slo: Duration) ->
 /// Closed-loop calibration on `service`: replay `warm` events to steady
 /// state, then time `probe` more; returns the mean per-request latency.
 fn probe_mean_latency(
-    service: &dyn LmService,
+    service: &InferenceService,
     p: &Params,
     prompts: &[Vec<u32>],
     trace: &[Event],
@@ -240,7 +240,7 @@ fn probe_mean_latency(
 /// retains its top `trie_capacity` groups; every shard of the sharded
 /// service retains its whole (router-assigned) share — the aggregate-
 /// capacity asymmetry under measurement.
-fn warm_service(service: &dyn LmService, p: &Params, prompts: &[Vec<u32>]) {
+fn warm_service(service: &InferenceService, p: &Params, prompts: &[Vec<u32>]) {
     let slo = Duration::from_secs(3600);
     for g in (0..p.groups).rev() {
         let ev = Event {
@@ -302,7 +302,7 @@ impl Outcome {
 /// (never blocking on results), collect completions on a second thread.
 /// Latency is measured arrival-to-completion, so queueing counts.
 fn replay_inproc(
-    service: &dyn LmService,
+    service: &InferenceService,
     p: &Params,
     prompts: &[Vec<u32>],
     trace: &[Event],
@@ -469,8 +469,8 @@ fn build_single(p: &Params) -> InferenceService {
         .build()
 }
 
-fn build_sharded(p: &Params) -> ShardedService {
-    ShardedService::builder()
+fn build_sharded(p: &Params) -> InferenceService {
+    InferenceService::builder()
         .shards(p.shards)
         // One transformer replica per shard: each shard owns its
         // attention-weight memo instead of sharing one table.
@@ -521,7 +521,7 @@ fn main() {
     let sharded_out = match transport.as_str() {
         "tcp" => {
             let connections = arg_flag("--connections", 1);
-            let service: Arc<dyn LmService> = Arc::new(sharded);
+            let service = Arc::new(sharded);
             let frontend =
                 Frontend::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind frontend");
             let out = replay_tcp(

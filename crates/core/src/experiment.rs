@@ -284,16 +284,16 @@ where
                 .count()
         });
     // A fully journaled grid needs no service (and an empty queue would be
-    // rejected by the builder). `build_service` honours `LMPEEL_SHARDS`:
-    // the grid runs unchanged against a sharded service because every
-    // downstream call goes through the `LmService` trait.
-    let service: Option<Box<dyn LmService>> = (pending > 0).then(|| {
+    // rejected by the builder). `LMPEEL_SHARDS` picks the shard count;
+    // traces do not depend on it.
+    let service = (pending > 0).then(|| {
         InferenceService::builder()
             .model("default", base_model.clone())
+            .shards(shards_from_env())
             // Room for the remaining grid: submission never blocks, the
             // scheduler drains at its own pace.
             .queue_capacity(pending)
-            .build_service()
+            .build()
     });
 
     // Submit every non-journaled cell before waiting on anything so the

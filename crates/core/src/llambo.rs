@@ -152,14 +152,15 @@ pub fn predict_classes<M: LanguageModel>(
     let ids = chat_tokens(model.as_ref(), &user, "Performance bucket: ");
     let t = model.tokenizer();
     let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-    // `build_service` keeps this helper shard-transparent: under
-    // `LMPEEL_SHARDS` all seeds still colocate (they share one prompt, and
-    // routing is by prompt prefix), so the prefill is still paid once.
-    let service: Box<dyn LmService> = InferenceService::builder()
+    // Under `LMPEEL_SHARDS` all seeds still colocate (they share one
+    // prompt, and routing is by prompt prefix), so the prefill is still
+    // paid once.
+    let service = InferenceService::builder()
         .model("llambo", model.clone())
+        .shards(shards_from_env())
         .queue_capacity(seeds.len().max(1))
         .max_batch(seeds.len().max(1))
-        .build_service();
+        .build();
     let handles: Vec<_> = seeds
         .iter()
         .map(|&seed| {
@@ -248,11 +249,12 @@ pub fn propose_candidates<M: LanguageModel>(
     let ids = chat_tokens(model.as_ref(), &user, "Hyperparameter configuration: ");
     let t = model.tokenizer();
     let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-    let service: Box<dyn LmService> = InferenceService::builder()
+    let service = InferenceService::builder()
         .model("llambo", model.clone())
+        .shards(shards_from_env())
         .queue_capacity(seeds.len().max(1))
         .max_batch(seeds.len().max(1))
-        .build_service();
+        .build();
     let handles: Vec<_> = seeds
         .iter()
         .map(|&seed| {

@@ -57,7 +57,7 @@ const BLOCKING_METHODS: &[&str] = &[
 /// guard — see the exemption), thread sleeps and filesystem one-shots.
 const BLOCKING_CALLS: &[&str] = &["wait_unpoisoned", "wait_ranked", "sleep", "park"];
 
-/// Substrate / service entry points (`dyn LanguageModel` / `LmService`):
+/// Substrate / service entry points (`dyn LanguageModel` / `InferenceService`):
 /// a decode step under a lock serializes the fleet behind one guard.
 const SUBSTRATE_CALLS: &[&str] = &[
     "logits",

@@ -33,7 +33,7 @@ use crate::frontend::{
     LatencyHistogram, WireRequest, WireResponse, OP_EXT_REQUEST, OP_REQUEST,
 };
 use crate::request::RequestError;
-use crate::service::{LmService, ResponseHandle};
+use crate::service::{InferenceService, ResponseHandle};
 use crate::sync::{wait_ranked, RankedMutex};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -215,7 +215,7 @@ pub(crate) type AdoptInbox = Arc<RankedMutex<Vec<(u64, TcpStream)>>>;
 /// Everything one event-loop thread needs.
 pub(crate) struct LoopCtx {
     pub conns: AdoptInbox,
-    pub service: Arc<dyn LmService>,
+    pub service: Arc<InferenceService>,
     pub counters: Arc<FeCounters>,
     pub ext_queue: Option<Arc<ExtQueue>>,
     pub stop: Arc<AtomicBool>,

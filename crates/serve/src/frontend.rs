@@ -1,10 +1,10 @@
 //! Line-protocol front-end: length-prefixed frames over TCP, served by a
 //! poll-based nonblocking event loop.
 //!
-//! The service API ([`LmService`]) is in-process; this module puts a wire
-//! in front of it so load generators and out-of-process callers can drive
-//! a service (single-shard or sharded — the front-end only sees the
-//! trait). The protocol is deliberately minimal:
+//! The service API ([`InferenceService`]) is in-process; this module puts
+//! a wire in front of it so load generators and out-of-process callers can
+//! drive a service of any shard count. The protocol is deliberately
+//! minimal:
 //!
 //! * every frame is `u32-LE length` followed by that many body bytes;
 //! * a request body carries a caller-chosen `u64` correlation id, the
@@ -36,8 +36,9 @@
 
 use crate::event_loop::{self, ExtQueue, FeConfig, FeCounters};
 use crate::request::{Deadline, GenerateRequest, GenerateResponse, RequestError};
-use crate::service::LmService;
+use crate::service::InferenceService;
 use crate::sync::RankedMutex;
+use lmpeel_recover::splitmix64;
 use lmpeel_tokenizer::TokenId;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -918,7 +919,7 @@ impl FrontendBuilder {
     }
 
     /// Bind `addr` and start serving `service` with this configuration.
-    pub fn bind(self, service: Arc<dyn LmService>, addr: &str) -> io::Result<Frontend> {
+    pub fn bind(self, service: Arc<InferenceService>, addr: &str) -> io::Result<Frontend> {
         Frontend::bind_with(service, addr, None, self)
     }
 
@@ -926,7 +927,7 @@ impl FrontendBuilder {
     /// extension frames from the worker pool.
     pub fn bind_with_extension(
         self,
-        service: Arc<dyn LmService>,
+        service: Arc<InferenceService>,
         addr: &str,
         extension: Arc<dyn ExtensionHandler>,
     ) -> io::Result<Frontend> {
@@ -947,7 +948,8 @@ impl FrontendBuilder {
     }
 }
 
-/// A TCP front-end serving one [`LmService`] from a fixed thread budget.
+/// A TCP front-end serving one [`InferenceService`] from a fixed thread
+/// budget.
 ///
 /// Bind on an ephemeral port, connect with [`FrontendClient`] (or any
 /// implementation of the frame protocol), and [`Frontend::shutdown`] when
@@ -975,7 +977,7 @@ impl Frontend {
     /// default configuration. Extension frames are answered with
     /// [`CODE_EXT_FAILED`]; use [`Frontend::bind_with_extension`] to
     /// serve them.
-    pub fn bind(service: Arc<dyn LmService>, addr: &str) -> io::Result<Frontend> {
+    pub fn bind(service: Arc<InferenceService>, addr: &str) -> io::Result<Frontend> {
         Self::bind_with(service, addr, None, FrontendBuilder::default())
     }
 
@@ -983,7 +985,7 @@ impl Frontend {
     /// extension request kind ([`ExtRequest`]) alongside generation
     /// traffic.
     pub fn bind_with_extension(
-        service: Arc<dyn LmService>,
+        service: Arc<InferenceService>,
         addr: &str,
         extension: Arc<dyn ExtensionHandler>,
     ) -> io::Result<Frontend> {
@@ -991,7 +993,7 @@ impl Frontend {
     }
 
     fn bind_with(
-        service: Arc<dyn LmService>,
+        service: Arc<InferenceService>,
         addr: &str,
         extension: Option<Arc<dyn ExtensionHandler>>,
         builder: FrontendBuilder,
@@ -1141,15 +1143,6 @@ impl Drop for Frontend {
             self.stop_and_join();
         }
     }
-}
-
-/// SplitMix64: the same tiny deterministic mixer the scheduler's breaker
-/// uses for cooldown jitter, here seeding per-client reconnect jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Capped exponential backoff for [`FrontendClient::connect_with_backoff`]:
@@ -1493,7 +1486,7 @@ mod tests {
         }
         let model = Arc::new(InductionLm::paper(0));
         let prompt = model.tokenizer().encode("Performance: ");
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder()
                 .model("default", model.clone())
                 .build(),
@@ -1538,7 +1531,7 @@ mod tests {
     #[test]
     fn extension_frames_without_a_handler_error_cleanly() {
         let model = Arc::new(InductionLm::paper(0));
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder().model("default", model).build(),
         );
         let frontend = Frontend::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -1569,7 +1562,7 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let model = Arc::new(InductionLm::paper(0));
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder().model("default", model).build(),
         );
         let frontend =
@@ -1595,7 +1588,7 @@ mod tests {
         let prompt = model.tokenizer().encode(
             "Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ",
         );
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder()
                 .model("default", model.clone())
                 .build(),
@@ -1651,7 +1644,7 @@ mod tests {
         let model = Arc::new(InductionLm::paper(0));
         let prompt = model.tokenizer().encode("Performance: ");
         let faulty = Arc::new(FaultyLm::new(model, Fault::HangUntilGate(Arc::clone(&gate))));
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder().model("default", faulty).build(),
         );
         let frontend = Frontend::builder()
@@ -1709,7 +1702,7 @@ mod tests {
         }
         let gate = Arc::new((RankedMutex::with_rank("extgate", 99, false), Condvar::new()));
         let model = Arc::new(InductionLm::paper(0));
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder().model("default", model).build(),
         );
         let frontend = Frontend::builder()
@@ -1760,7 +1753,7 @@ mod tests {
     fn shutdown_sends_goaway_and_drains_in_flight_responses() {
         let model = Arc::new(InductionLm::paper(0));
         let prompt = model.tokenizer().encode("Performance: ");
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder().model("default", model).build(),
         );
         let frontend = Frontend::builder()

@@ -64,15 +64,14 @@ pub use request::{
     RequestError,
 };
 pub use service::{
-    InferenceService, LmService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
+    InferenceService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
+    ShardedService,
 };
-pub use shard::{
-    shards_from_env, ShardRouter, ShardedService, ShardedServiceBuilder, DEFAULT_PREFIX_WINDOW,
-};
+pub use shard::{shards_from_env, ShardRouter, DEFAULT_PREFIX_WINDOW};
 pub use trie::{PrefixTrie, TrieStats};
 
-/// One-line import for service consumers: the [`LmService`] contract, both
-/// implementations and their builders, and the request/response vocabulary.
+/// One-line import for service consumers: the service, its builder and
+/// router, and the request/response vocabulary.
 ///
 /// ```
 /// use lmpeel_serve::prelude::*;
@@ -83,9 +82,10 @@ pub mod prelude {
         RequestError,
     };
     pub use crate::service::{
-        InferenceService, LmService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
+        InferenceService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
+        ShardedService,
     };
-    pub use crate::shard::{ShardRouter, ShardedService, ShardedServiceBuilder};
+    pub use crate::shard::{shards_from_env, ShardRouter};
 }
 
 #[cfg(test)]

@@ -55,6 +55,7 @@ use crate::request::{Deadline, GenerateRequest, GenerateResponse, RequestError};
 use crate::service::ServeStats;
 use crate::trie::{PrefixTrie, TrieStats};
 use lmpeel_lm::{DecodeSession, GenerationStepper, LanguageModel, LmError};
+use lmpeel_recover::{fnv1a64, splitmix64};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,27 +98,6 @@ pub(crate) struct SchedulerConfig {
 /// Cap on the exponential cooldown so a long-dead substrate still gets a
 /// probe eventually instead of overflowing into never.
 const MAX_COOLDOWN: u64 = 1 << 16;
-
-/// FNV-1a 64-bit hash — duplicated privately from `lmpeel-recover` (the
-/// serve crate deliberately depends only on `lmpeel-lm`). Stable across
-/// processes, unlike the std hasher's per-process random keys, so breaker
-/// schedules are reproducible run to run.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 bit mixer (same provenance as [`fnv1a64`]).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Deterministic jitter added to a reopen deadline so substrates sharing a
 /// trip round don't probe in lockstep: seeded by the substrate name and

@@ -1,11 +1,12 @@
-//! The service facade: the [`LmService`] contract, builder, submit
-//! handles, stats, shutdown.
+//! The service facade: builder, shards, submit handles, stats, shutdown.
 
 use crate::request::{BackpressurePolicy, GenerateRequest, GenerateResponse, RequestError};
 use crate::scheduler::{panic_message, Envelope, Scheduler, SchedulerConfig};
+use crate::shard::{ShardRouter, DEFAULT_PREFIX_WINDOW};
 use crate::trie::TrieStats;
 use lmpeel_lm::LanguageModel;
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -63,10 +64,9 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Fold `other`'s counters into `self`, field by field — the one
-    /// place sharded stats aggregation is spelled out, so a
-    /// [`crate::ShardedService`] (or any other composite) can merge
-    /// per-shard blocks without hand-summing that silently goes stale
-    /// when a counter is added.
+    /// place sharded stats aggregation is spelled out, so a multi-shard
+    /// [`InferenceService`] merges per-shard blocks without hand-summing
+    /// that silently goes stale when a counter is added.
     pub fn merge(&mut self, other: &ServeStats) {
         let ServeStats {
             submitted,
@@ -147,63 +147,6 @@ impl std::fmt::Display for SchedulerPanicked {
 
 impl std::error::Error for SchedulerPanicked {}
 
-/// The service contract every serving topology implements: the
-/// single-shard [`InferenceService`] and the multi-core
-/// [`crate::ShardedService`] are interchangeable behind it, so experiment
-/// drivers, the llambo helpers, the line-protocol front-end and the bench
-/// binaries are written once against `dyn LmService` and scale from one
-/// scheduler thread to one-per-core without touching a call site.
-///
-/// The trait is deliberately narrow — submit, stats, shutdown — because
-/// that is the whole lifecycle a caller owns. Everything else
-/// (backpressure policy, shard count, prefix-affinity routing, breaker
-/// tuning) is fixed at build time by the concrete builder.
-///
-/// # Contract
-///
-/// * `submit` is thread-safe behind `&self` and non-blocking apart from
-///   the configured [`BackpressurePolicy`].
-/// * Traces are **topology-independent**: a request's response bytes are
-///   a deterministic function of the request alone (which service, shard
-///   or admission interleaving handled it cannot change them). The
-///   sharded-vs-single equivalence proptests pin this.
-/// * `stats` may be read at any time; counters are settled no later than
-///   the moment a request's result is observable through its handle.
-/// * `shutdown` drains gracefully: in-flight work finishes, queued work
-///   is rejected with [`RequestError::ShutDown`], and scheduler-thread
-///   panics surface as [`SchedulerPanicked`] instead of being swallowed.
-pub trait LmService: Send + Sync {
-    /// Queue a request, returning a handle to wait on.
-    fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError>;
-
-    /// Current counters, aggregated across every shard the service owns.
-    fn stats(&self) -> ServeStats;
-
-    /// Gracefully drain and join every scheduler the service owns (see
-    /// [`InferenceService::shutdown`]). Takes `Box<Self>` so the trait
-    /// stays object-safe while still consuming the service.
-    fn shutdown(self: Box<Self>) -> Result<ServeStats, SchedulerPanicked>;
-
-    /// Submit and wait: the one-call path for sequential callers.
-    fn generate(&self, request: GenerateRequest) -> Result<GenerateResponse, RequestError> {
-        self.submit(request)?.wait()
-    }
-}
-
-impl LmService for InferenceService {
-    fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
-        InferenceService::submit(self, request)
-    }
-
-    fn stats(&self) -> ServeStats {
-        InferenceService::stats(self)
-    }
-
-    fn shutdown(self: Box<Self>) -> Result<ServeStats, SchedulerPanicked> {
-        InferenceService::shutdown(*self)
-    }
-}
-
 impl From<SchedulerPanicked> for RequestError {
     /// A dead scheduler fails a request exactly like a contained
     /// substrate panic would: with the stringified payload. Completes the
@@ -215,14 +158,29 @@ impl From<SchedulerPanicked> for RequestError {
     }
 }
 
+/// Where each shard's replica of one substrate comes from.
+enum ReplicaSource {
+    /// One `Arc` shared by every shard. Correct for any
+    /// [`LanguageModel`] (they are `&self`-pure and `Send + Sync`), and
+    /// the cheap default when the model is large.
+    Shared(Arc<dyn LanguageModel>),
+    /// A fresh replica per shard, built from the shard index. Gives each
+    /// shard its own interior caches (e.g. the transformer's
+    /// attention-weight memo) at the cost of `N` copies of the weights.
+    PerShard(Arc<dyn Fn(usize) -> Arc<dyn LanguageModel> + Send + Sync>),
+}
+
 /// Configures and spawns an [`InferenceService`].
 ///
-/// `Clone` so the builder can serve as the per-shard template of a
-/// [`crate::ShardedServiceBuilder`] (models are shared by `Arc`, knobs by
-/// value).
-#[derive(Clone)]
+/// Every per-scheduler knob (`queue_capacity`, `max_batch`,
+/// `prefix_cache_capacity`, the breaker and retry settings) applies **per
+/// shard**: each shard is a complete scheduler with its own queue,
+/// in-flight set and tries, so aggregate capacity scales with
+/// [`ServiceBuilder::shards`] by construction.
 pub struct ServiceBuilder {
-    models: HashMap<String, Arc<dyn LanguageModel>>,
+    models: BTreeMap<String, ReplicaSource>,
+    shards: usize,
+    prefix_window: usize,
     queue_capacity: usize,
     policy: BackpressurePolicy,
     max_batch: usize,
@@ -236,7 +194,9 @@ pub struct ServiceBuilder {
 impl Default for ServiceBuilder {
     fn default() -> Self {
         Self {
-            models: HashMap::new(),
+            models: BTreeMap::new(),
+            shards: 1,
+            prefix_window: DEFAULT_PREFIX_WINDOW,
             queue_capacity: 64,
             policy: BackpressurePolicy::default(),
             max_batch: 16,
@@ -250,20 +210,52 @@ impl Default for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Fresh builder with the defaults (queue 64, blocking backpressure,
-    /// batch 16, 32 cached prefixes per substrate, quarantine after 3
-    /// consecutive panics).
+    /// Fresh builder with the defaults (one shard, queue 64, blocking
+    /// backpressure, batch 16, 32 cached prefixes per substrate,
+    /// quarantine after 3 consecutive panics).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Register `model` under `substrate`; requests name it by this key.
+    /// Every shard shares this one replica (see
+    /// [`ServiceBuilder::model_factory`] for per-shard replicas).
     pub fn model(mut self, substrate: impl Into<String>, model: Arc<dyn LanguageModel>) -> Self {
-        self.models.insert(substrate.into(), model);
+        self.models
+            .insert(substrate.into(), ReplicaSource::Shared(model));
         self
     }
 
-    /// Bound of the request queue (minimum 1).
+    /// Register a per-shard replica factory under `substrate`: `factory`
+    /// is called once per shard with the shard index, so every shard owns
+    /// its own model instance (own interior caches, no cross-shard
+    /// sharing).
+    pub fn model_factory(
+        mut self,
+        substrate: impl Into<String>,
+        factory: impl Fn(usize) -> Arc<dyn LanguageModel> + Send + Sync + 'static,
+    ) -> Self {
+        self.models
+            .insert(substrate.into(), ReplicaSource::PerShard(Arc::new(factory)));
+        self
+    }
+
+    /// Number of scheduler shards (minimum 1, the default; one per core
+    /// is the intended multi-core shape). Requests are routed to shards
+    /// by [`ShardRouter`]; shard count cannot change any request's bytes.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
+    }
+
+    /// Prompt tokens the router hashes for shard affinity (default
+    /// [`DEFAULT_PREFIX_WINDOW`]).
+    pub fn prefix_window(mut self, tokens: usize) -> Self {
+        self.prefix_window = tokens;
+        self
+    }
+
+    /// Bound of each shard's request queue (minimum 1).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -275,7 +267,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Maximum generations decoded concurrently (minimum 1).
+    /// Maximum generations each shard decodes concurrently (minimum 1).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
@@ -328,43 +320,54 @@ impl ServiceBuilder {
         self
     }
 
-    /// Build behind the [`LmService`] contract, sharding when the
-    /// environment asks for it: `LMPEEL_SHARDS=N` (N > 1) turns this
-    /// single-shard configuration into an N-shard
-    /// [`crate::ShardedService`] whose shards share this builder's models
-    /// and knobs; otherwise the plain [`InferenceService`] is returned.
-    /// Existing callers opt into multi-core serving by switching `build()`
-    /// to `build_service()` — every submit/wait call site stays the same.
-    ///
-    /// Shard count cannot change any request's bytes (traces are
-    /// topology-independent, see [`LmService`]), so reading the
-    /// environment here cannot perturb golden outputs.
-    pub fn build_service(self) -> Box<dyn LmService> {
-        match crate::shard::shards_from_env() {
-            Some(n) if n.get() > 1 => Box::new(
-                crate::shard::ShardedServiceBuilder::from_template(self)
-                    .shards(n.get())
-                    .build(),
-            ),
-            _ => Box::new(self.build()),
-        }
-    }
-
-    /// Spawn the scheduler thread and return the running service.
+    /// Spawn every shard's scheduler thread and return the running
+    /// service.
     pub fn build(self) -> InferenceService {
-        let (tx, rx) = mpsc::sync_channel(self.queue_capacity);
+        let router = ShardRouter::new(self.shards, self.prefix_window);
+        let shards = (0..router.shards())
+            .map(|shard| {
+                let models = self
+                    .models
+                    .iter()
+                    .map(|(name, source)| {
+                        let replica = match source {
+                            ReplicaSource::Shared(m) => Arc::clone(m),
+                            ReplicaSource::PerShard(f) => f(shard),
+                        };
+                        (name.clone(), replica)
+                    })
+                    .collect();
+                Shard::spawn(models, &self)
+            })
+            .collect();
+        InferenceService { router, shards }
+    }
+}
+
+/// One scheduler thread and the state its submitters share with it.
+struct Shard {
+    tx: Option<SyncSender<Envelope>>,
+    policy: BackpressurePolicy,
+    handle: Option<JoinHandle<()>>,
+    stats: Arc<crate::sync::RankedMutex<ServeStats>>,
+    draining: Arc<AtomicBool>,
+}
+
+impl Shard {
+    fn spawn(models: HashMap<String, Arc<dyn LanguageModel>>, b: &ServiceBuilder) -> Self {
+        let (tx, rx) = mpsc::sync_channel(b.queue_capacity);
         let stats = Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default()));
         let draining = Arc::new(AtomicBool::new(false));
         let scheduler = Scheduler::new(
             rx,
-            self.models,
+            models,
             SchedulerConfig {
-                max_batch: self.max_batch,
-                trie_capacity: self.trie_capacity,
-                quarantine_after: self.quarantine_after,
-                breaker_cooldown: self.breaker_cooldown,
-                retry_budget: self.retry_budget,
-                fuse_batches: self.fuse_batches,
+                max_batch: b.max_batch,
+                trie_capacity: b.trie_capacity,
+                quarantine_after: b.quarantine_after,
+                breaker_cooldown: b.breaker_cooldown,
+                retry_budget: b.retry_budget,
+                fuse_batches: b.fuse_batches,
             },
             Arc::clone(&stats),
             Arc::clone(&draining),
@@ -373,41 +376,16 @@ impl ServiceBuilder {
             .name("lmpeel-serve".into())
             .spawn(move || scheduler.run())
             .expect("spawn scheduler thread");
-        InferenceService {
+        Self {
             tx: Some(tx),
-            policy: self.policy,
+            policy: b.policy,
             handle: Some(handle),
             stats,
             draining,
         }
     }
-}
 
-/// A running continuous-batching inference service.
-///
-/// Submission is thread-safe behind `&self`; results come back through
-/// per-request [`ResponseHandle`]s, so many callers can wait concurrently.
-/// [`InferenceService::shutdown`] drains gracefully (stops admitting,
-/// finishes in-flight work, surfaces scheduler panics); dropping the
-/// service instead processes everything still queued, then joins (logging
-/// any scheduler panic to stderr).
-pub struct InferenceService {
-    tx: Option<SyncSender<Envelope>>,
-    policy: BackpressurePolicy,
-    handle: Option<JoinHandle<()>>,
-    stats: Arc<crate::sync::RankedMutex<ServeStats>>,
-    draining: Arc<AtomicBool>,
-}
-
-impl InferenceService {
-    /// Start configuring a service.
-    pub fn builder() -> ServiceBuilder {
-        ServiceBuilder::new()
-    }
-
-    /// Queue a request. Returns a handle to wait on; under the `Reject`
-    /// policy a full queue fails fast with [`RequestError::QueueFull`].
-    pub fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
+    fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
         let tx = self.tx.as_ref().expect("sender lives until drop");
         let (rtx, rrx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
@@ -441,7 +419,71 @@ impl InferenceService {
             rx: rrx,
             cancel,
             cancel_on_drop: true,
+            delivered: Cell::new(false),
         })
+    }
+
+    fn stats(&self) -> ServeStats {
+        *self.stats.lock()
+    }
+
+    /// Close the queue and join the scheduler; returns the stringified
+    /// panic payload if the scheduler thread died panicking.
+    fn shutdown_inner(&mut self) -> Option<String> {
+        drop(self.tx.take());
+        let payload = self.handle.take()?.join().err()?;
+        Some(panic_message(payload.as_ref()))
+    }
+}
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        if let Some(reason) = self.shutdown_inner() {
+            eprintln!("lmpeel-serve: scheduler thread panicked: {reason}");
+        }
+    }
+}
+
+/// A running continuous-batching inference service: one or more
+/// scheduler shards behind a prefix-affinity [`ShardRouter`].
+///
+/// Submission is thread-safe behind `&self`; results come back through
+/// per-request [`ResponseHandle`]s, so many callers can wait concurrently.
+/// Traces are **topology-independent**: a request's response bytes are a
+/// deterministic function of the request alone, whichever shard, batch
+/// or admission interleaving served it (the sharded-vs-single
+/// equivalence proptests pin this).
+/// [`InferenceService::shutdown`] drains gracefully (stops admitting,
+/// finishes in-flight work, surfaces scheduler panics); dropping the
+/// service instead processes everything still queued, then joins (logging
+/// any scheduler panic to stderr).
+pub struct InferenceService {
+    router: ShardRouter,
+    shards: Vec<Shard>,
+}
+
+/// The multi-shard name of [`InferenceService`], kept because the
+/// out-of-workspace benchmark package (`perfbench/`) still builds its
+/// service through it.
+pub type ShardedService = InferenceService;
+
+impl InferenceService {
+    /// Start configuring a service.
+    pub fn builder() -> ServiceBuilder {
+        ServiceBuilder::new()
+    }
+
+    /// The routing function in use (exposed so tests and the load
+    /// generator can predict placements).
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// Queue a request on its prefix-affine shard. Returns a handle to
+    /// wait on; under the `Reject` policy a full queue fails fast with
+    /// [`RequestError::QueueFull`].
+    pub fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
+        self.shards[self.router.route(&request.prompt)].submit(request)
     }
 
     /// Submit and wait: the one-call path for sequential callers.
@@ -449,45 +491,42 @@ impl InferenceService {
         self.submit(request)?.wait()
     }
 
-    /// Current counters (settled after each scheduling round).
+    /// Current counters summed over every shard (settled after each
+    /// scheduling round).
     pub fn stats(&self) -> ServeStats {
-        *self.stats.lock()
+        ServeStats::merged(&self.shard_stats())
     }
 
-    /// Gracefully drain and join the scheduler: stop admitting, let
+    /// Per-shard counter blocks, indexed like the router's shard indices
+    /// (for load-balance reporting; the sum is [`InferenceService::stats`]).
+    pub fn shard_stats(&self) -> Vec<ServeStats> {
+        self.shards.iter().map(Shard::stats).collect()
+    }
+
+    /// Gracefully drain and join every shard: stop admitting, let
     /// in-flight generations finish, reject whatever is still queued with
     /// [`RequestError::ShutDown`] (counted in [`ServeStats::drained`]),
     /// and surface a scheduler-thread panic as an error instead of
-    /// swallowing it. Returns the final counters on a clean join.
+    /// swallowing it. Every shard starts draining before any is joined,
+    /// and every shard is joined even when one panicked; the first panic
+    /// is returned, otherwise the final merged counters.
     ///
     /// Dropping the service without calling `shutdown` is the lossless
     /// variant: everything queued is still decoded before the join, and a
     /// scheduler panic is logged to stderr.
     pub fn shutdown(mut self) -> Result<ServeStats, SchedulerPanicked> {
-        self.draining.store(true, Ordering::SeqCst);
-        match self.shutdown_inner() {
-            Some(reason) => Err(SchedulerPanicked { reason }),
-            None => Ok(self.stats()),
+        for shard in &self.shards {
+            shard.draining.store(true, Ordering::SeqCst);
         }
-    }
-
-    /// Close the queue and join the scheduler; returns the stringified
-    /// panic payload if the scheduler thread died panicking.
-    fn shutdown_inner(&mut self) -> Option<String> {
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            if let Err(payload) = handle.join() {
-                return Some(panic_message(payload.as_ref()));
+        let mut first_panic = None;
+        for shard in &mut self.shards {
+            if let Some(reason) = shard.shutdown_inner() {
+                first_panic.get_or_insert(SchedulerPanicked { reason });
             }
         }
-        None
-    }
-}
-
-impl Drop for InferenceService {
-    fn drop(&mut self) {
-        if let Some(reason) = self.shutdown_inner() {
-            eprintln!("lmpeel-serve: scheduler thread panicked: {reason}");
+        match first_panic {
+            Some(p) => Err(p),
+            None => Ok(self.stats()),
         }
     }
 }
@@ -503,6 +542,10 @@ pub struct ResponseHandle {
     rx: Receiver<Result<GenerateResponse, RequestError>>,
     cancel: Arc<AtomicBool>,
     cancel_on_drop: bool,
+    /// Set once `try_wait` has handed out the result. The scheduler drops
+    /// its sender only *after* sending, so without this flag a poll in
+    /// between would see an empty, still-connected channel.
+    delivered: Cell<bool>,
 }
 
 impl ResponseHandle {
@@ -522,8 +565,14 @@ impl ResponseHandle {
     /// than `None`, so pollers can never spin forever on a response that
     /// will never come.
     pub fn try_wait(&self) -> Option<Result<GenerateResponse, RequestError>> {
+        if self.delivered.get() {
+            return Some(Err(RequestError::ShutDown));
+        }
         match self.rx.try_recv() {
-            Ok(result) => Some(result),
+            Ok(result) => {
+                self.delivered.set(true);
+                Some(result)
+            }
             Err(TryRecvError::Empty) => None,
             Err(TryRecvError::Disconnected) => Some(Err(RequestError::ShutDown)),
         }
@@ -558,7 +607,7 @@ mod tests {
     fn shutdown_surfaces_scheduler_panics() {
         crate::faults::silence_injected_panics();
         let (tx, _rx) = mpsc::sync_channel(1);
-        let service = InferenceService {
+        let shard = Shard {
             tx: Some(tx),
             policy: BackpressurePolicy::Block,
             handle: Some(
@@ -570,9 +619,32 @@ mod tests {
             stats: Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default())),
             draining: Arc::new(AtomicBool::new(false)),
         };
+        let service = InferenceService {
+            router: ShardRouter::new(1, DEFAULT_PREFIX_WINDOW),
+            shards: vec![shard],
+        };
         let err = service.shutdown().unwrap_err();
         assert!(err.reason.contains("scheduler bug"), "got {err}");
         assert!(err.to_string().contains("scheduler thread panicked"));
+    }
+
+    /// A second poll after the result was delivered must report
+    /// `ShutDown` even while the responder's sender is still alive — the
+    /// window between the scheduler's `send` and its drop of the sender.
+    #[test]
+    fn try_wait_after_delivery_reports_shutdown_while_the_sender_lives() {
+        let (tx, rx) = mpsc::channel();
+        let handle = ResponseHandle {
+            rx,
+            cancel: Arc::new(AtomicBool::new(false)),
+            cancel_on_drop: false,
+            delivered: Cell::new(false),
+        };
+        assert_eq!(handle.try_wait(), None);
+        tx.send(Err(RequestError::Cancelled)).unwrap();
+        assert_eq!(handle.try_wait(), Some(Err(RequestError::Cancelled)));
+        assert_eq!(handle.try_wait(), Some(Err(RequestError::ShutDown)));
+        drop(tx);
     }
 
     #[test]

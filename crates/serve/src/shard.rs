@@ -1,38 +1,34 @@
-//! Multi-core serving: N scheduler shards behind a prefix-affinity router.
+//! Multi-core serving: the prefix-affinity router in front of an
+//! [`crate::InferenceService`]'s scheduler shards.
 //!
-//! One scheduler thread is the single-shard service's scale ceiling: every
+//! One scheduler thread is a single-shard service's scale ceiling: every
 //! decode step of every in-flight request funnels through it, and its one
-//! prefix trie is the only cache capacity the whole workload gets. The
-//! [`ShardedService`] removes both limits at once. It owns `N` complete
-//! [`InferenceService`] shards — each with its own scheduler thread, its
-//! own substrate replicas and its own per-substrate prefix tries — and a
-//! [`ShardRouter`] that assigns every request to a shard by **hashing the
-//! prompt's prefix window**. Requests sharing a prompt prefix therefore
-//! land on the same shard, so prefix-cache hits stay shard-local: the
-//! aggregate trie capacity scales with the shard count instead of being
-//! split uselessly across caches that each see every prompt.
+//! prefix trie is the only cache capacity the whole workload gets.
+//! [`crate::ServiceBuilder::shards`] removes both limits at once. The
+//! service then owns `N` complete schedulers — each with its own thread,
+//! its own substrate replicas and its own per-substrate prefix tries — and
+//! a [`ShardRouter`] that assigns every request to a shard by **hashing
+//! the prompt's prefix window**. Requests sharing a prompt prefix
+//! therefore land on the same shard, so prefix-cache hits stay
+//! shard-local: the aggregate trie capacity scales with the shard count
+//! instead of being split uselessly across caches that each see every
+//! prompt.
 //!
 //! # Determinism boundary
 //!
-//! Per-shard behaviour is exactly the single-shard service's — fusion,
+//! Per-shard behaviour is exactly the one-shard service's — fusion,
 //! circuit breakers, retries and trace bytes are all per-shard state, and
 //! a shard fed some request stream behaves byte-identically to a
-//! standalone [`InferenceService`] fed the same stream (pinned by
-//! `tests/sharded.rs`). What sharding deliberately does **not** pin is
-//! *cross-shard completion order*: shards run on independent OS threads,
-//! so which shard retires first is timing. Callers observe order only
-//! through their own [`crate::ResponseHandle`]s, and each handle's bytes
-//! are a function of its request alone, so the reported (not pinned)
-//! cross-shard order cannot leak into any golden artifact.
+//! one-shard service fed the same stream (pinned by `tests/sharded.rs`).
+//! What sharding deliberately does **not** pin is *cross-shard completion
+//! order*: shards run on independent OS threads, so which shard retires
+//! first is timing. Callers observe order only through their own
+//! [`crate::ResponseHandle`]s, and each handle's bytes are a function of
+//! its request alone, so the reported (not pinned) cross-shard order
+//! cannot leak into any golden artifact.
 
-use crate::request::{GenerateRequest, GenerateResponse, RequestError};
-use crate::service::{
-    InferenceService, LmService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
-};
-use lmpeel_lm::LanguageModel;
 use lmpeel_tokenizer::TokenId;
 use std::num::NonZeroUsize;
-use std::sync::Arc;
 
 /// FNV-1a 64-bit over a token-id sequence. Process-stable (unlike the std
 /// hasher's per-process random keys), so routing is deterministic across
@@ -96,267 +92,34 @@ impl ShardRouter {
     }
 }
 
-/// Shard count requested through the environment: `LMPEEL_SHARDS=N`.
-/// `None` when unset, empty, or unparsable — callers treat all three as
-/// "stay single-shard".
-pub fn shards_from_env() -> Option<NonZeroUsize> {
-    std::env::var("LMPEEL_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-}
-
-/// Per-shard replica source for one substrate name.
-#[derive(Clone)]
-enum ReplicaSource {
-    /// One `Arc` shared by every shard. Correct for any
-    /// [`LanguageModel`] (they are `&self`-pure and `Send + Sync`), and
-    /// the cheap default when the model is large.
-    Shared(Arc<dyn LanguageModel>),
-    /// A fresh replica per shard, built from the shard index. Gives each
-    /// shard its own interior caches (e.g. the transformer's
-    /// attention-weight memo) at the cost of `N` copies of the weights.
-    PerShard(Arc<dyn Fn(usize) -> Arc<dyn LanguageModel> + Send + Sync>),
-}
-
-/// Configures and spawns a [`ShardedService`].
-///
-/// Every knob of the single-shard [`ServiceBuilder`] is available here
-/// with the same name and applies **per shard** (each shard is a complete
-/// `InferenceService`): `queue_capacity` bounds each shard's queue,
-/// `max_batch` each shard's in-flight set, `prefix_cache_capacity` each
-/// shard's tries — so aggregate capacity scales with the shard count by
-/// construction.
-#[derive(Clone)]
-pub struct ShardedServiceBuilder {
-    template: ServiceBuilder,
-    sources: Vec<(String, ReplicaSource)>,
-    shards: usize,
-    prefix_window: usize,
-}
-
-impl Default for ShardedServiceBuilder {
-    fn default() -> Self {
-        Self {
-            template: ServiceBuilder::new(),
-            sources: Vec::new(),
-            shards: 2,
-            prefix_window: DEFAULT_PREFIX_WINDOW,
-        }
-    }
-}
-
 /// Default routing window: long enough that distinct ICL prompt families
 /// (which differ inside their first example line) hash apart, short
 /// enough that one family's per-seed and per-query variants — which agree
 /// far beyond this — always colocate.
 pub const DEFAULT_PREFIX_WINDOW: usize = 64;
 
-impl ShardedServiceBuilder {
-    /// Fresh builder: 2 shards, a [`DEFAULT_PREFIX_WINDOW`]-token routing
-    /// window, and the single-shard defaults for every per-shard knob.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adopt a configured single-shard builder as the per-shard template:
-    /// its models become shared replicas on every shard and its knobs the
-    /// per-shard knobs. This is how [`ServiceBuilder::build_service`]
-    /// upgrades an existing configuration without re-stating it.
-    pub fn from_template(template: ServiceBuilder) -> Self {
-        Self {
-            template,
-            ..Self::default()
-        }
-    }
-
-    /// Number of scheduler shards (minimum 1; one per core is the
-    /// intended shape).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Prompt tokens the router hashes for shard affinity.
-    pub fn prefix_window(mut self, tokens: usize) -> Self {
-        self.prefix_window = tokens;
-        self
-    }
-
-    /// Register `model` under `substrate` on every shard (one shared
-    /// replica; see the sharing trade-offs on [`Self::model_factory`]).
-    pub fn model(mut self, substrate: impl Into<String>, model: Arc<dyn LanguageModel>) -> Self {
-        self.sources
-            .push((substrate.into(), ReplicaSource::Shared(model)));
-        self
-    }
-
-    /// Register a per-shard replica factory under `substrate`: `factory`
-    /// is called once per shard with the shard index, so every shard owns
-    /// its own model instance (own interior caches, no cross-shard
-    /// sharing).
-    pub fn model_factory(
-        mut self,
-        substrate: impl Into<String>,
-        factory: impl Fn(usize) -> Arc<dyn LanguageModel> + Send + Sync + 'static,
-    ) -> Self {
-        self.sources
-            .push((substrate.into(), ReplicaSource::PerShard(Arc::new(factory))));
-        self
-    }
-
-    /// Per-shard queue bound; see [`ServiceBuilder::queue_capacity`].
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.template = self.template.queue_capacity(capacity);
-        self
-    }
-
-    /// Per-shard backpressure policy; see [`ServiceBuilder::backpressure`].
-    pub fn backpressure(mut self, policy: crate::request::BackpressurePolicy) -> Self {
-        self.template = self.template.backpressure(policy);
-        self
-    }
-
-    /// Per-shard in-flight bound; see [`ServiceBuilder::max_batch`].
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.template = self.template.max_batch(max_batch);
-        self
-    }
-
-    /// Per-shard prefix-cache capacity; see
-    /// [`ServiceBuilder::prefix_cache_capacity`].
-    pub fn prefix_cache_capacity(mut self, capacity: usize) -> Self {
-        self.template = self.template.prefix_cache_capacity(capacity);
-        self
-    }
-
-    /// Per-shard breaker trip threshold; see
-    /// [`ServiceBuilder::quarantine_after`].
-    pub fn quarantine_after(mut self, panics: u32) -> Self {
-        self.template = self.template.quarantine_after(panics);
-        self
-    }
-
-    /// Per-shard breaker cooldown; see [`ServiceBuilder::breaker_cooldown`].
-    pub fn breaker_cooldown(mut self, rounds: u64) -> Self {
-        self.template = self.template.breaker_cooldown(rounds);
-        self
-    }
-
-    /// Per-request retry budget; see [`ServiceBuilder::retry_budget`].
-    pub fn retry_budget(mut self, retries: u32) -> Self {
-        self.template = self.template.retry_budget(retries);
-        self
-    }
-
-    /// Per-shard batch fusion toggle; see [`ServiceBuilder::fuse_batches`].
-    pub fn fuse_batches(mut self, fuse: bool) -> Self {
-        self.template = self.template.fuse_batches(fuse);
-        self
-    }
-
-    /// Spawn every shard's scheduler thread and return the running
-    /// service.
-    pub fn build(self) -> ShardedService {
-        let router = ShardRouter::new(self.shards, self.prefix_window);
-        let shards = (0..router.shards())
-            .map(|shard| {
-                let mut b = self.template.clone();
-                for (name, source) in &self.sources {
-                    let replica = match source {
-                        ReplicaSource::Shared(m) => Arc::clone(m),
-                        ReplicaSource::PerShard(f) => f(shard),
-                    };
-                    b = b.model(name.clone(), replica);
-                }
-                b.build()
-            })
-            .collect();
-        ShardedService { router, shards }
-    }
+/// Shard count requested through the environment: `LMPEEL_SHARDS=N` when
+/// `N` is a positive integer, otherwise 1 — unset, empty, `0` and
+/// unparsable values all mean "stay single-shard". Shard count cannot
+/// change any request's bytes, so reading it cannot perturb golden
+/// outputs.
+pub fn shards_from_env() -> usize {
+    parse_shards(std::env::var("LMPEEL_SHARDS").ok().as_deref())
 }
 
-/// A running multi-shard inference service: `N` independent
-/// [`InferenceService`] shards fronted by a [`ShardRouter`].
-///
-/// Implements [`LmService`], so every call site written against the trait
-/// — the experiment driver, the llambo helpers, the front-end, the load
-/// generator — drives it exactly like the single-shard service.
-pub struct ShardedService {
-    router: ShardRouter,
-    shards: Vec<InferenceService>,
-}
-
-impl ShardedService {
-    /// Start configuring a sharded service.
-    pub fn builder() -> ShardedServiceBuilder {
-        ShardedServiceBuilder::new()
-    }
-
-    /// The routing function in use (exposed so tests and the load
-    /// generator can predict placements).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Route and queue a request on its prefix-affine shard.
-    pub fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
-        self.shards[self.router.route(&request.prompt)].submit(request)
-    }
-
-    /// Submit and wait: the one-call path for sequential callers.
-    pub fn generate(&self, request: GenerateRequest) -> Result<GenerateResponse, RequestError> {
-        self.submit(request)?.wait()
-    }
-
-    /// Aggregate counters over all shards ([`ServeStats::merge`]).
-    pub fn stats(&self) -> ServeStats {
-        ServeStats::merged(self.shard_stats().iter())
-    }
-
-    /// Per-shard counter blocks, indexed like the router's shard indices
-    /// (for load-balance reporting; the sum is [`ShardedService::stats`]).
-    pub fn shard_stats(&self) -> Vec<ServeStats> {
-        self.shards.iter().map(InferenceService::stats).collect()
-    }
-
-    /// Gracefully drain and join every shard. Stats from cleanly joined
-    /// shards are merged and returned; if any shard's scheduler thread
-    /// panicked, the first panic is surfaced instead (after every shard
-    /// has still been joined, so no thread leaks behind the error).
-    pub fn shutdown(self) -> Result<ServeStats, SchedulerPanicked> {
-        let mut total = ServeStats::default();
-        let mut first_panic = None;
-        for shard in self.shards {
-            match shard.shutdown() {
-                Ok(stats) => total.merge(&stats),
-                Err(p) => first_panic = first_panic.or(Some(p)),
-            }
-        }
-        match first_panic {
-            Some(p) => Err(p),
-            None => Ok(total),
-        }
-    }
-}
-
-impl LmService for ShardedService {
-    fn submit(&self, request: GenerateRequest) -> Result<ResponseHandle, RequestError> {
-        ShardedService::submit(self, request)
-    }
-
-    fn stats(&self) -> ServeStats {
-        ShardedService::stats(self)
-    }
-
-    fn shutdown(self: Box<Self>) -> Result<ServeStats, SchedulerPanicked> {
-        ShardedService::shutdown(*self)
-    }
+fn parse_shards(value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(1)
+        .max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GenerateRequest, InferenceService, RequestError, ServeStats, ShardedService};
     use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel};
+    use std::sync::Arc;
 
     fn spec(seed: u64) -> GenerateSpec {
         GenerateSpec::builder()
@@ -418,7 +181,7 @@ mod tests {
     #[test]
     fn sharded_traces_match_sequential_generation() {
         let model = Arc::new(InductionLm::paper(0));
-        let service = ShardedService::builder()
+        let service = InferenceService::builder()
             .shards(3)
             .model("default", model.clone())
             .build();
@@ -438,23 +201,105 @@ mod tests {
     #[test]
     fn per_shard_replica_factories_run_once_per_shard() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let built = Arc::new(AtomicUsize::new(0));
-        let b2 = Arc::clone(&built);
-        let service = ShardedService::builder()
-            .shards(3)
-            .model_factory("default", move |_shard| {
-                b2.fetch_add(1, Ordering::SeqCst);
-                Arc::new(InductionLm::paper(0))
+        for shards in [1, 3] {
+            let built = Arc::new(AtomicUsize::new(0));
+            let b2 = Arc::clone(&built);
+            let service = InferenceService::builder()
+                .shards(shards)
+                .model_factory("default", move |_shard| {
+                    b2.fetch_add(1, Ordering::SeqCst);
+                    Arc::new(InductionLm::paper(0))
+                })
+                .build();
+            assert_eq!(built.load(Ordering::SeqCst), shards);
+            drop(service);
+        }
+    }
+
+    #[test]
+    fn one_shard_by_default_and_the_alias_builds_n() {
+        assert_eq!(InferenceService::builder().build().shard_stats().len(), 1);
+        let sharded = ShardedService::builder().shards(3).build();
+        assert_eq!(sharded.shard_stats().len(), 3);
+        assert_eq!(sharded.router().shards(), 3);
+    }
+
+    #[test]
+    fn shard_count_parsing_falls_back_to_one() {
+        for (value, shards) in [
+            (None, 1),
+            (Some(""), 1),
+            (Some("0"), 1),
+            (Some("garbage"), 1),
+            (Some("4"), 4),
+            (Some(" 4 "), 4),
+        ] {
+            assert_eq!(parse_shards(value), shards, "{value:?}");
+        }
+    }
+
+    /// `shutdown` drains every shard at once: while shard 0 is held in
+    /// flight, work queued on another shard must be rejected with
+    /// `ShutDown`, not admitted because that shard's drain flag was still
+    /// waiting for shard 0 to join.
+    #[test]
+    fn shutdown_drains_every_shard_before_joining_any() {
+        use crate::faults::{Fault, FaultGate, FaultyLm};
+        let gates = [FaultGate::new(), FaultGate::new()];
+        let shard_gates = gates.clone();
+        let service = InferenceService::builder()
+            .shards(2)
+            .model_factory("gated", move |shard| {
+                Arc::new(FaultyLm::new(
+                    Arc::new(InductionLm::paper(0)),
+                    Fault::HangUntilGate(Arc::clone(&shard_gates[shard])),
+                ))
             })
+            .max_batch(1)
+            .queue_capacity(4)
             .build();
-        assert_eq!(built.load(Ordering::SeqCst), 3);
-        drop(service);
+        let model = InductionLm::paper(0);
+        let prompt_on = |shard: usize| {
+            (0..)
+                .map(|i| model.tokenizer().encode(&format!("Performance: {i}")))
+                .find(|p| service.router().route(p) == shard)
+                .expect("both shards own some prompt")
+        };
+        let (p0, p1) = (prompt_on(0), prompt_on(1));
+        // A holds shard 0, B holds shard 1, C queues on shard 1 behind B.
+        let a = service
+            .submit(GenerateRequest::new("gated", p0, spec(0)))
+            .unwrap();
+        gates[0].wait_entered();
+        let b = service
+            .submit(GenerateRequest::new("gated", p1.clone(), spec(1)))
+            .unwrap();
+        gates[1].wait_entered();
+        let c = service
+            .submit(GenerateRequest::new("gated", p1, spec(2)))
+            .unwrap();
+        // Once shutdown is underway, release shard 1 and let C resolve
+        // while shard 0 is still held: a drain that waited on shard 0's
+        // join would let shard 1 admit and finish C.
+        let opener = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(250));
+            gates[1].open();
+            let c = c.wait();
+            gates[0].open();
+            c
+        });
+        let stats = service.shutdown().expect("clean join");
+        assert_eq!(opener.join().unwrap().unwrap_err(), RequestError::ShutDown);
+        assert!(a.wait().is_ok());
+        assert!(b.wait().is_ok());
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.drained, 1);
     }
 
     #[test]
     fn stats_aggregate_across_shards() {
         let model = Arc::new(InductionLm::paper(0));
-        let service = ShardedService::builder()
+        let service = InferenceService::builder()
             .shards(4)
             .model("default", model.clone())
             .build();
@@ -485,20 +330,5 @@ mod tests {
             "each prompt's second request hits its shard-local trie"
         );
         assert_eq!(merged.prefix.misses, 4);
-    }
-
-    #[test]
-    fn builder_template_adoption_keeps_models_and_knobs() {
-        let model: Arc<dyn LanguageModel> = Arc::new(InductionLm::paper(0));
-        let template = InferenceService::builder()
-            .model("default", Arc::clone(&model))
-            .max_batch(2);
-        let service = ShardedServiceBuilder::from_template(template)
-            .shards(2)
-            .build();
-        let prompt = model.tokenizer().encode("Performance: ");
-        assert!(service
-            .generate(GenerateRequest::new("default", prompt, spec(0)))
-            .is_ok());
     }
 }

@@ -11,8 +11,7 @@
 use lmpeel_lm::{InductionLm, LanguageModel};
 use lmpeel_serve::frontend::{FrameAssembler, WireRequest, WireResult};
 use lmpeel_serve::{
-    ExtRequest, ExtensionHandler, Frontend, FrontendClient, InferenceService, LmService,
-    ReconnectPolicy,
+    ExtRequest, ExtensionHandler, Frontend, FrontendClient, InferenceService, ReconnectPolicy,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -22,9 +21,9 @@ use std::time::{Duration, Instant};
 
 /// A service over the deterministic induction model, as every test here
 /// wants one.
-fn service() -> (Arc<InductionLm>, Arc<dyn LmService>) {
+fn service() -> (Arc<InductionLm>, Arc<InferenceService>) {
     let model = Arc::new(InductionLm::paper(0));
-    let service: Arc<dyn LmService> = Arc::new(
+    let service = Arc::new(
         InferenceService::builder()
             .model("default", model.clone())
             .build(),

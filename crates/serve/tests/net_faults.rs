@@ -23,7 +23,7 @@
 use lmpeel_lm::{InductionLm, LanguageModel};
 use lmpeel_serve::frontend::{WireRequest, WireResponse};
 use lmpeel_serve::netfault::{FaultProxy, NetFault};
-use lmpeel_serve::{Frontend, FrontendClient, InferenceService, LmService};
+use lmpeel_serve::{Frontend, FrontendClient, InferenceService};
 use lmpeel_tokenizer::TokenId;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -112,7 +112,7 @@ proptest! {
         let prompt = model.tokenizer().encode("Performance: ");
         // Prefix caching off so response bytes (reused/prefilled counts
         // included) are a pure function of the request.
-        let service: Arc<dyn LmService> = Arc::new(
+        let service = Arc::new(
             InferenceService::builder()
                 .model("default", model.clone())
                 .prefix_cache_capacity(0)

@@ -13,7 +13,7 @@
 //!    order, and shard count; only cross-shard completion order is free.
 
 use lmpeel_lm::{InductionLm, LanguageModel};
-use lmpeel_serve::{GenerateRequest, InferenceService, ShardRouter, ShardedService};
+use lmpeel_serve::{GenerateRequest, InferenceService, ShardRouter};
 use lmpeel_tokenizer::TokenId;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -123,7 +123,7 @@ proptest! {
         let alt = Arc::new(InductionLm::paper(7));
         let prompts = prompts(&base);
 
-        let sharded = ShardedService::builder()
+        let sharded = InferenceService::builder()
             .model("default", base.clone())
             .model("alt", alt.clone())
             .shards(shard_count)
@@ -152,7 +152,7 @@ proptest! {
             .collect();
 
         // Replay each shard's slice, in admission order, against a fresh
-        // single-shard service with the same knobs.
+        // one-shard service with the same knobs.
         for shard in 0..shard_count {
             let single = InferenceService::builder()
                 .model("default", base.clone())

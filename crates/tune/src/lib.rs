@@ -11,8 +11,8 @@
 //!    repeat query runs **zero** kernel measurements;
 //! 2. otherwise runs the surrogate-guided search as a reportable
 //!    ablation — GBDT surrogate vs LLM surrogate (scored through the
-//!    existing [`LmService`] serving layer) vs random search, each at the
-//!    same budget against the same deterministic objective;
+//!    existing [`InferenceService`] serving layer) vs random search, each
+//!    at the same budget against the same deterministic objective;
 //! 3. validates the winning configuration on the real
 //!    [`lmpeel_kernel`] syr2k nest (checksum against the untransformed
 //!    reference; wall-clock medians are reported but never cached);
@@ -48,7 +48,7 @@ use lmpeel_kernel::{measure, MeasureSpec, Syr2kProblem};
 use lmpeel_lm::{InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{CostModel, MachineModel, PerfDataset};
 use lmpeel_recover::{JournalError, Recovery, RunJournal};
-use lmpeel_serve::{GenerateRequest, InferenceService, LmService};
+use lmpeel_serve::{shards_from_env, GenerateRequest, InferenceService};
 use lmpeel_tokenizer::EOS;
 use std::path::Path;
 use lmpeel_serve::sync::RankedMutex;
@@ -161,11 +161,11 @@ pub struct TuneReport {
 
 /// LLM discriminative surrogate scored **through the serving layer**: each
 /// candidate's runtime prediction is generated by submitting a request to
-/// an [`LmService`] hosting the model, so tune-time LLM traffic exercises
+/// an [`InferenceService`] hosting the model, so tune-time LLM traffic exercises
 /// the same admission/batching/prefix-cache path as the experiments (and
 /// one iteration's pool scores share their prompt prefill).
 pub struct ServiceLlmSearch<M> {
-    /// The surrogate model served behind the [`LmService`].
+    /// The surrogate model served behind the [`InferenceService`].
     pub model: Arc<M>,
     /// Random evaluations before the surrogate activates.
     pub init_random: usize,
@@ -181,7 +181,7 @@ impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
     /// response held no value).
     fn score_pool(
         &self,
-        service: &dyn LmService,
+        service: &InferenceService,
         builder: &PromptBuilder,
         examples: &[(lmpeel_configspace::Config, f64)],
         candidates: &[lmpeel_configspace::Config],
@@ -231,14 +231,14 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
         use lmpeel_stats::{seeded_rng, SeedDomain};
         let space = objective.space().clone();
         let builder = PromptBuilder::new(space.clone(), objective.size());
-        // Ephemeral service around the surrogate: `build_service` keeps
-        // this shard-transparent, and one iteration's pool shares its
-        // prompt prefill through the prefix cache.
-        let service: Box<dyn LmService> = InferenceService::builder()
+        // Ephemeral service around the surrogate: one iteration's pool
+        // shares its prompt prefill through the prefix cache.
+        let service = InferenceService::builder()
             .model("tune", self.model.clone())
+            .shards(shards_from_env())
             .queue_capacity(self.pool.max(1))
             .max_batch(self.pool.max(1))
-            .build_service();
+            .build();
         let mut rng = seeded_rng(seed, SeedDomain::Custom(0x7E5E));
         let mut evaluated: Vec<(lmpeel_configspace::Config, f64)> = Vec::with_capacity(budget);
         let mut seen = std::collections::HashSet::new();
@@ -260,7 +260,7 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
             if pool.is_empty() {
                 break;
             }
-            let scores = self.score_pool(service.as_ref(), &builder, &examples, &pool, seed ^ step);
+            let scores = self.score_pool(&service, &builder, &examples, &pool, seed ^ step);
             let best = pool
                 .into_iter()
                 .zip(scores)

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::KERNEL_SYR2K;
     use lmpeel_lm::InductionLm;
-    use lmpeel_serve::{ExtRequest, Frontend, FrontendClient, InferenceService, LmService};
+    use lmpeel_serve::{ExtRequest, Frontend, FrontendClient, InferenceService};
     use std::sync::Arc;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -195,7 +195,7 @@ mod tests {
         let path = tmp("frontend");
         let _ = std::fs::remove_file(&path);
         let (tune, _) = TuneService::open(&path).unwrap();
-        let lm: Arc<dyn LmService> = Arc::new(
+        let lm = Arc::new(
             InferenceService::builder()
                 .model("default", Arc::new(InductionLm::paper(0)))
                 .build(),
