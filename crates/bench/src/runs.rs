@@ -169,7 +169,7 @@ pub fn write_golden(path: &Path, bytes: &[u8]) -> bool {
 /// that [`table1_fit`] produced for a `(train budget, size)` cell. The
 /// search itself is deterministic, so replaying these is byte-identical
 /// to refitting.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct FitRecord {
     /// Training budget of the fit.
     pub n_train: u64,
@@ -191,36 +191,19 @@ impl JournalRecord for FitRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_u64(buf, self.n_train);
         wire::put_u8(buf, self.size_ord);
-        wire::put_usize(buf, self.pred.len());
-        for &p in &self.pred {
-            wire::put_f64(buf, p);
-        }
-        wire::put_usize(buf, self.truth.len());
-        for &t in &self.truth {
-            wire::put_f64(buf, t);
-        }
+        wire::put_seq(buf, &self.pred, |b, &p| wire::put_f64(b, p));
+        wire::put_seq(buf, &self.truth, |b, &t| wire::put_f64(b, t));
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        let n_train = r.u64()?;
-        let size_ord = r.u8()?;
-        let n_pred = r.usize()?;
-        let mut pred = Vec::with_capacity(n_pred.min(1 << 16));
-        for _ in 0..n_pred {
-            pred.push(r.f64()?);
-        }
-        let n_truth = r.usize()?;
-        let mut truth = Vec::with_capacity(n_truth.min(1 << 16));
-        for _ in 0..n_truth {
-            truth.push(r.f64()?);
-        }
-        r.is_done().then_some(FitRecord {
-            n_train,
-            size_ord,
-            pred,
-            truth,
-        })
+        let record = FitRecord {
+            n_train: r.u64()?,
+            size_ord: r.u8()?,
+            pred: r.seq(Reader::f64)?,
+            truth: r.seq(Reader::f64)?,
+        };
+        r.is_done().then_some(record)
     }
 }
 

@@ -14,7 +14,7 @@
 //! frames (see [`lmpeel_serve::frontend::is_goaway`]) when counting
 //! responses.
 
-use lmpeel_serve::frontend::is_goaway;
+use lmpeel_serve::frontend::{is_goaway, push_frame};
 use lmpeel_serve::FrameAssembler;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -78,8 +78,7 @@ impl WireSwarm {
         if !c.open {
             return;
         }
-        c.outbox.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        c.outbox.extend_from_slice(body);
+        push_frame(&mut c.outbox, body);
         c.expected += 1;
     }
 

@@ -78,19 +78,6 @@ pub fn task_key(key: &SettingKey, replica: usize, seed: u64) -> TaskKey {
     )
 }
 
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    wire::put_u8(buf, u8::from(v));
-}
-
-/// Strict bool: only 0/1 are valid — anything else is corruption.
-fn get_bool(r: &mut Reader<'_>) -> Option<bool> {
-    match r.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
 impl JournalRecord for PredictionRecord {
     type Key = TaskKey;
 
@@ -101,22 +88,13 @@ impl JournalRecord for PredictionRecord {
     fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_u8(buf, size_ordinal(self.key.size));
         wire::put_usize(buf, self.key.icl_count);
-        put_bool(buf, self.key.curated);
+        wire::put_bool(buf, self.key.curated);
         wire::put_usize(buf, self.replica);
         wire::put_u64(buf, self.seed);
         wire::put_f64(buf, self.truth);
-        wire::put_usize(buf, self.icl_values.len());
-        for &v in &self.icl_values {
-            wire::put_f64(buf, v);
-        }
+        wire::put_seq(buf, &self.icl_values, |b, &v| wire::put_f64(b, v));
         wire::put_str(buf, &self.response);
-        match self.predicted {
-            None => wire::put_u8(buf, 0),
-            Some(v) => {
-                wire::put_u8(buf, 1);
-                wire::put_f64(buf, v);
-            }
-        }
+        wire::put_opt(buf, self.predicted, wire::put_f64);
         wire::put_u8(
             buf,
             match self.extraction {
@@ -126,48 +104,34 @@ impl JournalRecord for PredictionRecord {
                 Some(Extraction::Scavenged) => 3,
             },
         );
-        put_bool(buf, self.copied_from_icl);
+        wire::put_bool(buf, self.copied_from_icl);
         wire::put_usize(buf, self.trace.prompt_len);
-        put_bool(buf, self.trace.stopped_naturally);
-        wire::put_usize(buf, self.trace.steps.len());
-        for step in &self.trace.steps {
-            wire::put_u32(buf, step.chosen);
-            wire::put_f32(buf, step.chosen_prob);
-            wire::put_usize(buf, step.alternatives.len());
-            for alt in &step.alternatives {
-                wire::put_u32(buf, alt.id);
-                wire::put_f32(buf, alt.prob);
-            }
-        }
-        match &self.value_span {
-            None => wire::put_u8(buf, 0),
-            Some(span) => {
-                wire::put_u8(buf, 1);
-                wire::put_usize(buf, span.start);
-                wire::put_usize(buf, span.end);
-            }
-        }
+        wire::put_bool(buf, self.trace.stopped_naturally);
+        wire::put_seq(buf, &self.trace.steps, |b, step| {
+            wire::put_u32(b, step.chosen);
+            wire::put_f32(b, step.chosen_prob);
+            wire::put_seq(b, &step.alternatives, |b, alt| {
+                wire::put_u32(b, alt.id);
+                wire::put_f32(b, alt.prob);
+            });
+        });
+        wire::put_opt(buf, self.value_span.as_ref(), |b, span| {
+            wire::put_usize(b, span.start);
+            wire::put_usize(b, span.end);
+        });
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let size = size_from_ordinal(r.u8()?)?;
         let icl_count = r.usize()?;
-        let curated = get_bool(&mut r)?;
+        let curated = r.bool()?;
         let replica = r.usize()?;
         let seed = r.u64()?;
         let truth = r.f64()?;
-        let n_icl = r.usize()?;
-        let mut icl_values = Vec::with_capacity(n_icl.min(1 << 16));
-        for _ in 0..n_icl {
-            icl_values.push(r.f64()?);
-        }
+        let icl_values = r.seq(Reader::f64)?;
         let response = r.str()?;
-        let predicted = match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            _ => return None,
-        };
+        let predicted = r.opt(Reader::f64)?;
         let extraction = match r.u8()? {
             0 => None,
             1 => Some(Extraction::Direct),
@@ -175,37 +139,22 @@ impl JournalRecord for PredictionRecord {
             3 => Some(Extraction::Scavenged),
             _ => return None,
         };
-        let copied_from_icl = get_bool(&mut r)?;
+        let copied_from_icl = r.bool()?;
         let prompt_len = r.usize()?;
-        let stopped_naturally = get_bool(&mut r)?;
-        let n_steps = r.usize()?;
-        let mut steps = Vec::with_capacity(n_steps.min(1 << 16));
-        for _ in 0..n_steps {
-            let chosen = r.u32()?;
-            let chosen_prob = r.f32()?;
-            let n_alts = r.usize()?;
-            let mut alternatives = Vec::with_capacity(n_alts.min(1 << 16));
-            for _ in 0..n_alts {
-                alternatives.push(TokenAlt {
-                    id: r.u32()?,
-                    prob: r.f32()?,
-                });
-            }
-            steps.push(GenStep {
-                chosen,
-                chosen_prob,
-                alternatives,
-            });
-        }
-        let value_span = match r.u8()? {
-            0 => None,
-            1 => {
-                let start = r.usize()?;
-                let end = r.usize()?;
-                Some(start..end)
-            }
-            _ => return None,
-        };
+        let stopped_naturally = r.bool()?;
+        let steps = r.seq(|r| {
+            Some(GenStep {
+                chosen: r.u32()?,
+                chosen_prob: r.f32()?,
+                alternatives: r.seq(|r| {
+                    Some(TokenAlt {
+                        id: r.u32()?,
+                        prob: r.f32()?,
+                    })
+                })?,
+            })
+        })?;
+        let value_span = r.opt(|r| Some(r.usize()?..r.usize()?))?;
         r.is_done().then_some(PredictionRecord {
             key: SettingKey {
                 size,
@@ -238,31 +187,18 @@ pub fn plan_fingerprint(plan: &ExperimentPlan, substrate: &str) -> u64 {
     wire::put_str(&mut buf, "lmpeel-run-plan");
     wire::put_u32(&mut buf, CODEC_VERSION);
     wire::put_str(&mut buf, substrate);
-    wire::put_usize(&mut buf, plan.sizes.len());
-    for &s in &plan.sizes {
-        wire::put_u8(&mut buf, size_ordinal(s));
-    }
-    wire::put_usize(&mut buf, plan.icl_counts.len());
-    for &c in &plan.icl_counts {
-        wire::put_usize(&mut buf, c);
-    }
+    let put_size = |b: &mut Vec<u8>, &s: &ArraySize| wire::put_u8(b, size_ordinal(s));
+    let put_count = |b: &mut Vec<u8>, &c: &usize| wire::put_usize(b, c);
+    wire::put_seq(&mut buf, &plan.sizes, put_size);
+    wire::put_seq(&mut buf, &plan.icl_counts, put_count);
     wire::put_usize(&mut buf, plan.replicas);
-    wire::put_usize(&mut buf, plan.seeds.len());
-    for &s in &plan.seeds {
-        wire::put_u64(&mut buf, s);
-    }
-    wire::put_usize(&mut buf, plan.curated_sizes.len());
-    for &s in &plan.curated_sizes {
-        wire::put_u8(&mut buf, size_ordinal(s));
-    }
-    wire::put_usize(&mut buf, plan.curated_counts.len());
-    for &c in &plan.curated_counts {
-        wire::put_usize(&mut buf, c);
-    }
+    wire::put_seq(&mut buf, &plan.seeds, |b, &s| wire::put_u64(b, s));
+    wire::put_seq(&mut buf, &plan.curated_sizes, put_size);
+    wire::put_seq(&mut buf, &plan.curated_counts, put_count);
     wire::put_u64(&mut buf, plan.selection_seed);
     wire::put_usize(&mut buf, plan.max_tokens);
     wire::put_f32(&mut buf, plan.trace_min_prob);
-    put_bool(&mut buf, plan.stop_at_newline);
+    wire::put_bool(&mut buf, plan.stop_at_newline);
     fnv1a64(&buf)
 }
 
@@ -344,20 +280,6 @@ mod tests {
             r.encode(&mut buf);
         }
         buf
-    }
-
-    #[test]
-    fn record_codec_round_trips_smoke_grid_byte_exactly() {
-        for rec in baseline() {
-            let mut buf = Vec::new();
-            rec.encode(&mut buf);
-            let back = PredictionRecord::decode(&buf).expect("decodes");
-            let mut buf2 = Vec::new();
-            back.encode(&mut buf2);
-            assert_eq!(buf, buf2);
-            assert_eq!(back.key(), rec.key());
-            assert_eq!(back.response, rec.response);
-        }
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub mod prior;
 use crate::model::LanguageModel;
 use crate::session::DecodeSession;
 use blocks::{AnchorIds, ContextMap};
-use lmpeel_stats::rng::{hash_bytes, hash_to_unit};
+use lmpeel_recover::{fnv1a64, fnv1a64_extend, FNV1A64_OFFSET};
+use lmpeel_stats::rng::hash_to_unit;
 use lmpeel_tokenizer::{TokenId, Tokenizer, EOS};
 use prior::{MagnitudePrior, ValueState};
 use std::collections::BTreeMap;
@@ -379,13 +380,10 @@ impl InductionLm {
     fn prompt_hash_unit(&self, context: &[TokenId], end: usize, salt: u64) -> f64 {
         let end = end.min(context.len());
         let start = end.saturating_sub(64);
-        let mut bytes = Vec::with_capacity((end - start) * 4 + 9);
-        for &t in &context[start..end] {
-            bytes.extend_from_slice(&t.to_le_bytes());
-        }
-        bytes.extend_from_slice(&salt.to_le_bytes());
-        bytes.push(0xDF);
-        hash_to_unit(hash_bytes(&bytes))
+        let h = context[start..end]
+            .iter()
+            .fold(FNV1A64_OFFSET, |h, t| fnv1a64_extend(h, &t.to_le_bytes()));
+        hash_to_unit(fnv1a64_extend(fnv1a64_extend(h, &salt.to_le_bytes()), &[0xDF]))
     }
 
     fn add_weighted(p: &mut [f64], pairs: &[(TokenId, f64)], scale: f64) {
@@ -581,7 +579,7 @@ impl InductionLm {
                 key[..8].copy_from_slice(&seed.to_le_bytes());
                 key[8..16].copy_from_slice(&t_len.to_le_bytes());
                 key[16..24].copy_from_slice(&(i as u64).to_le_bytes());
-                let u = hash_to_unit(hash_bytes(&key)) as f32;
+                let u = hash_to_unit(fnv1a64(&key)) as f32;
                 (prob.ln() as f32) + self.cfg.jitter_eps * (u - 0.5)
             }
         }));

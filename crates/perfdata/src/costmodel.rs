@@ -34,7 +34,8 @@
 
 use crate::machine::MachineModel;
 use lmpeel_configspace::{ArraySize, Syr2kConfig};
-use lmpeel_stats::rng::{hash_bytes, hash_to_unit};
+use lmpeel_recover::{fnv1a64_extend, FNV1A64_OFFSET};
+use lmpeel_stats::rng::hash_to_unit;
 
 /// Analytical syr2k cost model over a [`MachineModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,17 +195,7 @@ impl CostModel {
             cfg.tile_middle as u64,
             cfg.tile_inner as u64,
         ];
-        let mut bytes = Vec::with_capacity(5 * 8);
-        for k in key {
-            bytes.extend_from_slice(&k.to_le_bytes());
-        }
-        let h1 = hash_bytes(&bytes);
-        bytes.push(0x5C);
-        let h2 = hash_bytes(&bytes);
-        let u1 = hash_to_unit(h1).max(1e-12);
-        let u2 = hash_to_unit(h2);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (sigma * z - 0.5 * sigma * sigma).exp()
+        lognormal_factor(&key, 0x5C, sigma)
     }
 
     /// Log-normal measurement jitter factor for a configuration at a size;
@@ -224,18 +215,7 @@ impl CostModel {
             cfg.tile_middle as u64,
             cfg.tile_inner as u64,
         ];
-        let mut bytes = Vec::with_capacity(7 * 8);
-        for k in key {
-            bytes.extend_from_slice(&k.to_le_bytes());
-        }
-        let h1 = hash_bytes(&bytes);
-        bytes.push(0xA5);
-        let h2 = hash_bytes(&bytes);
-        // Box-Muller from two hash-derived uniforms.
-        let u1 = hash_to_unit(h1).max(1e-12);
-        let u2 = hash_to_unit(h2);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (sigma * z - 0.5 * sigma * sigma).exp()
+        lognormal_factor(&key, 0xA5, sigma)
     }
 
     /// "Measured" runtime: exact estimate times deterministic jitter. This
@@ -250,6 +230,18 @@ impl Default for CostModel {
     fn default() -> Self {
         Self::paper()
     }
+}
+
+/// Mean-one log-normal factor with log-scale `sigma`, deterministic in
+/// `key`: Box-Muller over two hash-derived uniforms, FNV-1a of the key's
+/// little-endian words and that hash continued by the `salt` byte.
+fn lognormal_factor(key: &[u64], salt: u8, sigma: f64) -> f64 {
+    let h1 = key.iter().fold(FNV1A64_OFFSET, |h, k| fnv1a64_extend(h, &k.to_le_bytes()));
+    let h2 = fnv1a64_extend(h1, &[salt]);
+    let u1 = hash_to_unit(h1).max(1e-12);
+    let u2 = hash_to_unit(h2);
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    (sigma * z - 0.5 * sigma * sigma).exp()
 }
 
 #[cfg(test)]

@@ -45,20 +45,30 @@ const HEADER_LEN: usize = 16;
 /// bit-flipped length prefix must not make recovery attempt a huge read.
 const MAX_RECORD_LEN: u32 = 1 << 28;
 
+/// FNV-1a 64-bit offset basis: the state [`fnv1a64_extend`] starts from.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit hash. Stable across processes and platforms — unlike
 /// `DefaultHasher`, which seeds per process and is useless for on-disk
 /// fingerprints and checksums.
+#[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash from `state` over `bytes`. Hashing a
+/// sequence piecewise from [`FNV1A64_OFFSET`] equals [`fnv1a64`] of the
+/// concatenation, so callers fold words in without building a buffer.
+#[inline]
+pub fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// SplitMix64 finalizer: a cheap, high-quality bit mixer for deriving
 /// deterministic jitter from a hash (no OS entropy involved).
+#[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -447,17 +457,12 @@ mod tests {
         }
         fn encode(&self, buf: &mut Vec<u8>) {
             wire::put_u64(buf, self.id);
-            wire::put_usize(buf, self.data.len());
-            buf.extend_from_slice(&self.data);
+            wire::put_bytes(buf, &self.data);
         }
         fn decode(bytes: &[u8]) -> Option<Self> {
             let mut r = wire::Reader::new(bytes);
             let id = r.u64()?;
-            let len = r.usize()?;
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(r.u8()?);
-            }
+            let data = r.bytes()?.to_vec();
             r.is_done().then_some(TestRec { id, data })
         }
     }

@@ -29,8 +29,8 @@
 //! [`CODE_SHUTDOWN`]: crate::frontend::CODE_SHUTDOWN
 
 use crate::frontend::{
-    goaway_frame_body, ExtRequest, ExtResponse, ExtensionHandler, FrameAssembler,
-    LatencyHistogram, WireRequest, WireResponse, OP_EXT_REQUEST, OP_REQUEST,
+    goaway_frame_body, push_frame, ExtRequest, ExtResponse, ExtensionHandler, FrameAssembler,
+    FrontendBuilder, LatencyHistogram, WireRequest, WireResponse, OP_EXT_REQUEST, OP_REQUEST,
 };
 use crate::request::RequestError;
 use crate::service::{InferenceService, ResponseHandle};
@@ -40,7 +40,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The one wall-clock read in the front-end (allowlisted in `lint.toml`):
 /// stamps request arrival so the served-latency ledger can be computed at
@@ -49,19 +49,6 @@ use std::time::{Duration, Instant};
 /// shrinking tick knobs instead of sleeping wall time.
 fn arrival_clock() -> Instant {
     Instant::now()
-}
-
-/// Event-loop knobs, resolved by `FrontendBuilder`.
-#[derive(Debug, Clone)]
-pub(crate) struct FeConfig {
-    pub conn_inflight_cap: usize,
-    pub ext_inflight_cap: usize,
-    pub write_buf_cap: usize,
-    pub idle_ticks: u64,
-    pub mid_frame_ticks: u64,
-    pub drain_ticks: u64,
-    pub drain_linger_ticks: u64,
-    pub tick_interval: Duration,
 }
 
 /// Shared front-end counters (the scalar half is lock-free; the
@@ -220,7 +207,7 @@ pub(crate) struct LoopCtx {
     pub ext_queue: Option<Arc<ExtQueue>>,
     pub stop: Arc<AtomicBool>,
     pub conn_count: Arc<AtomicUsize>,
-    pub cfg: FeConfig,
+    pub cfg: FrontendBuilder,
 }
 
 /// Why a connection is being closed (drives the stats ledger).
@@ -280,8 +267,7 @@ impl Conn {
             self.close = Some(CloseReason::SlowReader);
             return;
         }
-        self.write_buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.write_buf.extend_from_slice(body);
+        push_frame(&mut self.write_buf, body);
     }
 
     /// Nothing left to serve on this connection.
@@ -307,6 +293,11 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
         tick += 1;
         let mut progress = false;
 
+        // Read the stop flag before adopting: the front-end raises it only
+        // after the acceptor has dealt its last stream, so a loop that
+        // sees it also adopts every connection it will ever own.
+        let draining = ctx.stop.load(Ordering::SeqCst);
+
         // Adopt newly accepted connections (the inbox lock is the only
         // cross-thread lock on the connection path).
         let adopted = std::mem::take(&mut *ctx.conns.lock());
@@ -320,7 +311,6 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
         }
 
         // Entering drain: announce GOAWAY on every live connection.
-        let draining = ctx.stop.load(Ordering::SeqCst);
         if draining && drain_started.is_none() {
             drain_started = Some(tick);
             let goaway = goaway_frame_body();

@@ -6,7 +6,12 @@
 //! drive a service of any shard count. The protocol is deliberately
 //! minimal:
 //!
-//! * every frame is `u32-LE length` followed by that many body bytes;
+//! * every frame is `u32-LE length` followed by that many body bytes
+//!   ([`push_frame`]);
+//! * bodies are an opcode byte, then fields in the
+//!   [`lmpeel_recover::wire`] conventions the journals use (`u64` counts
+//!   and lengths, 0/1 tags on optional fields), and every decoder is
+//!   canonical: a body that decodes re-encodes to the same bytes;
 //! * a request body carries a caller-chosen `u64` correlation id, the
 //!   substrate name, the prompt token ids and the decoding knobs;
 //! * a response body carries the same id plus either the generated ids
@@ -34,11 +39,12 @@
 //! backpressure policy: `submit` is called from the event loop, so a
 //! blocking admission policy would stall every connection on that loop.
 
-use crate::event_loop::{self, ExtQueue, FeConfig, FeCounters};
+use crate::event_loop::{self, ExtQueue, FeCounters};
 use crate::request::{Deadline, GenerateRequest, GenerateResponse, RequestError};
 use crate::service::InferenceService;
 use crate::sync::RankedMutex;
 use lmpeel_recover::splitmix64;
+use lmpeel_recover::wire::{self, Reader};
 use lmpeel_tokenizer::TokenId;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -88,10 +94,6 @@ pub(crate) const OP_RESPONSE: u8 = 2;
 pub(crate) const OP_EXT_REQUEST: u8 = 3;
 pub(crate) const OP_EXT_RESPONSE: u8 = 4;
 pub(crate) const OP_GOAWAY: u8 = 5;
-
-const FLAG_MODEL_SEED: u8 = 1;
-const FLAG_STEP_BUDGET: u8 = 2;
-const FLAG_WALL_MS: u8 = 4;
 
 /// The one-byte GOAWAY frame body the front-end writes to every live
 /// connection when [`Frontend::shutdown`] begins draining: in-flight
@@ -156,62 +158,36 @@ impl WireRequest {
 
     /// Serialize to a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.prompt.len() * 4);
+        let mut buf = Vec::with_capacity(64 + 4 * (self.prompt.len() + self.stop_tokens.len()));
         buf.push(OP_REQUEST);
-        put_u64(&mut buf, self.id);
-        put_str(&mut buf, &self.substrate);
-        put_tokens(&mut buf, &self.prompt);
-        put_u32(&mut buf, self.max_tokens);
-        put_u64(&mut buf, self.seed);
-        buf.extend_from_slice(&self.trace_min_prob.to_le_bytes());
-        put_tokens(&mut buf, &self.stop_tokens);
-        let mut flags = 0u8;
-        if self.model_seed.is_some() {
-            flags |= FLAG_MODEL_SEED;
-        }
-        if self.step_budget.is_some() {
-            flags |= FLAG_STEP_BUDGET;
-        }
-        if self.wall_ms.is_some() {
-            flags |= FLAG_WALL_MS;
-        }
-        buf.push(flags);
-        for opt in [self.model_seed, self.step_budget, self.wall_ms].into_iter().flatten() {
-            put_u64(&mut buf, opt);
+        wire::put_u64(&mut buf, self.id);
+        wire::put_str(&mut buf, &self.substrate);
+        wire::put_seq(&mut buf, &self.prompt, put_token);
+        wire::put_u32(&mut buf, self.max_tokens);
+        wire::put_u64(&mut buf, self.seed);
+        wire::put_f32(&mut buf, self.trace_min_prob);
+        wire::put_seq(&mut buf, &self.stop_tokens, put_token);
+        for opt in [self.model_seed, self.step_budget, self.wall_ms] {
+            wire::put_opt(&mut buf, opt, wire::put_u64);
         }
         buf
     }
 
     /// Parse a frame body.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(body);
-        let op = c.u8()?;
-        if op != OP_REQUEST {
-            return Err(WireError::BadOpcode(op));
-        }
-        let id = c.u64()?;
-        let substrate = c.str()?;
-        let prompt = c.tokens()?;
-        let max_tokens = c.u32()?;
-        let seed = c.u64()?;
-        let trace_min_prob = c.f32()?;
-        let stop_tokens = c.tokens()?;
-        let flags = c.u8()?;
-        let model_seed = (flags & FLAG_MODEL_SEED != 0).then(|| c.u64()).transpose()?;
-        let step_budget = (flags & FLAG_STEP_BUDGET != 0).then(|| c.u64()).transpose()?;
-        let wall_ms = (flags & FLAG_WALL_MS != 0).then(|| c.u64()).transpose()?;
-        c.finish()?;
-        Ok(Self {
-            id,
-            substrate,
-            prompt,
-            max_tokens,
-            seed,
-            trace_min_prob,
-            stop_tokens,
-            model_seed,
-            step_budget,
-            wall_ms,
+        decode_body(body, OP_REQUEST, |r| {
+            Some(Self {
+                id: r.u64()?,
+                substrate: r.str()?,
+                prompt: r.seq(Reader::u32)?,
+                max_tokens: r.u32()?,
+                seed: r.u64()?,
+                trace_min_prob: r.f32()?,
+                stop_tokens: r.seq(Reader::u32)?,
+                model_seed: r.opt(Reader::u64)?,
+                step_budget: r.opt(Reader::u64)?,
+                wall_ms: r.opt(Reader::u64)?,
+            })
         })
     }
 
@@ -256,7 +232,8 @@ pub enum WireResult {
     },
     /// Generation failed or was shed.
     Err {
-        /// One of the `CODE_*` / `SHED_*` constants.
+        /// One of the `CODE_*` / `SHED_*` error constants; never
+        /// [`CODE_OK`], which the encoding reserves for `Ok`.
         code: u8,
         /// Human-readable detail (the service error's display form).
         message: String,
@@ -312,7 +289,7 @@ impl WireResponse {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
         buf.push(OP_RESPONSE);
-        put_u64(&mut buf, self.id);
+        wire::put_u64(&mut buf, self.id);
         match &self.body {
             WireResult::Ok {
                 reused,
@@ -320,13 +297,13 @@ impl WireResponse {
                 tokens,
             } => {
                 buf.push(CODE_OK);
-                put_u32(&mut buf, *reused);
-                put_u32(&mut buf, *prefilled);
-                put_tokens(&mut buf, tokens);
+                wire::put_u32(&mut buf, *reused);
+                wire::put_u32(&mut buf, *prefilled);
+                wire::put_seq(&mut buf, tokens, put_token);
             }
             WireResult::Err { code, message } => {
                 buf.push(*code);
-                put_str(&mut buf, message);
+                wire::put_str(&mut buf, message);
             }
         }
         buf
@@ -334,27 +311,21 @@ impl WireResponse {
 
     /// Parse a frame body.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(body);
-        let op = c.u8()?;
-        if op != OP_RESPONSE {
-            return Err(WireError::BadOpcode(op));
-        }
-        let id = c.u64()?;
-        let code = c.u8()?;
-        let body = if code == CODE_OK {
-            WireResult::Ok {
-                reused: c.u32()?,
-                prefilled: c.u32()?,
-                tokens: c.tokens()?,
-            }
-        } else {
-            WireResult::Err {
-                code,
-                message: c.str()?,
-            }
-        };
-        c.finish()?;
-        Ok(Self { id, body })
+        decode_body(body, OP_RESPONSE, |r| {
+            let id = r.u64()?;
+            let body = match r.u8()? {
+                CODE_OK => WireResult::Ok {
+                    reused: r.u32()?,
+                    prefilled: r.u32()?,
+                    tokens: r.seq(Reader::u32)?,
+                },
+                code => WireResult::Err {
+                    code,
+                    message: r.str()?,
+                },
+            };
+            Some(Self { id, body })
+        })
     }
 }
 
@@ -377,24 +348,21 @@ impl ExtRequest {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32 + self.payload.len());
         buf.push(OP_EXT_REQUEST);
-        put_u64(&mut buf, self.id);
-        put_u32(&mut buf, self.kind);
-        put_bytes(&mut buf, &self.payload);
+        wire::put_u64(&mut buf, self.id);
+        wire::put_u32(&mut buf, self.kind);
+        wire::put_bytes(&mut buf, &self.payload);
         buf
     }
 
     /// Parse a frame body.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(body);
-        let op = c.u8()?;
-        if op != OP_EXT_REQUEST {
-            return Err(WireError::BadOpcode(op));
-        }
-        let id = c.u64()?;
-        let kind = c.u32()?;
-        let payload = c.bytes()?;
-        c.finish()?;
-        Ok(Self { id, kind, payload })
+        decode_body(body, OP_EXT_REQUEST, |r| {
+            Some(Self {
+                id: r.u64()?,
+                kind: r.u32()?,
+                payload: r.bytes()?.to_vec(),
+            })
+        })
     }
 }
 
@@ -413,36 +381,32 @@ impl ExtResponse {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
         buf.push(OP_EXT_RESPONSE);
-        put_u64(&mut buf, self.id);
+        wire::put_u64(&mut buf, self.id);
         match &self.result {
             Ok(payload) => {
                 buf.push(CODE_OK);
-                put_bytes(&mut buf, payload);
+                wire::put_bytes(&mut buf, payload);
             }
             Err(message) => {
                 buf.push(CODE_EXT_FAILED);
-                put_str(&mut buf, message);
+                wire::put_str(&mut buf, message);
             }
         }
         buf
     }
 
-    /// Parse a frame body.
+    /// Parse a frame body. The code must be [`CODE_OK`] or
+    /// [`CODE_EXT_FAILED`], the only two [`ExtResponse::encode`] writes.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(body);
-        let op = c.u8()?;
-        if op != OP_EXT_RESPONSE {
-            return Err(WireError::BadOpcode(op));
-        }
-        let id = c.u64()?;
-        let code = c.u8()?;
-        let result = if code == CODE_OK {
-            Ok(c.bytes()?)
-        } else {
-            Err(c.str()?)
-        };
-        c.finish()?;
-        Ok(Self { id, result })
+        decode_body(body, OP_EXT_RESPONSE, |r| {
+            let id = r.u64()?;
+            let result = match r.u8()? {
+                CODE_OK => Ok(r.bytes()?.to_vec()),
+                CODE_EXT_FAILED => Err(r.str()?),
+                _ => return None,
+            };
+            Some(Self { id, result })
+        })
     }
 }
 
@@ -477,14 +441,13 @@ fn error_code(e: &RequestError) -> u8 {
 /// offset is unrecoverable once a frame fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// Body ended before a field completed.
+    /// Body ended before a field completed, or a field held a value its
+    /// type forbids (a non-UTF-8 string, an unknown tag or code).
     Truncated,
     /// First body byte was not a known opcode.
     BadOpcode(u8),
     /// A frame declared a length above [`MAX_FRAME_LEN`].
     Oversize(usize),
-    /// A string field was not UTF-8.
-    BadUtf8,
     /// Bytes remained after the last field.
     TrailingBytes(usize),
 }
@@ -492,12 +455,11 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated => write!(f, "frame body truncated"),
+            WireError::Truncated => write!(f, "frame body truncated or malformed"),
             WireError::BadOpcode(op) => write!(f, "unknown opcode {op}"),
             WireError::Oversize(len) => {
                 write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap")
             }
-            WireError::BadUtf8 => write!(f, "string field is not UTF-8"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the last field"),
         }
     }
@@ -505,107 +467,43 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn put_token(buf: &mut Vec<u8>, &t: &TokenId) {
+    wire::put_u32(buf, t);
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_tokens(buf: &mut Vec<u8>, tokens: &[TokenId]) {
-    put_u32(buf, tokens.len() as u32);
-    for &t in tokens {
-        put_u32(buf, t);
+/// Decode one frame body: check the opcode, read the fields, and reject
+/// trailing bytes. `fields` returning `None` (short body, bad UTF-8,
+/// unknown tag or code) is [`WireError::Truncated`].
+fn decode_body<T>(
+    body: &[u8],
+    op: u8,
+    fields: impl FnOnce(&mut Reader<'_>) -> Option<T>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(body);
+    match r.u8() {
+        None => return Err(WireError::Truncated),
+        Some(got) if got != op => return Err(WireError::BadOpcode(got)),
+        Some(_) => {}
+    }
+    let value = fields(&mut r).ok_or(WireError::Truncated)?;
+    match r.remaining() {
+        0 => Ok(value),
+        left => Err(WireError::TrailingBytes(left)),
     }
 }
 
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-struct Cursor<'a> {
-    body: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(body: &'a [u8]) -> Self {
-        Self { body, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.body.len() {
-            return Err(WireError::Truncated);
-        }
-        let slice = &self.body[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::Oversize(len));
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn tokens(&mut self) -> Result<Vec<TokenId>, WireError> {
-        let count = self.u32()? as usize;
-        if count > MAX_FRAME_LEN / 4 {
-            return Err(WireError::Oversize(count * 4));
-        }
-        let mut out = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        let left = self.body.len() - self.pos;
-        if left == 0 {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(left))
-        }
-    }
+/// Append one frame to `out`: the body's u32-LE length, then the body.
+/// The one place the frame prefix is written.
+pub fn push_frame(out: &mut Vec<u8>, body: &[u8]) {
+    wire::put_u32(out, body.len() as u32);
+    out.extend_from_slice(body);
 }
 
 /// Write one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    push_frame(&mut frame, body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -801,17 +699,17 @@ pub struct FrontendStats {
 /// to observe.
 #[derive(Debug, Clone)]
 pub struct FrontendBuilder {
-    loops: usize,
-    conn_inflight_cap: usize,
-    ext_inflight_cap: usize,
-    ext_workers: usize,
-    ext_queue_cap: usize,
-    write_buf_cap: usize,
-    idle_ticks: u64,
-    mid_frame_ticks: u64,
-    drain_ticks: u64,
-    drain_linger_ticks: u64,
-    tick_interval: Duration,
+    pub(crate) loops: usize,
+    pub(crate) conn_inflight_cap: usize,
+    pub(crate) ext_inflight_cap: usize,
+    pub(crate) ext_workers: usize,
+    pub(crate) ext_queue_cap: usize,
+    pub(crate) write_buf_cap: usize,
+    pub(crate) idle_ticks: u64,
+    pub(crate) mid_frame_ticks: u64,
+    pub(crate) drain_ticks: u64,
+    pub(crate) drain_linger_ticks: u64,
+    pub(crate) tick_interval: Duration,
 }
 
 impl Default for FrontendBuilder {
@@ -933,19 +831,6 @@ impl FrontendBuilder {
     ) -> io::Result<Frontend> {
         Frontend::bind_with(service, addr, Some(extension), self)
     }
-
-    fn config(&self) -> FeConfig {
-        FeConfig {
-            conn_inflight_cap: self.conn_inflight_cap,
-            ext_inflight_cap: self.ext_inflight_cap,
-            write_buf_cap: self.write_buf_cap,
-            idle_ticks: self.idle_ticks,
-            mid_frame_ticks: self.mid_frame_ticks,
-            drain_ticks: self.drain_ticks,
-            drain_linger_ticks: self.drain_linger_ticks,
-            tick_interval: self.tick_interval,
-        }
-    }
 }
 
 /// A TCP front-end serving one [`InferenceService`] from a fixed thread
@@ -958,9 +843,13 @@ impl FrontendBuilder {
 /// GOAWAY frame, in-flight responses deliver, then connections close.
 pub struct Frontend {
     local_addr: SocketAddr,
+    /// Stops the acceptor; set first on shutdown.
+    stop_accept: Arc<AtomicBool>,
+    /// Starts the loops' drain; set only once the acceptor has handed
+    /// every accepted stream to a loop.
     stop: Arc<AtomicBool>,
     counters: Arc<FeCounters>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<(Dealer, Vec<TcpStream>)>>,
     loops: Vec<JoinHandle<()>>,
     ext_queue: Option<Arc<ExtQueue>>,
     ext_workers: Vec<JoinHandle<()>>,
@@ -975,21 +864,10 @@ impl Frontend {
 
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) with
     /// default configuration. Extension frames are answered with
-    /// [`CODE_EXT_FAILED`]; use [`Frontend::bind_with_extension`] to
-    /// serve them.
+    /// [`CODE_EXT_FAILED`]; use [`FrontendBuilder::bind_with_extension`]
+    /// to serve them.
     pub fn bind(service: Arc<InferenceService>, addr: &str) -> io::Result<Frontend> {
         Self::bind_with(service, addr, None, FrontendBuilder::default())
-    }
-
-    /// [`Frontend::bind`] with an [`ExtensionHandler`] answering the
-    /// extension request kind ([`ExtRequest`]) alongside generation
-    /// traffic.
-    pub fn bind_with_extension(
-        service: Arc<InferenceService>,
-        addr: &str,
-        extension: Arc<dyn ExtensionHandler>,
-    ) -> io::Result<Frontend> {
-        Self::bind_with(service, addr, Some(extension), FrontendBuilder::default())
     }
 
     fn bind_with(
@@ -1003,7 +881,6 @@ impl Frontend {
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(FeCounters::new());
         let conn_count = Arc::new(AtomicUsize::new(0));
-        let cfg = builder.config();
 
         // Bounded extension pool, only when a handler is bound.
         let (ext_queue, ext_workers) = match extension {
@@ -1035,35 +912,46 @@ impl Frontend {
                     ext_queue: ext_queue.clone(),
                     stop: Arc::clone(&stop),
                     conn_count: Arc::clone(&conn_count),
-                    cfg: cfg.clone(),
+                    cfg: builder.clone(),
                 };
                 std::thread::spawn(move || event_loop::run_event_loop(ctx))
             })
             .collect();
 
+        let stop_accept = Arc::new(AtomicBool::new(false));
         let acceptor = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let conn_count = Arc::clone(&conn_count);
+            let stop_accept = Arc::clone(&stop_accept);
+            let mut dealer = Dealer {
+                inboxes,
+                counters: Arc::clone(&counters),
+                conn_count: Arc::clone(&conn_count),
+                next_token: 0,
+            };
             std::thread::spawn(move || {
-                let mut token = 0u64;
+                // Streams accepted once the stop is up go back to
+                // `stop_and_join`, which alone can tell its own wake-up
+                // connection apart from a late client.
+                let mut late = Vec::new();
                 for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
+                    if stop_accept.load(Ordering::SeqCst) {
+                        late.extend(stream);
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
-                    counters.accepted.fetch_add(1, Ordering::SeqCst);
-                    conn_count.fetch_add(1, Ordering::SeqCst);
-                    inboxes[(token % inboxes.len() as u64) as usize]
-                        .lock()
-                        .push((token, stream));
-                    token += 1;
+                    if let Ok(stream) = stream {
+                        dealer.deal(stream);
+                    }
                 }
+                // Handshakes completed before the stop are still queued.
+                if listener.set_nonblocking(true).is_ok() {
+                    late.extend(std::iter::from_fn(|| listener.accept().ok().map(|(s, _)| s)));
+                }
+                (dealer, late)
             })
         };
 
         Ok(Frontend {
             local_addr,
+            stop_accept,
             stop,
             counters,
             acceptor: Some(acceptor),
@@ -1119,12 +1007,21 @@ impl Frontend {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        // Stop and join the acceptor first, so every stream whose
+        // handshake finished reaches a loop before the loops drain.
+        self.stop_accept.store(true, Ordering::SeqCst);
         // Wake the acceptor out of `accept()` with a no-op connection.
-        let _ = TcpStream::connect(self.local_addr);
+        let wake = TcpStream::connect(self.local_addr).and_then(|s| s.local_addr());
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            if let Ok((mut dealer, late)) = acceptor.join() {
+                for stream in late {
+                    if stream.peer_addr().ok() != wake.as_ref().ok().copied() {
+                        dealer.deal(stream);
+                    }
+                }
+            }
         }
+        self.stop.store(true, Ordering::SeqCst);
         for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
@@ -1142,6 +1039,25 @@ impl Drop for Frontend {
         if self.acceptor.is_some() {
             self.stop_and_join();
         }
+    }
+}
+
+/// The acceptor's hand-off: deals accepted streams round-robin to the
+/// loops' inboxes and counts them.
+struct Dealer {
+    inboxes: Vec<event_loop::AdoptInbox>,
+    counters: Arc<FeCounters>,
+    conn_count: Arc<AtomicUsize>,
+    next_token: u64,
+}
+
+impl Dealer {
+    fn deal(&mut self, stream: TcpStream) {
+        self.counters.accepted.fetch_add(1, Ordering::SeqCst);
+        self.conn_count.fetch_add(1, Ordering::SeqCst);
+        let inbox = (self.next_token % self.inboxes.len() as u64) as usize;
+        self.inboxes[inbox].lock().push((self.next_token, stream));
+        self.next_token += 1;
     }
 }
 
@@ -1291,36 +1207,10 @@ mod tests {
     use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel};
 
     #[test]
-    fn request_roundtrip_with_and_without_optionals() {
-        let mut req = WireRequest::new(7, "default", vec![1, 2, 3], 8);
-        assert_eq!(WireRequest::decode(&req.encode()).unwrap(), req);
-        req.model_seed = Some(11);
-        req.step_budget = Some(64);
-        req.wall_ms = Some(250);
-        req.stop_tokens = vec![9];
-        req.seed = 3;
-        req.trace_min_prob = 0.5;
-        assert_eq!(WireRequest::decode(&req.encode()).unwrap(), req);
-    }
-
-    #[test]
-    fn response_roundtrip_both_variants() {
-        let ok = WireResponse {
-            id: 1,
-            body: WireResult::Ok {
-                reused: 5,
-                prefilled: 2,
-                tokens: vec![4, 5, 6],
-            },
-        };
-        assert_eq!(WireResponse::decode(&ok.encode()).unwrap(), ok);
-        let err = WireResponse::err(2, &RequestError::QueueFull);
-        assert_eq!(WireResponse::decode(&err.encode()).unwrap(), err);
-        assert!(err.is_shed());
-        assert!(!ok.is_shed());
-        let conn_shed = WireResponse::shed_conn_inflight(3, 64);
-        assert_eq!(WireResponse::decode(&conn_shed.encode()).unwrap(), conn_shed);
-        assert!(conn_shed.is_shed());
+    fn is_shed_covers_both_shed_codes() {
+        assert!(WireResponse::err(2, &RequestError::QueueFull).is_shed());
+        assert!(WireResponse::shed_conn_inflight(3, 64).is_shed());
+        assert!(!WireResponse::err(4, &RequestError::ShutDown).is_shed());
     }
 
     #[test]
@@ -1336,6 +1226,34 @@ mod tests {
     }
 
     #[test]
+    fn request_decode_rejects_unknown_optional_tags() {
+        // The body ends with the tag of its last optional field; any tag
+        // but 0/1 would not survive a re-encode, so it must not decode.
+        let good = WireRequest::new(1, "d", vec![1], 4).encode();
+        for bad in [2u8, 8, 0x80] {
+            let mut body = good.clone();
+            *body.last_mut().unwrap() = bad;
+            assert_eq!(WireRequest::decode(&body), Err(WireError::Truncated), "tag {bad}");
+        }
+    }
+
+    #[test]
+    fn ext_response_decode_rejects_unknown_codes() {
+        // The code byte follows the opcode and the u64 id.
+        let good = ExtResponse {
+            id: 3,
+            result: Err("nope".into()),
+        }
+        .encode();
+        assert_eq!(good[9], CODE_EXT_FAILED);
+        for bad in [SHED_QUEUE_FULL, CODE_LM, 0xff] {
+            let mut body = good.clone();
+            body[9] = bad;
+            assert_eq!(ExtResponse::decode(&body), Err(WireError::Truncated), "code {bad}");
+        }
+    }
+
+    #[test]
     fn frame_io_roundtrips_and_caps_length() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
@@ -1343,33 +1261,6 @@ mod tests {
         assert_eq!(body, b"hello");
         let huge = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
         assert!(read_frame(&mut &huge[..]).is_err());
-    }
-
-    #[test]
-    fn ext_frames_roundtrip_both_variants() {
-        let req = ExtRequest {
-            id: 42,
-            kind: 7,
-            payload: vec![1, 2, 3, 255],
-        };
-        assert_eq!(ExtRequest::decode(&req.encode()).unwrap(), req);
-        let ok = ExtResponse {
-            id: 42,
-            result: Ok(vec![9, 8]),
-        };
-        assert_eq!(ExtResponse::decode(&ok.encode()).unwrap(), ok);
-        let err = ExtResponse {
-            id: 43,
-            result: Err("nope".into()),
-        };
-        assert_eq!(ExtResponse::decode(&err.encode()).unwrap(), err);
-        // Empty payloads are legal.
-        let empty = ExtRequest {
-            id: 0,
-            kind: 0,
-            payload: vec![],
-        };
-        assert_eq!(ExtRequest::decode(&empty.encode()).unwrap(), empty);
     }
 
     #[test]
@@ -1385,8 +1276,7 @@ mod tests {
         let frames: Vec<Vec<u8>> = vec![vec![], vec![1], vec![2, 3, 4], vec![0; 300]];
         let mut stream = Vec::new();
         for f in &frames {
-            stream.extend_from_slice(&(f.len() as u32).to_le_bytes());
-            stream.extend_from_slice(f);
+            push_frame(&mut stream, f);
         }
         // Several chunk sizes, including 1 (maximal fragmentation).
         for chunk in [1usize, 2, 3, 7, 64, stream.len()] {
@@ -1492,7 +1382,8 @@ mod tests {
                 .build(),
         );
         let frontend =
-            Frontend::bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Doubler))
+            Frontend::builder()
+                .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Doubler))
                 .unwrap();
         // Extension traffic on its own connection...
         let mut ext_client = FrontendClient::connect(frontend.local_addr()).unwrap();
@@ -1566,7 +1457,8 @@ mod tests {
             InferenceService::builder().model("default", model).build(),
         );
         let frontend =
-            Frontend::bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Bomb))
+            Frontend::builder()
+                .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Bomb))
                 .unwrap();
         let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
         client

@@ -111,12 +111,6 @@ impl GenerateRequest {
         self
     }
 
-    /// Attach a completion deadline.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
     /// Cap the request at `steps` decode steps after admission.
     pub fn with_step_budget(mut self, steps: u64) -> Self {
         self.deadline.max_steps = Some(steps);

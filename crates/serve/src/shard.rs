@@ -27,22 +27,9 @@
 //! its request alone, so the reported (not pinned) cross-shard order
 //! cannot leak into any golden artifact.
 
+use lmpeel_recover::{fnv1a64_extend, FNV1A64_OFFSET};
 use lmpeel_tokenizer::TokenId;
 use std::num::NonZeroUsize;
-
-/// FNV-1a 64-bit over a token-id sequence. Process-stable (unlike the std
-/// hasher's per-process random keys), so routing is deterministic across
-/// runs and across machines — a property the router proptests pin.
-fn fnv1a64_tokens(tokens: &[TokenId]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &t in tokens {
-        for b in t.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Assigns requests to shards by prompt-prefix hash.
 ///
@@ -88,7 +75,13 @@ impl ShardRouter {
     /// equal prefixes give equal shards, today and on every rerun.
     pub fn route(&self, prompt: &[TokenId]) -> usize {
         let window = prompt.len().min(self.prefix_window);
-        (fnv1a64_tokens(&prompt[..window]) % self.shards.get() as u64) as usize
+        // FNV-1a over the tokens' LE bytes: process-stable (unlike the
+        // std hasher's per-process random keys), so routing is the same
+        // on every run and machine, as the router proptests pin.
+        let h = prompt[..window]
+            .iter()
+            .fold(FNV1A64_OFFSET, |h, t| fnv1a64_extend(h, &t.to_le_bytes()));
+        (h % self.shards.get() as u64) as usize
     }
 }
 

@@ -9,7 +9,7 @@
 //! `fault-inject` feature.
 
 use lmpeel_lm::{InductionLm, LanguageModel};
-use lmpeel_serve::frontend::{FrameAssembler, WireRequest, WireResult};
+use lmpeel_serve::frontend::{push_frame, FrameAssembler, WireRequest, WireResult};
 use lmpeel_serve::{
     ExtRequest, ExtensionHandler, Frontend, FrontendClient, InferenceService, ReconnectPolicy,
 };
@@ -67,8 +67,7 @@ proptest! {
             .collect();
         let mut stream = Vec::new();
         for f in &frames {
-            stream.extend_from_slice(&(f.len() as u32).to_le_bytes());
-            stream.extend_from_slice(f);
+            push_frame(&mut stream, f);
         }
 
         // Feed the stream in chunks cycling through the chosen cut sizes.

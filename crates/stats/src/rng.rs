@@ -9,6 +9,7 @@
 //! domain always yields the same stream — independent of rand's unstable
 //! `StdRng` internals and of platform endianness.
 
+use lmpeel_recover::{fnv1a64_extend, FNV1A64_OFFSET};
 use rand_chacha::rand_core::SeedableRng;
 pub use rand_chacha::ChaCha8Rng;
 
@@ -51,46 +52,20 @@ impl SeedDomain {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_u64(state: u64, word: u64) -> u64 {
-    let mut h = state;
-    for byte in word.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Derive a child seed from a root seed and a domain label.
 ///
 /// Stable across releases: the mapping is pure FNV-1a over the little-endian
 /// bytes of `(root, discriminant, a, b)`.
 pub fn derive_seed(root: u64, domain: SeedDomain) -> u64 {
     let (d, a, b) = domain.tag();
-    let mut h = FNV_OFFSET;
-    h = fnv1a_u64(h, root);
-    h = fnv1a_u64(h, d);
-    h = fnv1a_u64(h, a);
-    h = fnv1a_u64(h, b);
-    h
+    [root, d, a, b]
+        .iter()
+        .fold(FNV1A64_OFFSET, |h, w| fnv1a64_extend(h, &w.to_le_bytes()))
 }
 
 /// A ChaCha8 RNG for the given root seed and domain.
 pub fn seeded_rng(root: u64, domain: SeedDomain) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(derive_seed(root, domain))
-}
-
-/// Stable 64-bit hash of an arbitrary byte string (FNV-1a); used for
-/// configuration-keyed deterministic jitter in the performance model.
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Map a 64-bit hash to a uniform f64 in `[0, 1)`.
@@ -102,6 +77,7 @@ pub fn hash_to_unit(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmpeel_recover::fnv1a64;
     use rand::RngExt;
 
     #[test]
@@ -152,19 +128,14 @@ mod tests {
     #[test]
     fn known_answer_guard() {
         // Guards against accidental changes to the hash; update deliberately.
-        assert_eq!(derive_seed(0, SeedDomain::Custom(0)), {
-            let mut h = FNV_OFFSET;
-            for w in [0u64, 8, 0, 0] {
-                h = fnv1a_u64(h, w);
-            }
-            h
-        });
+        // FNV-1a over the LE bytes of the words (0, 8, 0, 0).
+        assert_eq!(derive_seed(0, SeedDomain::Custom(0)), 0x41bf_5a56_38da_48ad);
     }
 
     #[test]
     fn hash_to_unit_in_range() {
         for i in 0..1000u64 {
-            let u = hash_to_unit(hash_bytes(&i.to_le_bytes()));
+            let u = hash_to_unit(fnv1a64(&i.to_le_bytes()));
             assert!((0.0..1.0).contains(&u));
         }
     }
@@ -173,7 +144,7 @@ mod tests {
     fn hash_to_unit_looks_uniform() {
         let n = 10_000u64;
         let mean: f64 = (0..n)
-            .map(|i| hash_to_unit(hash_bytes(&i.to_le_bytes())))
+            .map(|i| hash_to_unit(fnv1a64(&i.to_le_bytes())))
             .sum::<f64>()
             / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} too far from 0.5");

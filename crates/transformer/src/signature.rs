@@ -7,17 +7,8 @@
 //! zero offset; rotating a query back one step turns that peak into a
 //! previous-token attention pattern.
 
+use lmpeel_recover::splitmix64;
 use lmpeel_tokenizer::TokenId;
-
-/// splitmix64 finalizer: decorrelates sequential keys far better than a
-/// byte-oriented FNV pass, which matters because signature bits are read
-/// off single output bits.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Near-orthogonal ±1/√d signature of a token, deterministic in
 /// `(token, dim)`.
@@ -25,7 +16,10 @@ pub fn token_signature(token: TokenId, dim: usize) -> Vec<f32> {
     let norm = 1.0 / (dim as f32).sqrt();
     (0..dim)
         .map(|i| {
-            let h = mix64(((token as u64) << 32) ^ i as u64);
+            // SplitMix64 decorrelates sequential keys far better than a
+            // byte-oriented FNV pass, which matters because signature bits
+            // are read off single output bits.
+            let h = splitmix64(((token as u64) << 32) ^ i as u64);
             if h & 1 == 1 {
                 norm
             } else {

@@ -120,15 +120,6 @@ impl TuneEntry {
     }
 }
 
-/// Strict bool: only 0/1 are valid — anything else is corruption.
-fn get_bool(r: &mut Reader<'_>) -> Option<bool> {
-    match r.u8()? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
 impl JournalRecord for TuneEntry {
     type Key = TuneKey;
 
@@ -145,7 +136,7 @@ impl JournalRecord for TuneEntry {
         wire::put_str(buf, &self.strategy);
         wire::put_u64(buf, self.config_index);
         wire::put_f64(buf, self.surrogate_runtime);
-        wire::put_u8(buf, u8::from(self.validated));
+        wire::put_bool(buf, self.validated);
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
@@ -159,7 +150,7 @@ impl JournalRecord for TuneEntry {
             strategy: r.str()?,
             config_index: r.u64()?,
             surrogate_runtime: r.f64()?,
-            validated: get_bool(&mut r)?,
+            validated: r.bool()?,
         };
         r.is_done().then_some(entry)
     }
@@ -249,27 +240,6 @@ mod tests {
             surrogate_runtime: 0.125,
             validated: true,
         }
-    }
-
-    #[test]
-    fn entry_roundtrips_byte_exactly() {
-        let e = entry("syr2k", 1, 0xDEAD_BEEF);
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        assert_eq!(TuneEntry::decode(&buf), Some(e));
-    }
-
-    #[test]
-    fn decode_rejects_trailing_bytes_and_bad_bools() {
-        let e = entry("syr2k", 1, 1);
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        let mut trailing = buf.clone();
-        trailing.push(0);
-        assert_eq!(TuneEntry::decode(&trailing), None, "trailing byte");
-        let bad_bool = buf.len() - 1;
-        buf[bad_bool] = 2;
-        assert_eq!(TuneEntry::decode(&buf), None, "bool must be 0/1");
     }
 
     #[test]

@@ -219,21 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn step_record_roundtrips() {
-        let rec = StepRecord {
-            strategy_ord: 2,
-            step: 17,
-            config_index: 10_000,
-            runtime: 0.25,
-        };
-        let mut buf = Vec::new();
-        rec.encode(&mut buf);
-        assert_eq!(StepRecord::decode(&buf), Some(rec));
-        buf.push(9);
-        assert_eq!(StepRecord::decode(&buf), None, "trailing byte");
-    }
-
-    #[test]
     fn run_fingerprint_separates_requests() {
         let base = run_fingerprint("syr2k", ArraySize::SM, 1, 12, 5);
         assert_ne!(base, run_fingerprint("syr2k", ArraySize::XL, 1, 12, 5));

@@ -5,11 +5,12 @@
 //! [`TuneWireRequest`] payload in, a [`TuneWireResponse`] payload out,
 //! both through the same byte-exact [`wire`] codec the journals use.
 //! [`TuneService`] implements [`ExtensionHandler`] directly, so binding a
-//! front-end with `Frontend::bind_with_extension(service, tune_service,
-//! addr)` serves generation traffic and tune requests over one socket.
+//! front-end with `Frontend::builder().bind_with_extension(service, addr,
+//! tune_service)` serves generation traffic and tune requests over one
+//! socket.
 
 use crate::{TuneError, TuneRequest, TuneService};
-use lmpeel_core::journal::{size_from_ordinal, size_ordinal};
+use lmpeel_core::journal::size_from_ordinal;
 use lmpeel_recover::wire::{self, Reader};
 use lmpeel_serve::ExtensionHandler;
 
@@ -21,7 +22,7 @@ pub const TUNE_EXT_KIND: u32 = 0x5455_4E45;
 pub struct TuneWireRequest {
     /// Kernel name (see [`crate::KERNEL_SYR2K`]).
     pub kernel: String,
-    /// Problem size, as [`size_ordinal`].
+    /// Problem size, as [`size_ordinal`](lmpeel_core::journal::size_ordinal).
     pub size_ord: u8,
     /// Evaluation budget per strategy.
     pub budget: u64,
@@ -30,16 +31,6 @@ pub struct TuneWireRequest {
 }
 
 impl TuneWireRequest {
-    /// Build the wire form of a library-level request.
-    pub fn from_request(req: &TuneRequest) -> Self {
-        Self {
-            kernel: req.kernel.clone(),
-            size_ord: size_ordinal(req.size),
-            budget: req.budget as u64,
-            seed: req.seed,
-        }
-    }
-
     /// Serialize to an extension-frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -86,11 +77,11 @@ impl TuneWireResponse {
     /// Serialize to an extension-frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        wire::put_u8(&mut buf, u8::from(self.cache_hit));
+        wire::put_bool(&mut buf, self.cache_hit);
         wire::put_str(&mut buf, &self.strategy);
         wire::put_u64(&mut buf, self.config_index);
         wire::put_f64(&mut buf, self.surrogate_runtime);
-        wire::put_u8(&mut buf, u8::from(self.validated));
+        wire::put_bool(&mut buf, self.validated);
         wire::put_u64(&mut buf, self.fresh_measurements);
         buf
     }
@@ -98,25 +89,12 @@ impl TuneWireResponse {
     /// Parse a payload; `None` on any malformation or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        let cache_hit = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let strategy = r.str()?;
-        let config_index = r.u64()?;
-        let surrogate_runtime = r.f64()?;
-        let validated = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
         let resp = TuneWireResponse {
-            cache_hit,
-            strategy,
-            config_index,
-            surrogate_runtime,
-            validated,
+            cache_hit: r.bool()?,
+            strategy: r.str()?,
+            config_index: r.u64()?,
+            surrogate_runtime: r.f64()?,
+            validated: r.bool()?,
             fresh_measurements: r.u64()?,
         };
         r.is_done().then_some(resp)
@@ -169,28 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_forms_roundtrip() {
-        let req = TuneWireRequest {
-            kernel: KERNEL_SYR2K.into(),
-            size_ord: 1,
-            budget: 24,
-            seed: 7,
-        };
-        assert_eq!(TuneWireRequest::decode(&req.encode()), Some(req));
-        let resp = TuneWireResponse {
-            cache_hit: true,
-            strategy: "gbdt-surrogate(init=8, pool=256)".into(),
-            config_index: 99,
-            surrogate_runtime: 0.5,
-            validated: true,
-            fresh_measurements: 0,
-        };
-        assert_eq!(TuneWireResponse::decode(&resp.encode()), Some(resp));
-        assert_eq!(TuneWireRequest::decode(b"junk"), None);
-        assert_eq!(TuneWireResponse::decode(&[2]), None, "bool must be 0/1");
-    }
-
-    #[test]
     fn tune_requests_flow_through_the_tcp_frontend() {
         let path = tmp("frontend");
         let _ = std::fs::remove_file(&path);
@@ -200,8 +156,9 @@ mod tests {
                 .model("default", Arc::new(InductionLm::paper(0)))
                 .build(),
         );
-        let frontend =
-            Frontend::bind_with_extension(lm, "127.0.0.1:0", Arc::new(tune)).unwrap();
+        let frontend = Frontend::builder()
+            .bind_with_extension(lm, "127.0.0.1:0", Arc::new(tune))
+            .unwrap();
         let addr = frontend.local_addr();
 
         let mut client = FrontendClient::connect(addr).unwrap();
