@@ -231,8 +231,8 @@ impl DecodeSession for FaultySession {
 /// Install a process-global panic hook that swallows the default "thread
 /// panicked" stderr report for *injected* panics (payload starts with
 /// [`INJECTED_PANIC`]) while forwarding every other panic to the previous
-/// hook. Idempotent; call it at the top of fault tests and benches so
-/// expected panics do not flood the output.
+/// hook. Idempotent; call it at the top of fault tests so expected panics
+/// do not flood the output.
 pub fn silence_injected_panics() {
     use std::sync::Once;
     static ONCE: Once = Once::new();

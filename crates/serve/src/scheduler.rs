@@ -11,14 +11,14 @@
 //!    a snapshot for the next request, re-keys if asked, and wraps the
 //!    session in a [`GenerationStepper`].
 //! 2. **Step** — advance every in-flight stepper by exactly one token.
-//!    With batch fusion on (the default), steppers sharing a substrate
-//!    are grouped by their [`lmpeel_lm::BatchDriver`] key and each group's
-//!    logits are computed in **one fused forward pass per round**
+//!    Steppers sharing a substrate are grouped by their
+//!    [`lmpeel_lm::BatchDriver`] key and each group's logits are computed
+//!    in **one fused forward pass per round**
 //!    ([`lmpeel_lm::BatchDriver::logits_batch`]); each lane then consumes
 //!    its precomputed logits. Fusion is byte-invisible: the driver
 //!    contract pins each fused lane's logits bitwise to its single-lane
-//!    path, and sessions are independent, so traces are identical with
-//!    fusion on, off, or under any group shape.
+//!    path, and sessions are independent, so traces are identical to the
+//!    sequential loop under any group shape.
 //! 3. **Retire** — finished (or errored) generations send their result over
 //!    the per-request response channel immediately and free their slot.
 //!
@@ -89,10 +89,6 @@ pub(crate) struct SchedulerConfig {
     /// In-place decode-step retries granted to each request before a
     /// transient `LmError` becomes its terminal error.
     pub retry_budget: u32,
-    /// Fuse same-substrate steppers into one batched forward pass per
-    /// round (byte-invisible; `false` forces the loop-of-single-steps
-    /// reference path).
-    pub fuse_batches: bool,
 }
 
 /// Cap on the exponential cooldown so a long-dead substrate still gets a
@@ -180,15 +176,6 @@ struct Inflight {
 }
 
 impl Inflight {
-    /// Advance one token unless a control signal retires the request
-    /// first. Panics from the substrate are caught here and become this
-    /// request's terminal error.
-    fn step(&mut self) {
-        if self.precheck() {
-            self.step_single();
-        }
-    }
-
     /// Pre-step control checks: retire on cancellation or an expired
     /// deadline. Returns true when the lane still wants a decode step.
     /// Consumes no step budget — `steps_taken` only moves when a step is
@@ -211,6 +198,8 @@ impl Inflight {
     }
 
     /// One single-lane decode step: the lane computes its own logits.
+    /// Panics from the substrate are caught here and become this
+    /// request's terminal error.
     fn step_single(&mut self) {
         self.steps_taken += 1;
         let result = catch_unwind(AssertUnwindSafe(|| self.stepper.step()));
@@ -391,13 +380,7 @@ impl Scheduler {
     /// finished ones immediately.
     fn step_round(&mut self) {
         self.round += 1;
-        if self.cfg.fuse_batches {
-            self.step_round_fused();
-        } else {
-            for w in &mut self.inflight {
-                w.step();
-            }
-        }
+        self.step_groups();
         let mut finished = std::mem::take(&mut self.finished_scratch);
         finished.extend(self.inflight.extract_if(.., |w| w.done()));
         for w in finished.drain(..) {
@@ -426,16 +409,16 @@ impl Scheduler {
         self.finished_scratch = finished;
     }
 
-    /// One fused decode round: precheck every lane, group the steppable
-    /// lanes by their substrate's batch-driver key in first-seen order,
-    /// and drive each group two-or-more wide through a single
-    /// `logits_batch` forward pass. Lanes with no driver and singleton
-    /// groups take the ordinary single-lane step. Per-request bytes
-    /// cannot differ from the unfused round: sessions are independent,
-    /// the driver contract pins each fused lane's logits bitwise to its
-    /// own single-lane computation, and each lane still consumes its own
-    /// RNG exactly once per step.
-    fn step_round_fused(&mut self) {
+    /// The Step phase: precheck every lane, group the steppable lanes by
+    /// their substrate's batch-driver key in first-seen order, and drive
+    /// each group two-or-more wide through a single `logits_batch`
+    /// forward pass. Lanes with no driver and singleton groups take the
+    /// ordinary single-lane step. Per-request bytes cannot differ from
+    /// stepping every lane alone: sessions are independent, the driver
+    /// contract pins each fused lane's logits bitwise to its own
+    /// single-lane computation, and each lane still consumes its own RNG
+    /// exactly once per step.
+    fn step_groups(&mut self) {
         let mut plan = std::mem::take(&mut self.step_plan);
         plan.clear();
         for (i, w) in self.inflight.iter_mut().enumerate() {
@@ -835,7 +818,6 @@ mod tests {
                 quarantine_after: 3,
                 breaker_cooldown: 8,
                 retry_budget: 0,
-                fuse_batches: true,
             },
             Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default())),
             Arc::new(AtomicBool::new(false)),
@@ -966,26 +948,6 @@ mod tests {
                 let expected = generate(&model, &prompt, &spec(i as u64)).unwrap();
                 assert_eq!(got.trace, expected, "healthy lane {i} diverged");
             }
-        }
-    }
-
-    /// With fusion disabled the same rigged group must never reach the
-    /// driver at all — the reference path steps lane by lane.
-    #[test]
-    fn unfused_rounds_never_call_the_driver() {
-        let model = Arc::new(InductionLm::paper(0));
-        let driver = Arc::new(RiggedDriver {
-            detonate: true,
-            fused_calls: AtomicU32::new(0),
-        });
-        let (prompt, steppers) = rigged_steppers(&model, &driver, 2, None);
-        let mut h = harness(steppers);
-        h.scheduler.cfg.fuse_batches = false;
-        let results = drain(&mut h);
-        assert_eq!(driver.fused_calls.load(Ordering::SeqCst), 0);
-        for (i, r) in results.into_iter().enumerate() {
-            let expected = generate(&model, &prompt, &spec(i as u64)).unwrap();
-            assert_eq!(r.unwrap().trace, expected);
         }
     }
 }

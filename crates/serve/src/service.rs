@@ -188,7 +188,6 @@ pub struct ServiceBuilder {
     quarantine_after: u32,
     breaker_cooldown: u64,
     retry_budget: u32,
-    fuse_batches: bool,
 }
 
 impl Default for ServiceBuilder {
@@ -204,7 +203,6 @@ impl Default for ServiceBuilder {
             quarantine_after: 3,
             breaker_cooldown: 8,
             retry_budget: 0,
-            fuse_batches: true,
         }
     }
 }
@@ -310,16 +308,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Fuse same-substrate in-flight generations into one batched forward
-    /// pass per scheduling round (default `true`). Fusion is
-    /// byte-invisible — every request's trace is identical either way
-    /// (pinned by the batched-determinism suites) — so `false` exists only
-    /// as the reference path for differential tests and benchmarks.
-    pub fn fuse_batches(mut self, fuse: bool) -> Self {
-        self.fuse_batches = fuse;
-        self
-    }
-
     /// Spawn every shard's scheduler thread and return the running
     /// service.
     pub fn build(self) -> InferenceService {
@@ -367,7 +355,6 @@ impl Shard {
                 quarantine_after: b.quarantine_after,
                 breaker_cooldown: b.breaker_cooldown,
                 retry_budget: b.retry_budget,
-                fuse_batches: b.fuse_batches,
             },
             Arc::clone(&stats),
             Arc::clone(&draining),

@@ -164,3 +164,55 @@ proptest! {
         prop_assert!(stats.breaker_reopened <= stats.panicked);
     }
 }
+
+/// The full 16-wide batch the proptest above never reaches: 4 of 16
+/// requests, interleaved through one mixed batch, hit a substrate that
+/// panics on its second decode step. Every request must land on its own
+/// side of the fault line: faulted ones end in a contained panic or a
+/// quarantine rejection, healthy ones decode byte-identically to
+/// sequential [`lmpeel_lm::generate`].
+#[test]
+fn wide_mixed_batch_keeps_every_request_on_its_side_of_the_fault_line() {
+    silence_injected_panics();
+    let healthy = Arc::new(InductionLm::paper(0));
+    let faulty = Arc::new(FaultyLm::new(
+        Arc::new(InductionLm::paper(0)),
+        Fault::PanicOnStep(2),
+    ));
+    let prompts = prompts(&healthy);
+    let service = InferenceService::builder()
+        .model("healthy", healthy.clone())
+        .model("faulty", faulty)
+        .queue_capacity(16)
+        .max_batch(16)
+        .build();
+    let on_faulty = |i: u64| i.is_multiple_of(4);
+    let prompt = |i: u64| &prompts[(i % 3) as usize];
+    let handles: Vec<_> = (0..16u64)
+        .map(|i| {
+            let substrate = if on_faulty(i) { "faulty" } else { "healthy" };
+            service
+                .submit(GenerateRequest::new(substrate, prompt(i).clone(), spec(i)))
+                .expect("block policy never sheds")
+        })
+        .collect();
+    for (i, handle) in (0..16u64).zip(handles) {
+        let result = handle.wait();
+        if on_faulty(i) {
+            let err = result.expect_err("requests on the faulty substrate must fail");
+            assert!(
+                matches!(
+                    &err,
+                    RequestError::Panicked(_) | RequestError::SubstrateQuarantined(_)
+                ),
+                "request {i}: unexpected terminal error {err:?}"
+            );
+        } else {
+            let expected = generate(&healthy, prompt(i), &spec(i)).unwrap();
+            let got = result.unwrap_or_else(|e| panic!("healthy request {i} failed: {e:?}"));
+            assert_eq!(got.trace, expected, "healthy request {i} diverged");
+        }
+    }
+    let stats = service.shutdown().expect("clean join after faults");
+    assert_eq!((stats.completed, stats.failed), (12, 4));
+}

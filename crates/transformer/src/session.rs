@@ -660,8 +660,8 @@ mod tests {
             let forks: Vec<TransformerSession> = (0..4)
                 .map(|j| {
                     let mut s = parent.clone();
-                    for step in 0..j {
-                        s.append(ids[step]);
+                    for &id in &ids[..j] {
+                        s.append(id);
                     }
                     s
                 })
