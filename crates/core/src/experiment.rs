@@ -626,6 +626,27 @@ mod tests {
         );
     }
 
+    /// What a fresh per-seed `model` decodes for one grid cell.
+    fn fresh_trace<M: LanguageModel>(
+        model: &Arc<M>,
+        plan: &ExperimentPlan,
+        key: &SettingKey,
+        set: &IclSet,
+        seed: u64,
+    ) -> GenerationTrace {
+        let builder = PromptBuilder::new(bundle().for_size(key.size).space().clone(), key.size);
+        let ids = builder.for_icl_set(set).to_tokens(model.tokenizer());
+        let spec = GenerateSpec::builder()
+            .sampler(Sampler::paper())
+            .max_tokens(plan.max_tokens)
+            .stop_tokens(vec![model.tokenizer().special(EOS)])
+            .trace_min_prob(plan.trace_min_prob)
+            .seed(seed)
+            .build()
+            .unwrap();
+        generate(model, &ids, &spec).unwrap()
+    }
+
     #[test]
     fn forked_seed_generations_match_fresh_per_seed_models() {
         // The service path (prefix-cached prefill, fork + rekey per seed)
@@ -646,17 +667,7 @@ mod tests {
                     .find(|r| r.key == key && r.replica == replica && r.seed == seed)
                     .expect("record exists");
                 let model = Arc::new(InductionLm::paper(seed));
-                let builder = PromptBuilder::new(ds.space().clone(), ArraySize::SM);
-                let ids = builder.for_icl_set(set).to_tokens(model.tokenizer());
-                let spec = GenerateSpec::builder()
-                    .sampler(Sampler::paper())
-                    .max_tokens(plan.max_tokens)
-                    .stop_tokens(vec![model.tokenizer().special(EOS)])
-                    .trace_min_prob(plan.trace_min_prob)
-                    .seed(seed)
-                    .build()
-                    .unwrap();
-                let trace = generate(&model, &ids, &spec).unwrap();
+                let trace = fresh_trace(&model, &plan, &key, set, seed);
                 assert_eq!(
                     trace.decode(model.tokenizer()),
                     rec.response,
@@ -664,6 +675,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn substrates_that_cannot_rekey_fall_back_to_per_seed_models() {
+        // Keeps the default `FallbackSession`, whose `rekey` refuses, so
+        // every cell takes the `RekeyUnsupported` arm.
+        struct NoRekey(InductionLm);
+        impl LanguageModel for NoRekey {
+            fn tokenizer(&self) -> &lmpeel_tokenizer::Tokenizer {
+                self.0.tokenizer()
+            }
+            fn logits(&self, context: &[lmpeel_tokenizer::TokenId]) -> Vec<f32> {
+                self.0.logits(context)
+            }
+            fn name(&self) -> String {
+                "no-rekey".into()
+            }
+        }
+        let plan = ExperimentPlan {
+            icl_counts: vec![2],
+            replicas: 1,
+            curated_sizes: vec![],
+            max_tokens: 8,
+            ..ExperimentPlan::smoke()
+        };
+        let factory = |seed| NoRekey(InductionLm::paper(seed));
+        let mut records = run_plan(bundle(), &plan, factory).into_iter();
+        for (key, _, set) in materialize_tasks(bundle(), &plan) {
+            for &seed in &plan.seeds {
+                let record = records.next().expect("one record per cell");
+                assert_eq!((record.key, record.seed), (key, seed));
+                let model = Arc::new(factory(seed));
+                let want = fresh_trace(&model, &plan, &key, &set, seed);
+                assert_eq!(record.trace, want, "seed {seed}");
+            }
+        }
+        assert!(records.next().is_none());
     }
 
     #[test]

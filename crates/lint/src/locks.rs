@@ -66,7 +66,6 @@ const SUBSTRATE_CALLS: &[&str] = &[
     "generate_session",
     "generate_constrained",
     "submit",
-    "step_batch",
 ];
 
 /// The outcome of the workspace lock analysis.

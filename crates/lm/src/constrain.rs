@@ -11,11 +11,10 @@
 //! warns about.
 
 use crate::error::LmError;
-use crate::generate::GenerateSpec;
+use crate::generate::{decode_step_from, GenerateSpec};
 use crate::induction::prior::{value_state, ValueState};
 use crate::model::LanguageModel;
-use crate::sampler::Sampler;
-use crate::trace::{GenStep, GenerationTrace, TokenAlt};
+use crate::trace::GenerationTrace;
 use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::{TokenId, Tokenizer};
 use std::sync::Arc;
@@ -98,8 +97,11 @@ impl LogitConstraint for ValueGrammar {
 
 /// The decoding loop with a [`LogitConstraint`] applied at every step.
 /// Identical trace semantics to [`crate::generate::generate`], over the
-/// constrained distribution. Drives an incremental [`DecodeSession`](crate::DecodeSession), so
-/// the constraint's mask is the only per-step full-vocabulary pass.
+/// constrained distribution: each step masks the session's logits and
+/// hands them to the same sampling half every other decode loop uses.
+/// Drives an incremental [`DecodeSession`](crate::DecodeSession) and
+/// reuses one logits buffer, so the constraint's mask is the only extra
+/// per-step full-vocabulary pass.
 pub fn generate_constrained<M, C>(
     model: &Arc<M>,
     prompt: &[TokenId],
@@ -116,36 +118,19 @@ where
     session.extend(prompt);
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
+    let mut logits = Vec::new();
     let tokenizer = model.tokenizer();
 
     for _ in 0..spec.max_tokens {
-        let mut logits = session.logits();
+        session.logits_into(&mut logits);
         constraint.mask(session.tokens(), tokenizer, &mut logits);
-        let trace_sampler = Sampler {
-            temperature: 1.0,
-            top_k: 0,
-            top_p: 1.0,
-        };
-        let dist = trace_sampler.distribution(&logits);
-        if dist.is_empty() {
-            return Err(LmError::EmptyVocab);
+        match decode_step_from(&mut *session, &logits, spec, &mut rng)? {
+            Some(step) => steps.push(step),
+            None => {
+                stopped_naturally = true;
+                break;
+            }
         }
-        let (chosen, chosen_prob) = spec.sampler.sample(&logits, &mut rng);
-        if spec.stop_tokens.contains(&chosen) {
-            stopped_naturally = true;
-            break;
-        }
-        let alternatives: Vec<TokenAlt> = dist
-            .into_iter()
-            .filter(|&(_, p)| p >= spec.trace_min_prob)
-            .map(|(id, prob)| TokenAlt { id, prob })
-            .collect();
-        steps.push(GenStep {
-            chosen,
-            chosen_prob,
-            alternatives,
-        });
-        session.append(chosen);
     }
     Ok(GenerationTrace {
         prompt_len: prompt.len(),
@@ -239,6 +224,32 @@ mod tests {
                 assert_eq!(tok.vocab().token_str(i as TokenId), ".");
             }
         }
+    }
+
+    #[test]
+    fn a_constraint_that_masks_nothing_records_the_plain_trace() {
+        // The whole trace — alternatives, probabilities, the stop flag —
+        // must match `generate`, not just the decoded text.
+        struct Unmasked;
+        impl LogitConstraint for Unmasked {
+            fn mask(&self, _: &[TokenId], _: &Tokenizer, _: &mut [f32]) {}
+        }
+        let (model, prompt, grammar) = setup();
+        let mut stopped = 0;
+        for seed in 0..4 {
+            let paper = GenerateSpec::paper(seed);
+            let stopping = GenerateSpec {
+                stop_tokens: grammar.stop_tokens.clone(),
+                ..paper.clone()
+            };
+            for spec in [paper, stopping] {
+                let plain = crate::generate::generate(&model, &prompt, &spec).unwrap();
+                let unmasked = generate_constrained(&model, &prompt, &spec, &Unmasked).unwrap();
+                assert_eq!(unmasked, plain, "seed {seed}");
+                stopped += usize::from(plain.stopped_naturally);
+            }
+        }
+        assert!(stopped > 0, "the stop path must be exercised");
     }
 
     #[test]

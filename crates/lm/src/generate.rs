@@ -7,12 +7,19 @@
 //! recomputing the whole context. Models without a native session fall back
 //! to [`crate::session::FallbackSession`] and behave exactly as before.
 //!
-//! Two drivers share one step function: [`generate_session`] runs a decode
-//! to completion in a loop, and [`GenerationStepper`] exposes the *same*
-//! loop one token at a time so the serve crate's scheduler can interleave
-//! many in-flight generations. Because both call `decode_step` with
-//! identically-seeded RNG state, a stepped generation is byte-identical to
-//! a sequential one by construction.
+//! Every decode loop shares one sampling half, `decode_step_from` — the
+//! only code that turns next-token logits into a [`GenStep`]:
+//! [`generate_session`] runs a decode to completion; [`GenerationStepper`]
+//! exposes the same loop one token at a time so the serve crate's
+//! scheduler can interleave many in-flight generations (its
+//! [`GenerationStepper::step_precomputed`] takes the logits the
+//! scheduler's fused round computed for a whole group);
+//! [`generate_with_number_hook`] splices provider values between steps;
+//! and [`crate::constrain::generate_constrained`] masks the logits before
+//! handing them over. Every loop keys its RNG by `(seed, prompt length)`,
+//! so a stepped or fused generation is byte-identical to a sequential one
+//! by construction, and so is a constrained one whose mask admits every
+//! token.
 
 use crate::error::{LmError, MAX_TOKEN_BUDGET};
 use crate::model::LanguageModel;
@@ -203,12 +210,14 @@ fn decode_step(
 }
 
 /// The sampling half of [`decode_step`], over logits the caller already
-/// computed (`logits` must be the session's current next-token logits —
-/// the batched decode path computes them for a whole group in one fused
-/// forward pass). Splitting here keeps batched and single-lane decoding
-/// byte-identical by construction: everything that consumes RNG state or
-/// mutates the session lives in this one function.
-fn decode_step_from(
+/// computed: the serve scheduler's fused round computes them for a whole
+/// group in one forward pass, and [`crate::constrain::generate_constrained`]
+/// masks them first. `logits` is what the step samples from and records,
+/// so it must be the session's current next-token logits (masked or not).
+/// Splitting here keeps every decode loop byte-identical by construction:
+/// everything that consumes RNG state or mutates the session lives in this
+/// one function.
+pub(crate) fn decode_step_from(
     session: &mut dyn DecodeSession,
     logits: &[f32],
     spec: &GenerateSpec,
@@ -480,63 +489,6 @@ impl GenerationStepper {
             stopped_naturally: self.stopped_naturally,
         }
     }
-}
-
-/// Advance every stepper one token, fusing same-substrate lanes into one
-/// batched forward pass where their sessions expose a
-/// [`crate::session::BatchDriver`].
-///
-/// Byte-identity with sequential stepping holds by construction: sessions
-/// are independent, so computing every fused lane's logits *before* any
-/// lane appends cannot change what any lane sees; each lane then consumes
-/// its logits through [`GenerationStepper::step_precomputed`] — the same
-/// sampling/trace/append code `step` runs — in slice order. Lanes without
-/// a driver (foreign sessions, [`crate::InductionLm`]'s sparse-index
-/// sessions), singleton groups, and already-finished steppers take the
-/// plain [`GenerationStepper::step`] path unchanged.
-///
-/// Returns one `step`-shaped result per stepper, in order. (The serve
-/// scheduler re-implements this loop rather than calling it, because it
-/// interleaves per-lane panic containment; this function is the
-/// sequential, panic-transparent form and the anchor for the batched ≡
-/// single-step equivalence suites.)
-pub fn step_batch(steppers: &mut [&mut GenerationStepper]) -> Vec<Result<bool, LmError>> {
-    // Group steppable lanes by driver key, first-seen order.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, s) in steppers.iter().enumerate() {
-        if s.is_finished() {
-            continue;
-        }
-        if let Some(h) = s.batch_driver() {
-            match groups.iter_mut().find(|(k, _)| *k == h.key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((h.key, vec![i])),
-            }
-        }
-    }
-    // One fused forward per group of two or more lanes.
-    let mut fused: Vec<Option<Vec<f32>>> = steppers.iter().map(|_| None).collect();
-    for (_, idxs) in groups.iter().filter(|(_, idxs)| idxs.len() >= 2) {
-        let Some(first) = idxs.first() else { continue };
-        let Some(handle) = steppers[*first].batch_driver() else {
-            continue;
-        };
-        let lanes: Vec<&dyn DecodeSession> = idxs.iter().map(|&i| steppers[i].session()).collect();
-        let mut out: Vec<Vec<f32>> = idxs.iter().map(|_| Vec::new()).collect();
-        handle.driver.logits_batch(&lanes, &mut out);
-        for (&i, buf) in idxs.iter().zip(out) {
-            fused[i] = Some(buf);
-        }
-    }
-    // Step in slice order; fused lanes consume their precomputed logits.
-    steppers
-        .iter_mut()
-        .zip(fused)
-        .map(|(s, buf)| match buf {
-            Some(b) => s.step_precomputed(&b),
-            None => s.step(),
-        })
-        .collect()
 }
 
 /// §V-D future-work decoding: "an LLM can be given a unique token to signal
@@ -1158,39 +1110,6 @@ mod tests {
         assert!(!fresh.retry(), "fresh steppers are not retryable");
         fresh.abort();
         assert!(!fresh.retry(), "aborted steppers are not retryable");
-    }
-
-    #[test]
-    fn step_batch_without_drivers_matches_sequential_stepping() {
-        // CycleLm sessions expose no BatchDriver, so step_batch must take
-        // the loop-of-single-steps fallback and stay byte-identical.
-        let m = cycle_model();
-        let prompt = m.tokenizer.encode("ab");
-        let mk = |seed| {
-            let mut s = m.clone().session();
-            s.extend(&prompt);
-            GenerationStepper::new(s, GenerateSpec::paper(seed)).unwrap()
-        };
-        let mut a = mk(1);
-        let mut b = mk(2);
-        {
-            let mut lanes = [&mut a, &mut b];
-            while lanes.iter().any(|s| !s.is_finished()) {
-                for r in step_batch(&mut lanes) {
-                    r.unwrap();
-                }
-            }
-        }
-        for seed in [1u64, 2] {
-            let mut solo = mk(seed);
-            while solo.step().unwrap() {}
-            let batched = if seed == 1 {
-                std::mem::replace(&mut a, mk(0))
-            } else {
-                std::mem::replace(&mut b, mk(0))
-            };
-            assert_eq!(batched.into_trace(), solo.into_trace(), "seed {seed}");
-        }
     }
 
     #[test]

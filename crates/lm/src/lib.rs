@@ -35,7 +35,7 @@ pub mod trace;
 pub use constrain::{generate_constrained, LogitConstraint, ValueGrammar};
 pub use error::{LmError, MAX_TOKEN_BUDGET};
 pub use generate::{
-    generate, generate_session, step_batch, GenerateSpec, GenerateSpecBuilder, GenerationStepper,
+    generate, generate_session, GenerateSpec, GenerateSpecBuilder, GenerationStepper,
 };
 pub use induction::incremental::InductionLmSession;
 pub use induction::{InductionConfig, InductionLm};

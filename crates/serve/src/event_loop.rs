@@ -42,6 +42,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar};
 use std::time::Instant;
 
+/// Drain budget in ticks: on shutdown a loop force-closes connections
+/// still open this many ticks after the GOAWAY.
+const DRAIN_TICKS: u64 = 60_000;
+
 /// The one wall-clock read in the front-end (allowlisted in `lint.toml`):
 /// stamps request arrival so the served-latency ledger can be computed at
 /// response time. Deadlines deliberately do *not* use it — they count
@@ -406,7 +410,7 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
             if conns.is_empty() {
                 break;
             }
-            if tick.saturating_sub(start) > cfg.drain_ticks {
+            if tick.saturating_sub(start) > DRAIN_TICKS {
                 // Drain budget spent: force-close stragglers.
                 for (_, conn) in std::mem::take(&mut conns) {
                     let _ = conn.stream.shutdown(Shutdown::Both);

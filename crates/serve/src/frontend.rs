@@ -707,7 +707,6 @@ pub struct FrontendBuilder {
     pub(crate) write_buf_cap: usize,
     pub(crate) idle_ticks: u64,
     pub(crate) mid_frame_ticks: u64,
-    pub(crate) drain_ticks: u64,
     pub(crate) drain_linger_ticks: u64,
     pub(crate) tick_interval: Duration,
 }
@@ -723,7 +722,6 @@ impl Default for FrontendBuilder {
             write_buf_cap: 1 << 20,
             idle_ticks: 600_000,
             mid_frame_ticks: 30_000,
-            drain_ticks: 60_000,
             drain_linger_ticks: 64,
             tick_interval: Duration::from_micros(200),
         }
@@ -790,13 +788,6 @@ impl FrontendBuilder {
     /// many ticks is reaped — a stalled sender cannot pin the loop.
     pub fn mid_frame_ticks(mut self, ticks: u64) -> Self {
         self.mid_frame_ticks = ticks.max(1);
-        self
-    }
-
-    /// Drain budget in ticks: [`Frontend::shutdown`] force-closes
-    /// connections still open this many ticks after the GOAWAY.
-    pub fn drain_ticks(mut self, ticks: u64) -> Self {
-        self.drain_ticks = ticks.max(1);
         self
     }
 
@@ -999,8 +990,8 @@ impl Frontend {
     /// receives a GOAWAY frame, in-flight responses (generation and
     /// extension) still deliver, requests arriving during the drain are
     /// answered with [`CODE_SHUTDOWN`], and connections close once
-    /// quiet. Connections still open after the configured drain budget
-    /// are force-closed.
+    /// quiet. Connections still open 60 000 ticks after the GOAWAY (the
+    /// drain budget) are force-closed.
     pub fn shutdown(mut self) -> FrontendStats {
         self.stop_and_join();
         self.stats()

@@ -629,16 +629,14 @@ mod tests {
         let model = Arc::new(InductionLm::paper(0));
         let prompt = icl_prompt(&model, &["0.0022155"]);
         let service = InferenceService::builder().model("default", model).build();
-        let err = service
-            .generate(
-                GenerateRequest::new("default", prompt.clone(), spec(0)).with_step_budget(2),
-            )
-            .unwrap_err();
+        let budgeted = |steps| GenerateRequest {
+            deadline: Deadline::steps(steps),
+            ..GenerateRequest::new("default", prompt.clone(), spec(0))
+        };
+        let err = service.generate(budgeted(2)).unwrap_err();
         assert_eq!(err, RequestError::DeadlineExceeded);
         // A budget wider than max_tokens never trips.
-        assert!(service
-            .generate(GenerateRequest::new("default", prompt, spec(0)).with_step_budget(64))
-            .is_ok());
+        assert!(service.generate(budgeted(64)).is_ok());
         let stats = service.stats();
         assert_eq!(stats.deadline_exceeded, 1);
         assert_eq!(stats.completed, 1);
@@ -650,10 +648,10 @@ mod tests {
         let prompt = icl_prompt(&model, &["0.0022155"]);
         let service = InferenceService::builder().model("default", model).build();
         let err = service
-            .generate(
-                GenerateRequest::new("default", prompt, spec(0))
-                    .with_wall_deadline(std::time::Duration::ZERO),
-            )
+            .generate(GenerateRequest {
+                deadline: Deadline::wall(std::time::Duration::ZERO),
+                ..GenerateRequest::new("default", prompt, spec(0))
+            })
             .unwrap_err();
         assert_eq!(err, RequestError::DeadlineExceeded);
         assert_eq!(service.stats().deadline_exceeded, 1);

@@ -82,8 +82,8 @@ impl GenerateRequest {
     /// Start building a request: one fluent surface covering the decoding
     /// spec, the model seed and the deadline, so callers no longer
     /// assemble a [`GenerateSpec`] separately and thread it through
-    /// [`GenerateRequest::new`]. The shorthand constructors below remain
-    /// for callers that already hold a validated spec.
+    /// [`GenerateRequest::new`], which remains for callers that already
+    /// hold a validated spec.
     pub fn builder(substrate: impl Into<String>, prompt: Vec<TokenId>) -> GenerateRequestBuilder {
         GenerateRequestBuilder {
             substrate: substrate.into(),
@@ -108,18 +108,6 @@ impl GenerateRequest {
     /// Ask the scheduler to re-key the session to `seed` before decoding.
     pub fn with_model_seed(mut self, seed: u64) -> Self {
         self.model_seed = Some(seed);
-        self
-    }
-
-    /// Cap the request at `steps` decode steps after admission.
-    pub fn with_step_budget(mut self, steps: u64) -> Self {
-        self.deadline.max_steps = Some(steps);
-        self
-    }
-
-    /// Cap the request at `limit` wall-clock time since submission.
-    pub fn with_wall_deadline(mut self, limit: Duration) -> Self {
-        self.deadline.wall = Some(limit);
         self
     }
 }
@@ -153,13 +141,6 @@ pub struct GenerateRequestBuilder {
 }
 
 impl GenerateRequestBuilder {
-    /// Start from an already-validated spec, keeping its settings as the
-    /// base for further spec knobs.
-    pub fn with_spec(mut self, spec: &GenerateSpec) -> Self {
-        self.spec = spec.to_builder();
-        self
-    }
-
     /// Token-selection strategy; see [`GenerateSpecBuilder::sampler`].
     pub fn sampler(mut self, sampler: Sampler) -> Self {
         self.spec = self.spec.sampler(sampler);
@@ -209,13 +190,15 @@ impl GenerateRequestBuilder {
         self
     }
 
-    /// Logical step budget; see [`GenerateRequest::with_step_budget`].
+    /// Cap the request at `steps` decode steps after admission; see
+    /// [`Deadline::max_steps`].
     pub fn step_budget(mut self, steps: u64) -> Self {
         self.deadline.max_steps = Some(steps);
         self
     }
 
-    /// Wall-clock budget; see [`GenerateRequest::with_wall_deadline`].
+    /// Cap the request at `limit` wall-clock time since submission; see
+    /// [`Deadline::wall`].
     pub fn wall_deadline(mut self, limit: Duration) -> Self {
         self.deadline.wall = Some(limit);
         self
@@ -392,16 +375,6 @@ mod tests {
         assert_eq!(r.model_seed, Some(7));
         assert_eq!(r.deadline.max_steps, Some(16));
 
-        // Adopting a validated spec keeps its settings as the base.
-        let base = GenerateSpec::paper(3);
-        let r = GenerateRequest::builder("default", vec![1])
-            .with_spec(&base)
-            .max_tokens(2)
-            .build()
-            .unwrap();
-        assert_eq!(r.spec.seed(), base.seed());
-        assert_eq!(r.spec.max_tokens(), 2);
-
         // Spec validation errors surface as RequestError::Lm.
         let err = GenerateRequest::builder("default", vec![1])
             .max_tokens(0)
@@ -412,10 +385,11 @@ mod tests {
 
     #[test]
     fn deadline_builders_compose() {
-        let spec = GenerateSpec::paper(0);
-        let r = GenerateRequest::new("default", vec![1], spec)
-            .with_step_budget(5)
-            .with_wall_deadline(Duration::from_millis(50));
+        let r = GenerateRequest::builder("default", vec![1])
+            .step_budget(5)
+            .wall_deadline(Duration::from_millis(50))
+            .build()
+            .unwrap();
         assert_eq!(r.deadline.max_steps, Some(5));
         assert_eq!(r.deadline.wall, Some(Duration::from_millis(50)));
         assert!(!r.deadline.is_none());

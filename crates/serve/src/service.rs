@@ -180,7 +180,6 @@ enum ReplicaSource {
 pub struct ServiceBuilder {
     models: BTreeMap<String, ReplicaSource>,
     shards: usize,
-    prefix_window: usize,
     queue_capacity: usize,
     policy: BackpressurePolicy,
     max_batch: usize,
@@ -195,7 +194,6 @@ impl Default for ServiceBuilder {
         Self {
             models: BTreeMap::new(),
             shards: 1,
-            prefix_window: DEFAULT_PREFIX_WINDOW,
             queue_capacity: 64,
             policy: BackpressurePolicy::default(),
             max_batch: 16,
@@ -243,13 +241,6 @@ impl ServiceBuilder {
     /// by [`ShardRouter`]; shard count cannot change any request's bytes.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Prompt tokens the router hashes for shard affinity (default
-    /// [`DEFAULT_PREFIX_WINDOW`]).
-    pub fn prefix_window(mut self, tokens: usize) -> Self {
-        self.prefix_window = tokens;
         self
     }
 
@@ -311,7 +302,7 @@ impl ServiceBuilder {
     /// Spawn every shard's scheduler thread and return the running
     /// service.
     pub fn build(self) -> InferenceService {
-        let router = ShardRouter::new(self.shards, self.prefix_window);
+        let router = ShardRouter::new(self.shards, DEFAULT_PREFIX_WINDOW);
         let shards = (0..router.shards())
             .map(|shard| {
                 let models = self

@@ -11,11 +11,12 @@ use lmpeel_transformer::InductionTransformer;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const PROMPTS: [&str; 3] = [
+const PROMPTS: [&str; 4] = [
     " loop tile packing array loop",
     " outer middle inner outer middle",
     "Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: 0.0022155\n\
      Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ",
+    " problem considers optimization problem",
 ];
 
 fn spec(seed: u64) -> GenerateSpec {
@@ -27,7 +28,7 @@ fn spec(seed: u64) -> GenerateSpec {
 }
 
 /// Decode one workload code into (substrate, prompt index, sampling seed):
-/// 2 substrates x 3 prompts x 4 seeds. (The vendored proptest has no tuple
+/// 2 substrates x 4 prompts x 4 seeds. (The vendored proptest has no tuple
 /// strategies.)
 fn unpack(code: usize) -> (&'static str, usize, u64) {
     let substrate = if code.is_multiple_of(2) {
@@ -35,8 +36,8 @@ fn unpack(code: usize) -> (&'static str, usize, u64) {
     } else {
         "induction"
     };
-    let prompt_idx = (code / 2) % 3;
-    let seed = ((code / 6) % 4) as u64;
+    let prompt_idx = (code / 2) % PROMPTS.len();
+    let seed = ((code / (2 * PROMPTS.len())) % 4) as u64;
     (substrate, prompt_idx, seed)
 }
 
@@ -83,8 +84,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn fused_unfused_and_sequential_traces_are_byte_identical(
-        workload in proptest::collection::vec(0usize..24, 1..10),
+    fn fused_and_sequential_traces_are_byte_identical(
+        workload in proptest::collection::vec(0usize..32, 1..10),
         max_batch in 1usize..8,
         trie_capacity in 0usize..4,
     ) {
@@ -125,7 +126,7 @@ fn wide_transformer_batch_matches_sequential() {
         .map(|seed| {
             let prompt = transformer
                 .tokenizer()
-                .encode(PROMPTS[(seed % 3) as usize]);
+                .encode(PROMPTS[seed as usize % PROMPTS.len()]);
             svc.submit(GenerateRequest::new("transformer", prompt, spec(seed)))
                 .expect("submit")
         })
@@ -133,7 +134,7 @@ fn wide_transformer_batch_matches_sequential() {
     for (seed, h) in (0..16u64).zip(handles) {
         let prompt = transformer
             .tokenizer()
-            .encode(PROMPTS[(seed % 3) as usize]);
+            .encode(PROMPTS[seed as usize % PROMPTS.len()]);
         let expected = generate(&transformer, &prompt, &spec(seed)).unwrap();
         assert_eq!(h.wait().expect("completes").trace, expected, "seed {seed}");
     }
