@@ -11,7 +11,7 @@
 //! warns about.
 
 use crate::error::LmError;
-use crate::generate::{decode_step_from, GenerateSpec};
+use crate::generate::{decode_step_from, GenerateSpec, StepScratch};
 use crate::induction::prior::{value_state, ValueState};
 use crate::model::LanguageModel;
 use crate::trace::GenerationTrace;
@@ -100,8 +100,8 @@ impl LogitConstraint for ValueGrammar {
 /// constrained distribution: each step masks the session's logits and
 /// hands them to the same sampling half every other decode loop uses.
 /// Drives an incremental [`DecodeSession`](crate::DecodeSession) and
-/// reuses one logits buffer, so the constraint's mask is the only extra
-/// per-step full-vocabulary pass.
+/// reuses one set of step buffers, so the constraint's mask is the only
+/// extra per-step full-vocabulary pass.
 pub fn generate_constrained<M, C>(
     model: &Arc<M>,
     prompt: &[TokenId],
@@ -118,13 +118,14 @@ where
     session.extend(prompt);
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
-    let mut logits = Vec::new();
+    let mut scratch = StepScratch::default();
     let tokenizer = model.tokenizer();
 
     for _ in 0..spec.max_tokens {
-        session.logits_into(&mut logits);
-        constraint.mask(session.tokens(), tokenizer, &mut logits);
-        match decode_step_from(&mut *session, &logits, spec, &mut rng)? {
+        let StepScratch { logits, ranking } = &mut scratch;
+        session.logits_into(logits);
+        constraint.mask(session.tokens(), tokenizer, logits);
+        match decode_step_from(&mut *session, logits, spec, &mut rng, ranking)? {
             Some(step) => steps.push(step),
             None => {
                 stopped_naturally = true;

@@ -20,10 +20,14 @@
 //! so a stepped or fused generation is byte-identical to a sequential one
 //! by construction, and so is a constrained one whose mask admits every
 //! token.
+//!
+//! A step sorts the logits once: the finite logits are ranked into a
+//! reusable `Ranking`, and the sampler's draw and the trace's raw
+//! softmax both read that one order.
 
 use crate::error::{LmError, MAX_TOKEN_BUDGET};
 use crate::model::LanguageModel;
-use crate::sampler::Sampler;
+use crate::sampler::{Ranking, Sampler};
 use crate::session::DecodeSession;
 use crate::trace::{GenStep, GenerationTrace, TokenAlt};
 use lmpeel_stats::{seeded_rng, SeedDomain};
@@ -203,10 +207,18 @@ fn decode_step(
     session: &mut dyn DecodeSession,
     spec: &GenerateSpec,
     rng: &mut ChaCha8Rng,
-    logits_buf: &mut Vec<f32>,
+    scratch: &mut StepScratch,
 ) -> Result<Option<GenStep>, LmError> {
-    session.logits_into(logits_buf);
-    decode_step_from(session, logits_buf, spec, rng)
+    session.logits_into(&mut scratch.logits);
+    decode_step_from(session, &scratch.logits, spec, rng, &mut scratch.ranking)
+}
+
+/// The vocab-wide buffers one generation reuses across its decode steps:
+/// the session's logits and the step's [`Ranking`].
+#[derive(Debug, Default)]
+pub(crate) struct StepScratch {
+    pub(crate) logits: Vec<f32>,
+    pub(crate) ranking: Ranking,
 }
 
 /// The sampling half of [`decode_step`], over logits the caller already
@@ -217,30 +229,26 @@ fn decode_step(
 /// Splitting here keeps every decode loop byte-identical by construction:
 /// everything that consumes RNG state or mutates the session lives in this
 /// one function.
+///
+/// The finite logits are ranked once per step, and that one order is
+/// shared: the sampler's draw and the trace's raw softmax both read it
+/// (`ranking` is the caller's reusable buffer). A stop token ends the step
+/// before the trace half runs.
 pub(crate) fn decode_step_from(
     session: &mut dyn DecodeSession,
     logits: &[f32],
     spec: &GenerateSpec,
     rng: &mut ChaCha8Rng,
+    ranking: &mut Ranking,
 ) -> Result<Option<GenStep>, LmError> {
-    let trace_sampler = Sampler {
-        temperature: 1.0,
-        top_k: 0,
-        top_p: 1.0,
-    };
-    let dist = trace_sampler.distribution(logits);
-    if dist.is_empty() {
+    if !ranking.rank(logits) {
         return Err(LmError::EmptyVocab);
     }
-    let (chosen, chosen_prob) = spec.sampler.sample(logits, rng);
+    let (chosen, chosen_prob) = spec.sampler.draw(ranking, logits, rng);
     if spec.stop_tokens.contains(&chosen) {
         return Ok(None);
     }
-    let alternatives: Vec<TokenAlt> = dist
-        .into_iter()
-        .filter(|&(_, p)| p >= spec.trace_min_prob)
-        .map(|(id, prob)| TokenAlt { id, prob })
-        .collect();
+    let alternatives = ranking.alternatives(logits, spec.trace_min_prob);
     session.append(chosen);
     Ok(Some(GenStep {
         chosen,
@@ -283,11 +291,10 @@ pub fn generate_session(
     let mut rng = seeded_rng(spec.seed, SeedDomain::Sampling(prompt_len as u64));
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
-    // One vocab-wide buffer for the whole generation.
-    let mut logits_buf = Vec::new();
+    let mut scratch = StepScratch::default();
 
     for _ in 0..spec.max_tokens {
-        match decode_step(session, spec, &mut rng, &mut logits_buf)? {
+        match decode_step(session, spec, &mut rng, &mut scratch)? {
             Some(step) => steps.push(step),
             None => {
                 stopped_naturally = true;
@@ -322,9 +329,9 @@ pub struct GenerationStepper {
     stopped_naturally: bool,
     finished: bool,
     errored: bool,
-    /// Vocab-wide logits buffer reused across steps (no per-token
-    /// allocation on the single-lane path).
-    logits_buf: Vec<f32>,
+    /// Step buffers reused across tokens (no per-token allocation beyond
+    /// the recorded trace).
+    scratch: StepScratch,
 }
 
 impl GenerationStepper {
@@ -344,7 +351,7 @@ impl GenerationStepper {
             stopped_naturally: false,
             finished: false,
             errored: false,
-            logits_buf: Vec::new(),
+            scratch: StepScratch::default(),
         })
     }
 
@@ -355,11 +362,12 @@ impl GenerationStepper {
         if self.finished {
             return Ok(false);
         }
-        // Detach the buffer so the session borrow and the buffer borrow
-        // don't overlap; reattached below, capacity intact.
-        let mut buf = std::mem::take(&mut self.logits_buf);
-        let result = decode_step(self.session.as_mut(), &self.spec, &mut self.rng, &mut buf);
-        self.logits_buf = buf;
+        let result = decode_step(
+            self.session.as_mut(),
+            &self.spec,
+            &mut self.rng,
+            &mut self.scratch,
+        );
         self.settle(result)
     }
 
@@ -377,7 +385,13 @@ impl GenerationStepper {
         if self.finished {
             return Ok(false);
         }
-        let result = decode_step_from(self.session.as_mut(), logits, &self.spec, &mut self.rng);
+        let result = decode_step_from(
+            self.session.as_mut(),
+            logits,
+            &self.spec,
+            &mut self.rng,
+            &mut self.scratch.ranking,
+        );
         self.settle(result)
     }
 
@@ -521,7 +535,7 @@ where
     session.extend(prompt);
     let mut steps = Vec::new();
     let mut stopped_naturally = false;
-    let mut logits_buf = Vec::new();
+    let mut scratch = StepScratch::default();
     let tokenizer = model.tokenizer();
 
     while steps.len() < spec.max_tokens {
@@ -544,7 +558,7 @@ where
                 continue;
             }
         }
-        match decode_step(&mut *session, spec, &mut rng, &mut logits_buf)? {
+        match decode_step(&mut *session, spec, &mut rng, &mut scratch)? {
             Some(step) => steps.push(step),
             None => {
                 stopped_naturally = true;
@@ -670,6 +684,31 @@ mod tests {
         let pruned = generate(&m, &prompt, &tight).unwrap();
         assert!(pruned.steps[0].num_possibilities() <= full.steps[0].num_possibilities());
         assert!(pruned.steps[0].num_possibilities() >= 1);
+    }
+
+    #[test]
+    fn trace_alternatives_are_allocated_at_their_length() {
+        // A step's alternatives outlive the step; a vocab-wide capacity
+        // behind a handful of entries would be retained for every token.
+        let m = Arc::new(crate::InductionLm::paper(0));
+        let prompt = m.tokenizer().encode(
+            "tile is 80\nPerformance: 0.0022155\n\
+             tile is 16\nPerformance: 0.0051230\n\
+             tile is 128\nPerformance: ",
+        );
+        for seed in 0..3 {
+            let trace = generate(&m, &prompt, &GenerateSpec::paper(seed)).unwrap();
+            assert!(!trace.steps.is_empty());
+            for step in &trace.steps {
+                let alts = &step.alternatives;
+                assert!(
+                    alts.capacity() <= alts.len().next_power_of_two(),
+                    "{} alternatives held at capacity {}",
+                    alts.len(),
+                    alts.capacity()
+                );
+            }
+        }
     }
 
     #[test]

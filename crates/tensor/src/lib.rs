@@ -16,4 +16,4 @@ pub mod paged;
 
 pub use matrix::Tensor2;
 pub use paged::{PagedRows, ROWS_PER_PAGE};
-pub use ops::{argmax, gelu, layernorm, rmsnorm, rope_rotate, silu, softmax_in_place, top_k};
+pub use ops::{argmax, gelu, layernorm, rmsnorm, rope_rotate, silu, softmax_in_place};

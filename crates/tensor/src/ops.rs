@@ -89,16 +89,6 @@ pub fn argmax(xs: &[f32]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Indices of the `k` largest elements, descending by value (stable order
-/// on ties by ascending index). Returns fewer than `k` if the input is
-/// shorter.
-pub fn top_k(xs: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[b].partial_cmp(&xs[a]).unwrap().then(a.cmp(&b)));
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,11 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_and_topk() {
+    fn argmax_first_wins_ties() {
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some(1));
         assert_eq!(argmax(&[2.0, 2.0]), Some(0), "first wins ties");
-        assert_eq!(top_k(&[0.1, 0.9, 0.5, 0.7], 2), vec![1, 3]);
-        assert_eq!(top_k(&[1.0, 1.0, 1.0], 5), vec![0, 1, 2]);
     }
 }
