@@ -8,22 +8,25 @@
 //! in experiments, the real journaled kernel in the tune service:
 //!
 //! * [`RandomSearch`] — the no-model baseline;
-//! * [`GbdtSearch`] — a Bayesian-optimization-style loop with the
-//!   boosted-tree surrogate (fit on observations, rank a candidate pool,
-//!   evaluate the most promising candidate);
-//! * [`LlmSearch`] — the same loop with the LLM discriminative surrogate:
-//!   observations become in-context examples and each candidate is scored
-//!   by a generated runtime prediction (the LLAMBO recipe applied to HPC
-//!   autotuning).
+//! * [`pool_search`] — the Bayesian-optimization-style loop every
+//!   surrogate shares: a few random evaluations, then rank a random
+//!   candidate pool with the surrogate and evaluate the most promising
+//!   candidate;
+//! * [`GbdtSearch`] — that loop with the boosted-tree surrogate, refit on
+//!   the observations at every step.
+//!
+//! The LLM discriminative surrogate (the LLAMBO recipe applied to HPC
+//! autotuning: observations become in-context examples, each candidate is
+//! scored by a generated runtime prediction) is the same loop with another
+//! scorer; it is `lmpeel_tune::ServiceLlmSearch`, which decodes through
+//! the serving layer.
 
-use crate::extract::extract_value;
-use crate::prompt::PromptBuilder;
 use lmpeel_configspace::{ArraySize, Config, ConfigSpace};
 use lmpeel_gbdt::{Gbdt, GbdtParams};
-use lmpeel_lm::{generate, GenerateSpec, LanguageModel, Sampler};
 use lmpeel_perfdata::PerfDataset;
 use lmpeel_stats::{seeded_rng, SeedDomain};
-use lmpeel_tokenizer::EOS;
+use rand::RngExt;
+use std::collections::HashSet;
 
 /// Why an [`Objective`] could not produce a measurement: a journal commit
 /// failed, the deterministic crash hook fired, a kernel run was refused.
@@ -174,6 +177,53 @@ impl Tuner for RandomSearch {
     }
 }
 
+/// The surrogate-search loop every model-guided [`Tuner`] shares: measure
+/// `init_random` distinct random configurations, then repeatedly sample a
+/// pool of `pool` configurations, drop the ones already measured, score
+/// the rest once with `score(evaluated, candidates)` (one score per
+/// candidate, lower is better) and measure the lowest-scoring candidate,
+/// the first one on ties. Stops at `budget` measurements, or early when a
+/// pool holds nothing new.
+pub fn pool_search<R: RngExt + ?Sized>(
+    objective: &mut dyn Objective,
+    budget: usize,
+    rng: &mut R,
+    init_random: usize,
+    pool: usize,
+    mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
+) -> Result<TuningTrajectory, ObjectiveError> {
+    // Clone the space once so measuring (which needs `&mut objective`)
+    // does not fight the space borrow.
+    let space = objective.space().clone();
+    let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
+    let mut seen = HashSet::new();
+    for c in space.sample_distinct(init_random.min(budget), rng) {
+        seen.insert(space.index_of(&c));
+        let r = objective.measure(&c)?;
+        evaluated.push((c, r));
+    }
+    while evaluated.len() < budget {
+        let mut candidates = space.sample_distinct(pool, rng);
+        candidates.retain(|c| !seen.contains(&space.index_of(c)));
+        if candidates.is_empty() {
+            break;
+        }
+        let scores = score(&evaluated, &candidates);
+        assert_eq!(scores.len(), candidates.len(), "one score per candidate");
+        let best = scores
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .map(|(i, _)| i)
+            .expect("pool checked non-empty");
+        let c = candidates.swap_remove(best);
+        seen.insert(space.index_of(&c));
+        let r = objective.measure(&c)?;
+        evaluated.push((c, r));
+    }
+    Ok(TuningTrajectory { evaluated })
+}
+
 /// Boosted-tree surrogate search: seed with random evaluations, then
 /// repeatedly fit the surrogate and evaluate the pool candidate with the
 /// best predicted runtime.
@@ -208,203 +258,29 @@ impl Tuner for GbdtSearch {
         budget: usize,
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
-        // Clone the space once so measuring (which needs `&mut objective`)
-        // does not fight the space borrow.
         let space = objective.space().clone();
         let mut rng = seeded_rng(seed, SeedDomain::Custom(0x6BD7));
-        let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
-        let mut seen = std::collections::HashSet::new();
-        for c in space.sample_distinct(self.init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        while evaluated.len() < budget {
-            let xs: Vec<Vec<f64>> = evaluated.iter().map(|(c, _)| space.featurize(c)).collect();
-            let ys: Vec<f64> = evaluated.iter().map(|&(_, r)| r).collect();
-            let params = GbdtParams {
-                n_estimators: 120,
-                learning_rate: 0.1,
-                ..Default::default()
-            };
-            let model = Gbdt::fit(&xs, &ys, params, seed);
-            // Rank a random pool, evaluate the best unseen candidate.
-            let pool = space.sample_distinct(self.pool, &mut rng);
-            let best = pool
-                .into_iter()
-                .filter(|c| !seen.contains(&space.index_of(c)))
-                .min_by(|a, b| {
-                    let pa = model.predict_row(&space.featurize(a));
-                    let pb = model.predict_row(&space.featurize(b));
-                    pa.partial_cmp(&pb).unwrap()
-                });
-            let Some(c) = best else { break };
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        Ok(TuningTrajectory { evaluated })
-    }
-}
-
-/// LLM discriminative-surrogate search: observations become ICL examples;
-/// each iteration scores a small candidate set by generated runtime
-/// predictions and evaluates the minimum.
-pub struct LlmSearch<M> {
-    /// The language model used as surrogate.
-    pub model: std::sync::Arc<M>,
-    /// Random evaluations before the surrogate activates.
-    pub init_random: usize,
-    /// Candidates scored per iteration (each costs one generation).
-    pub pool: usize,
-    /// Most recent observations used as in-context examples.
-    pub max_icl: usize,
-}
-
-impl<M: LanguageModel> LlmSearch<M> {
-    fn predict(
-        &self,
-        builder: &PromptBuilder,
-        examples: &[(Config, f64)],
-        cand: &Config,
-        seed: u64,
-    ) -> f64 {
-        let prompt = builder.discriminative(examples, cand);
-        let t = self.model.tokenizer();
-        let ids = prompt.to_tokens(t);
-        let spec = GenerateSpec::builder()
-            .sampler(Sampler::paper())
-            .max_tokens(16)
-            .stop_tokens(vec![
-                t.vocab().token_id("\n").expect("newline"),
-                t.special(EOS),
-            ])
-            .trace_min_prob(1e-4)
-            .seed(seed)
-            .build()
-            .expect("valid surrogate spec");
-        let trace = generate(&self.model, &ids, &spec).expect("surrogate decode");
-        extract_value(&trace.decode(t))
-            .map(|(v, _)| v)
-            .unwrap_or(f64::INFINITY)
-    }
-}
-
-impl<M: LanguageModel> Tuner for LlmSearch<M> {
-    fn name(&self) -> String {
-        format!("llm-surrogate({})", self.model.name())
-    }
-
-    fn run(
-        &self,
-        objective: &mut dyn Objective,
-        budget: usize,
-        seed: u64,
-    ) -> Result<TuningTrajectory, ObjectiveError> {
-        let space = objective.space().clone();
-        let builder = PromptBuilder::new(space.clone(), objective.size());
-        let mut rng = seeded_rng(seed, SeedDomain::Custom(0x11A4));
-        let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
-        let mut seen = std::collections::HashSet::new();
-        for c in space.sample_distinct(self.init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        let mut step = 0u64;
-        while evaluated.len() < budget {
-            let start = evaluated.len().saturating_sub(self.max_icl);
-            let examples = &evaluated[start..];
-            let pool = space.sample_distinct(self.pool, &mut rng);
-            let best = pool
-                .into_iter()
-                .filter(|c| !seen.contains(&space.index_of(c)))
-                .map(|c| {
-                    step += 1;
-                    let score = self.predict(&builder, examples, &c, seed ^ step);
-                    (c, score)
-                })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            let Some((c, _)) = best else { break };
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        Ok(TuningTrajectory { evaluated })
-    }
-}
-
-/// LLAMBO candidate-sampling search: instead of scoring a random pool, each
-/// iteration asks the LLM to *propose* a configuration expected to achieve
-/// an aggressive target (better than the best observed so far), falling
-/// back to a random candidate when the proposal fails to parse or repeats
-/// an evaluated configuration. This is LLAMBO's "novel means of search
-/// relative to other techniques in the field", closed over the full loop.
-pub struct LlmCandidateSearch<M> {
-    /// The language model used to propose candidates.
-    pub model: std::sync::Arc<M>,
-    /// Random evaluations before the proposer activates.
-    pub init_random: usize,
-    /// Most recent observations shown as in-context examples.
-    pub max_icl: usize,
-    /// Target aggressiveness: ask for `best_so_far * improvement`.
-    pub improvement: f64,
-}
-
-impl<M: LanguageModel> Tuner for LlmCandidateSearch<M> {
-    fn name(&self) -> String {
-        format!("llm-candidate-sampling({})", self.model.name())
-    }
-
-    fn run(
-        &self,
-        objective: &mut dyn Objective,
-        budget: usize,
-        seed: u64,
-    ) -> Result<TuningTrajectory, ObjectiveError> {
-        let space = objective.space().clone();
-        let mut rng = seeded_rng(seed, SeedDomain::Custom(0x11A5));
-        let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
-        let mut seen = std::collections::HashSet::new();
-        for c in space.sample_distinct(self.init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        let mut step = 0u64;
-        while evaluated.len() < budget {
-            step += 1;
-            let best = evaluated
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(f64::INFINITY, f64::min);
-            let start = evaluated.len().saturating_sub(self.max_icl);
-            let target = best * self.improvement;
-            let proposal = crate::llambo::propose_candidate(
-                &self.model,
-                &space,
-                objective.size(),
-                &evaluated[start..],
-                target,
-                seed ^ step,
-            )
-            .filter(|c| !seen.contains(&space.index_of(c)));
-            let c = match proposal {
-                Some(c) => c,
-                None => {
-                    // Fallback: a fresh random candidate.
-                    let mut c = space.sample(&mut rng);
-                    while seen.contains(&space.index_of(&c)) {
-                        c = space.sample(&mut rng);
-                    }
-                    c
-                }
-            };
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        Ok(TuningTrajectory { evaluated })
+        let params = GbdtParams {
+            n_estimators: 120,
+            learning_rate: 0.1,
+            ..Default::default()
+        };
+        pool_search(
+            objective,
+            budget,
+            &mut rng,
+            self.init_random,
+            self.pool,
+            |evaluated, candidates| {
+                let xs: Vec<Vec<f64>> = evaluated.iter().map(|(c, _)| space.featurize(c)).collect();
+                let ys: Vec<f64> = evaluated.iter().map(|&(_, r)| r).collect();
+                let model = Gbdt::fit(&xs, &ys, params, seed);
+                candidates
+                    .iter()
+                    .map(|c| model.predict_row(&space.featurize(c)))
+                    .collect()
+            },
+        )
     }
 }
 
@@ -412,7 +288,6 @@ impl<M: LanguageModel> Tuner for LlmCandidateSearch<M> {
 mod tests {
     use super::*;
     use lmpeel_configspace::ArraySize;
-    use lmpeel_lm::InductionLm;
     use lmpeel_perfdata::CostModel;
     use std::sync::OnceLock;
 
@@ -488,40 +363,91 @@ mod tests {
         assert_eq!(uniq.len(), t.evaluated.len());
     }
 
+    /// Pins every step of the shared pool loop under the GBDT scorer:
+    /// the evaluated config indices for two seeds.
     #[test]
-    fn llm_candidate_sampling_runs_within_budget_without_repeats() {
+    fn gbdt_search_trajectory_is_pinned() {
         let d = sm();
-        let tuner = LlmCandidateSearch {
-            model: std::sync::Arc::new(InductionLm::paper(0)),
-            init_random: 3,
-            max_icl: 8,
-            improvement: 0.9,
-        };
-        let t = tuner.run_dataset(d, 8, 5);
-        assert_eq!(t.evaluated.len(), 8);
-        let uniq: std::collections::HashSet<_> = t
-            .evaluated
-            .iter()
-            .map(|(c, _)| d.space().index_of(c))
-            .collect();
-        assert_eq!(uniq.len(), 8, "no configuration evaluated twice");
+        let pinned: [(u64, [u64; 24]); 2] = [
+            (
+                0,
+                [
+                    4806, 5888, 5479, 8030, 5564, 6050, 10261, 10544, 5579, 7184, 5876, 6251, 7579,
+                    6249, 8672, 153, 6813, 807, 285, 5631, 5586, 5653, 2100, 2225,
+                ],
+            ),
+            (
+                7,
+                [
+                    2825, 7136, 318, 6550, 1647, 5375, 1274, 7138, 6980, 6994, 1481, 9338, 1580,
+                    1604, 7, 271, 6849, 9446, 4550, 1536, 1624, 1559, 2735, 128,
+                ],
+            ),
+        ];
+        for (seed, expected) in pinned {
+            let t = GbdtSearch::default().run_dataset(d, 24, seed);
+            let got: Vec<u64> = t
+                .evaluated
+                .iter()
+                .map(|(c, _)| d.space().index_of(c))
+                .collect();
+            assert_eq!(got, expected, "seed {seed}");
+        }
+    }
+
+    /// An eight-point space whose runtime is the config index.
+    struct Ladder(ConfigSpace);
+
+    impl Objective for Ladder {
+        fn space(&self) -> &ConfigSpace {
+            &self.0
+        }
+
+        fn size(&self) -> ArraySize {
+            ArraySize::SM
+        }
+
+        fn measure(&mut self, config: &Config) -> Result<f64, ObjectiveError> {
+            Ok(self.0.index_of(config) as f64)
+        }
     }
 
     #[test]
-    fn llm_search_runs_within_budget() {
-        let d = sm();
-        let tuner = LlmSearch {
-            model: std::sync::Arc::new(InductionLm::paper(0)),
-            init_random: 3,
-            pool: 2,
-            max_icl: 6,
-        };
-        let t = tuner.run_dataset(d, 6, 4);
-        assert_eq!(t.evaluated.len(), 6);
-        let curve = t.best_curve();
-        assert!(
-            curve.windows(2).all(|w| w[1] <= w[0]),
-            "monotone best curve"
-        );
+    fn pool_search_measures_each_pools_lowest_score_until_nothing_is_new() {
+        let space = ConfigSpace::new(vec![lmpeel_configspace::ParamDef::ordinal(
+            "p",
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+        )]);
+        let mut objective = Ladder(space.clone());
+        let mut rng = seeded_rng(3, SeedDomain::Custom(0x6BD7));
+        let mut pools: Vec<(usize, Vec<u64>)> = Vec::new();
+        // Budget past the space's size: the loop must stop on its own.
+        let t = pool_search(
+            &mut objective,
+            20,
+            &mut rng,
+            2,
+            4,
+            |evaluated, candidates| {
+                let ix: Vec<u64> = candidates.iter().map(|c| space.index_of(c)).collect();
+                pools.push((evaluated.len(), ix.clone()));
+                // Reverse the index so the loop must pick the pool's maximum.
+                ix.iter().map(|&i| -(i as f64)).collect()
+            },
+        )
+        .unwrap();
+        let got: Vec<u64> = t.evaluated.iter().map(|(c, _)| space.index_of(c)).collect();
+        assert!(got.len() <= 8);
+        let uniq: HashSet<_> = got.iter().collect();
+        assert_eq!(uniq.len(), got.len(), "no configuration measured twice");
+        assert_eq!(pools.len(), got.len() - 2, "one scoring call per step");
+        for (k, (seen, pool)) in pools.iter().enumerate() {
+            assert_eq!(*seen, 2 + k, "the scorer sees every measurement so far");
+            assert!(
+                pool.iter().all(|i| !got[..*seen].contains(i)),
+                "pool is unseen"
+            );
+            assert_eq!(got[*seen], *pool.iter().max().unwrap());
+        }
     }
 }

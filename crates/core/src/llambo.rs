@@ -16,9 +16,8 @@
 
 use crate::prompt::{problem_description, SYSTEM_INSTRUCTIONS};
 use lmpeel_configspace::{text, ArraySize, Config, ConfigSpace};
-use lmpeel_lm::{LanguageModel, Sampler};
+use lmpeel_lm::{generate, GenerateSpec, LanguageModel, Sampler};
 use lmpeel_perfdata::PerfDataset;
-use lmpeel_serve::prelude::*;
 use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::{BOS, EOS, ROLE_ASSISTANT, ROLE_SYSTEM, ROLE_USER};
 use std::sync::Arc;
@@ -128,64 +127,36 @@ pub fn predict_class<M: LanguageModel>(
     query: &Config,
     seed: u64,
 ) -> Option<usize> {
-    predict_classes(model, space, size, buckets, examples, query, &[seed])
-        .pop()
-        .flatten()
-}
-
-/// Run the generative surrogate over several sampling seeds while paying
-/// the prompt prefill once: all seeds are submitted to an ephemeral
-/// [`InferenceService`] whose prefix cache prefills the shared chat prompt
-/// once and forks it per seed. The seed here only drives sampling (the
-/// model's own jitter key is fixed at construction), so no re-keying is
-/// requested. Returns one prediction per seed, in order.
-pub fn predict_classes<M: LanguageModel>(
-    model: &Arc<M>,
-    space: &ConfigSpace,
-    size: ArraySize,
-    buckets: &RuntimeBuckets,
-    examples: &[(Config, f64)],
-    query: &Config,
-    seeds: &[u64],
-) -> Vec<Option<usize>> {
     let user = classification_user_text(space, size, buckets, examples, query);
     let ids = chat_tokens(model.as_ref(), &user, "Performance bucket: ");
+    let response = decode(model, &ids, 4, seed);
+    let label = response.trim().chars().next()?.to_string();
+    buckets.class_of_label(&label)
+}
+
+/// Decode one paper-sampler response to `ids`, stopping at a newline or
+/// EOS after at most `max_tokens`.
+fn decode<M: LanguageModel>(
+    model: &Arc<M>,
+    ids: &[lmpeel_tokenizer::TokenId],
+    max_tokens: usize,
+    seed: u64,
+) -> String {
     let t = model.tokenizer();
-    let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-    // Under `LMPEEL_SHARDS` all seeds still colocate (they share one
-    // prompt, and routing is by prompt prefix), so the prefill is still
-    // paid once.
-    let service = InferenceService::builder()
-        .model("llambo", model.clone())
-        .shards(shards_from_env())
-        .queue_capacity(seeds.len().max(1))
-        .max_batch(seeds.len().max(1))
-        .build();
-    let handles: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            let request = GenerateRequest::builder("llambo", ids.clone())
-                .sampler(Sampler::paper())
-                .max_tokens(4)
-                .stop_tokens(stop.clone())
-                .trace_min_prob(1e-4)
-                .seed(seed)
-                .build()
-                .expect("valid classification request");
-            service
-                .submit(request)
-                .expect("service accepts while running")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| {
-            let trace = h.wait().expect("classification decode").trace;
-            let response = trace.decode(t);
-            let label = response.trim().chars().next()?.to_string();
-            buckets.class_of_label(&label)
-        })
-        .collect()
+    let spec = GenerateSpec::builder()
+        .sampler(Sampler::paper())
+        .max_tokens(max_tokens)
+        .stop_tokens(vec![
+            t.vocab().token_id("\n").expect("newline"),
+            t.special(EOS),
+        ])
+        .trace_min_prob(1e-4)
+        .seed(seed)
+        .build()
+        .expect("valid llambo spec");
+    generate(model, ids, &spec)
+        .expect("llambo decode")
+        .decode(t)
 }
 
 /// Build the candidate-sampling user text: labelled `(performance →
@@ -226,59 +197,16 @@ pub fn propose_candidate<M: LanguageModel>(
     target: f64,
     seed: u64,
 ) -> Option<Config> {
-    propose_candidates(model, space, size, examples, target, &[seed])
-        .pop()
-        .flatten()
-}
-
-/// Run candidate sampling over several sampling seeds while paying the
-/// prompt prefill once (see [`predict_classes`] for the service scheme).
-/// Returns one proposal per seed, in order.
-pub fn propose_candidates<M: LanguageModel>(
-    model: &Arc<M>,
-    space: &ConfigSpace,
-    size: ArraySize,
-    examples: &[(Config, f64)],
-    target: f64,
-    seeds: &[u64],
-) -> Vec<Option<Config>> {
     let user = candidate_user_text(space, size, examples, target);
     // Trailing space matters: the examples tokenize the separator as
     // a single ": " token, and the induction machinery needs the primer
     // to end on that same token.
     let ids = chat_tokens(model.as_ref(), &user, "Hyperparameter configuration: ");
-    let t = model.tokenizer();
-    let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-    let service = InferenceService::builder()
-        .model("llambo", model.clone())
-        .shards(shards_from_env())
-        .queue_capacity(seeds.len().max(1))
-        .max_batch(seeds.len().max(1))
-        .build();
-    let handles: Vec<_> = seeds
-        .iter()
-        .map(|&seed| {
-            let request = GenerateRequest::builder("llambo", ids.clone())
-                .sampler(Sampler::paper())
-                .max_tokens(96)
-                .stop_tokens(stop.clone())
-                .trace_min_prob(1e-4)
-                .seed(seed)
-                .build()
-                .expect("valid candidate-sampling request");
-            service
-                .submit(request)
-                .expect("service accepts while running")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| {
-            let trace = h.wait().expect("candidate decode").trace;
-            let line = format!("Hyperparameter configuration: {}", trace.decode(t));
-            text::parse_nl_config(space, &line).map(|(_, cfg)| cfg)
-        })
-        .collect()
+    let line = format!(
+        "Hyperparameter configuration: {}",
+        decode(model, &ids, 96, seed)
+    );
+    text::parse_nl_config(space, &line).map(|(_, cfg)| cfg)
 }
 
 /// Evaluation summary for the generative (classification) surrogate.
@@ -445,36 +373,6 @@ mod tests {
             .collect();
         assert!(!parsed.is_empty(), "no proposal parsed across 8 seeds");
         assert!(parsed.iter().all(|c| c.len() == space.num_params()));
-    }
-
-    #[test]
-    fn multi_seed_helpers_match_their_single_seed_counterparts() {
-        // Forking one prefilled session per seed must decode exactly what a
-        // fresh per-seed session over the same prompt decodes.
-        let d = sm();
-        let model = std::sync::Arc::new(InductionLm::paper(0));
-        let space = d.space();
-        let examples: Vec<(Config, f64)> = (0..5)
-            .map(|i| {
-                let c = space.config_at(i * 2000 + 5);
-                (c.clone(), d.runtime_of(&c))
-            })
-            .collect();
-        let target = examples[2].1;
-        let seeds = [0u64, 1, 2, 3];
-        let batch = propose_candidates(&model, space, d.size(), &examples, target, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, proposal) in seeds.iter().zip(&batch) {
-            let single = propose_candidate(&model, space, d.size(), &examples, target, seed);
-            assert_eq!(&single, proposal, "seed {seed}");
-        }
-        let b = RuntimeBuckets::from_dataset(&d, 3);
-        let query = space.config_at(7_777);
-        let classes = predict_classes(&model, space, d.size(), &b, &examples, &query, &seeds);
-        for (&seed, class) in seeds.iter().zip(&classes) {
-            let single = predict_class(&model, space, d.size(), &b, &examples, &query, seed);
-            assert_eq!(&single, class, "seed {seed}");
-        }
     }
 
     #[test]

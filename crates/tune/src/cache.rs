@@ -41,7 +41,7 @@ pub type TuneKey = (String, u8, u64);
 /// Journal-header fingerprint of every tune cache file: the cache is not
 /// bound to one plan (it accumulates entries across kernels and sizes),
 /// only to its name and codec.
-pub fn cache_fingerprint() -> u64 {
+fn cache_fingerprint() -> u64 {
     let mut buf = Vec::new();
     wire::put_str(&mut buf, "lmpeel-tune-cache");
     wire::put_u32(&mut buf, CACHE_CODEC_VERSION);
@@ -51,7 +51,7 @@ pub fn cache_fingerprint() -> u64 {
 /// Hash named hardware parameters into a fingerprint, insensitive to the
 /// order the `(name, value)` pairs are supplied in: pairs are sorted by
 /// name before hashing, and values hash as IEEE-754 bit patterns.
-pub fn fingerprint_fields(fields: &[(&str, f64)]) -> u64 {
+fn fingerprint_fields(fields: &[(&str, f64)]) -> u64 {
     let ordered: BTreeMap<&str, u64> = fields.iter().map(|&(n, v)| (n, v.to_bits())).collect();
     let mut buf = Vec::new();
     wire::put_str(&mut buf, "lmpeel-tune-machine");

@@ -36,9 +36,9 @@ pub use cache::{machine_fingerprint, TuneCache, TuneEntry, TuneKey, CACHE_CODEC_
 pub use journal::{run_fingerprint, JournaledObjective, StepRecord};
 pub use wire::{TuneWireRequest, TuneWireResponse, TUNE_EXT_KIND};
 
-use lmpeel_configspace::{ArraySize, Syr2kConfig};
+use lmpeel_configspace::{ArraySize, Config, Syr2kConfig};
 use lmpeel_core::autotune::{
-    DatasetObjective, GbdtSearch, Objective, ObjectiveError, RandomSearch, Tuner,
+    pool_search, DatasetObjective, GbdtSearch, Objective, ObjectiveError, RandomSearch, Tuner,
     TuningTrajectory,
 };
 use lmpeel_core::extract::extract_value;
@@ -48,10 +48,11 @@ use lmpeel_kernel::{measure, MeasureSpec, Syr2kProblem};
 use lmpeel_lm::{InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{CostModel, MachineModel, PerfDataset};
 use lmpeel_recover::{JournalError, Recovery, RunJournal};
+use lmpeel_serve::sync::RankedMutex;
 use lmpeel_serve::{shards_from_env, GenerateRequest, InferenceService};
+use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::EOS;
 use std::path::Path;
-use lmpeel_serve::sync::RankedMutex;
 use std::sync::Arc;
 
 /// The one kernel the service currently tunes.
@@ -163,7 +164,8 @@ pub struct TuneReport {
 /// candidate's runtime prediction is generated by submitting a request to
 /// an [`InferenceService`] hosting the model, so tune-time LLM traffic exercises
 /// the same admission/batching/prefix-cache path as the experiments (and
-/// one iteration's pool scores share their prompt prefill).
+/// one iteration's pool scores share their prompt prefill). The search
+/// itself is [`pool_search`]; this type only supplies the scorer.
 pub struct ServiceLlmSearch<M> {
     /// The surrogate model served behind the [`InferenceService`].
     pub model: Arc<M>,
@@ -173,48 +175,6 @@ pub struct ServiceLlmSearch<M> {
     pub pool: usize,
     /// Most recent observations used as in-context examples.
     pub max_icl: usize,
-}
-
-impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
-    /// Score `candidates` by submitting one generation per candidate to
-    /// `service`, returning predicted runtimes (`INFINITY` where the
-    /// response held no value).
-    fn score_pool(
-        &self,
-        service: &InferenceService,
-        builder: &PromptBuilder,
-        examples: &[(lmpeel_configspace::Config, f64)],
-        candidates: &[lmpeel_configspace::Config],
-        seed: u64,
-    ) -> Vec<f64> {
-        let t = self.model.tokenizer();
-        let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-        let handles: Vec<_> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, cand)| {
-                let ids = builder.discriminative(examples, cand).to_tokens(t);
-                let request = GenerateRequest::builder("tune", ids)
-                    .sampler(Sampler::paper())
-                    .max_tokens(16)
-                    .stop_tokens(stop.clone())
-                    .trace_min_prob(1e-4)
-                    .seed(seed ^ (i as u64 + 1))
-                    .build()
-                    .expect("valid surrogate request");
-                service.submit(request).expect("service accepts while running")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                let trace = h.wait().expect("surrogate decode").trace;
-                extract_value(&trace.decode(t))
-                    .map(|(v, _)| v)
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect()
-    }
 }
 
 impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
@@ -228,9 +188,7 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
         budget: usize,
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
-        use lmpeel_stats::{seeded_rng, SeedDomain};
-        let space = objective.space().clone();
-        let builder = PromptBuilder::new(space.clone(), objective.size());
+        let builder = PromptBuilder::new(objective.space().clone(), objective.size());
         // Ephemeral service around the surrogate: one iteration's pool
         // shares its prompt prefill through the prefix cache.
         let service = InferenceService::builder()
@@ -239,39 +197,53 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
             .queue_capacity(self.pool.max(1))
             .max_batch(self.pool.max(1))
             .build();
+        let t = self.model.tokenizer();
+        let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
         let mut rng = seeded_rng(seed, SeedDomain::Custom(0x7E5E));
-        let mut evaluated: Vec<(lmpeel_configspace::Config, f64)> = Vec::with_capacity(budget);
-        let mut seen = std::collections::HashSet::new();
-        for c in space.sample_distinct(self.init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
         let mut step = 0u64;
-        while evaluated.len() < budget {
+        // Score a pool by submitting one generation per candidate, each
+        // prompted with the last `max_icl` observations; a response with
+        // no value scores `INFINITY`.
+        let score = |evaluated: &[(Config, f64)], candidates: &[Config]| {
             step += 1;
-            let start = evaluated.len().saturating_sub(self.max_icl);
-            let examples = evaluated[start..].to_vec();
-            let pool: Vec<_> = space
-                .sample_distinct(self.pool, &mut rng)
-                .into_iter()
-                .filter(|c| !seen.contains(&space.index_of(c)))
+            let step_seed = seed ^ step;
+            let examples = &evaluated[evaluated.len().saturating_sub(self.max_icl)..];
+            let handles: Vec<_> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, cand)| {
+                    let ids = builder.discriminative(examples, cand).to_tokens(t);
+                    let request = GenerateRequest::builder("tune", ids)
+                        .sampler(Sampler::paper())
+                        .max_tokens(16)
+                        .stop_tokens(stop.clone())
+                        .trace_min_prob(1e-4)
+                        .seed(step_seed ^ (i as u64 + 1))
+                        .build()
+                        .expect("valid surrogate request");
+                    service
+                        .submit(request)
+                        .expect("service accepts while running")
+                })
                 .collect();
-            if pool.is_empty() {
-                break;
-            }
-            let scores = self.score_pool(&service, &builder, &examples, &pool, seed ^ step);
-            let best = pool
+            handles
                 .into_iter()
-                .zip(scores)
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .map(|(c, _)| c)
-                .expect("pool checked non-empty");
-            seen.insert(space.index_of(&best));
-            let r = objective.measure(&best)?;
-            evaluated.push((best, r));
-        }
-        Ok(TuningTrajectory { evaluated })
+                .map(|h| {
+                    let trace = h.wait().expect("surrogate decode").trace;
+                    extract_value(&trace.decode(t))
+                        .map(|(v, _)| v)
+                        .unwrap_or(f64::INFINITY)
+                })
+                .collect()
+        };
+        pool_search(
+            objective,
+            budget,
+            &mut rng,
+            self.init_random,
+            self.pool,
+            score,
+        )
     }
 }
 
@@ -305,7 +277,7 @@ impl TuneService {
 
     /// Open the service for an explicit machine description (the cache
     /// key's hardware component comes from it).
-    pub fn open_for_machine(
+    fn open_for_machine(
         path: impl AsRef<Path>,
         machine: MachineModel,
     ) -> Result<(Self, Recovery), TuneError> {
@@ -323,16 +295,6 @@ impl TuneService {
     /// The hardware fingerprint requests are keyed under.
     pub fn hw_fingerprint(&self) -> u64 {
         self.hw_fingerprint
-    }
-
-    /// Number of committed cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
-    }
-
-    /// The canonical snapshot bytes the cache would publish.
-    pub fn cache_snapshot(&self) -> Vec<u8> {
-        self.cache.lock().snapshot_bytes()
     }
 
     /// The step-journal fingerprint for `request` under this service's
@@ -529,7 +491,7 @@ mod tests {
         assert!(first.fresh_measurements > 0);
         assert_eq!(first.ablation.len(), 3, "random vs gbdt vs llm");
         assert!(first.validation.is_some());
-        let snapshot = service.cache_snapshot();
+        let snapshot = service.cache.lock().snapshot_bytes();
 
         let second = service.tune(&req, None).unwrap();
         assert!(second.cache_hit);
@@ -537,7 +499,11 @@ mod tests {
         assert!(second.ablation.is_empty());
         assert!(second.validation.is_none());
         assert_eq!(second.entry, first.entry);
-        assert_eq!(service.cache_snapshot(), snapshot, "hit leaves cache bytes");
+        assert_eq!(
+            service.cache.lock().snapshot_bytes(),
+            snapshot,
+            "hit leaves cache bytes"
+        );
 
         // And the hit survives a service restart (the cache is the file).
         drop(service);
@@ -584,17 +550,17 @@ mod tests {
         ));
         let mut req = small_request();
         req.budget = 0;
-        assert!(matches!(service.tune(&req, None), Err(TuneError::EmptyBudget)));
+        assert!(matches!(
+            service.tune(&req, None),
+            Err(TuneError::EmptyBudget)
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn crashed_tune_resumes_to_byte_identical_cache() {
-        let (uninterrupted_cache, crashed_cache, steps) = (
-            tmp("gold-cache"),
-            tmp("crash-cache"),
-            tmp("crash-steps"),
-        );
+        let (uninterrupted_cache, crashed_cache, steps) =
+            (tmp("gold-cache"), tmp("crash-cache"), tmp("crash-steps"));
         for p in [&uninterrupted_cache, &crashed_cache, &steps] {
             let _ = std::fs::remove_file(p);
         }
@@ -617,7 +583,11 @@ mod tests {
             let err = service.tune(&req, Some(&mut journal)).unwrap_err();
             assert!(matches!(err, TuneError::Search(_)), "got: {err}");
         }
-        assert_eq!(service.cache_len(), 0, "nothing committed before the crash");
+        assert_eq!(
+            service.cache.lock().len(),
+            0,
+            "nothing committed before the crash"
+        );
 
         // Resume against the same journal: replays the prefix, finishes,
         // and the published cache matches the uninterrupted run exactly.
@@ -633,6 +603,43 @@ mod tests {
         );
         for p in [&uninterrupted_cache, &crashed_cache, &steps] {
             std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    /// Pins every step of the shared pool loop under the LLM scorer: the
+    /// evaluated config indices of the ablation's LLM strategy at budget
+    /// 12, for two seeds.
+    #[test]
+    fn service_llm_search_trajectory_is_pinned() {
+        let d = PerfDataset::generate(&CostModel::paper(), ArraySize::SM);
+        let search = ServiceLlmSearch {
+            model: Arc::new(InductionLm::paper(0)),
+            init_random: 4,
+            pool: 4,
+            max_icl: 8,
+        };
+        let pinned: [(u64, [u64; 12]); 2] = [
+            (
+                0,
+                [
+                    6969, 6017, 30, 2593, 10241, 8287, 6009, 953, 5234, 1193, 7114, 8448,
+                ],
+            ),
+            (
+                7,
+                [
+                    4367, 7720, 1859, 6812, 6789, 200, 4891, 3018, 10122, 6119, 4668, 892,
+                ],
+            ),
+        ];
+        for (seed, expected) in pinned {
+            let t = search.run_dataset(&d, 12, seed);
+            let got: Vec<u64> = t
+                .evaluated
+                .iter()
+                .map(|(c, _)| d.space().index_of(c))
+                .collect();
+            assert_eq!(got, expected, "seed {seed}");
         }
     }
 }

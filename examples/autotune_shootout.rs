@@ -3,17 +3,20 @@
 //! Three search strategies tune the syr2k kernel (SM size) with a budget of
 //! 40 empirical evaluations: pure random search, a boosted-tree surrogate
 //! loop (the classical approach the paper endorses), and the LLM
-//! discriminative surrogate in the loop (the LLAMBO recipe the paper
-//! stress-tests). Prints the best-so-far curves and final winners.
+//! discriminative surrogate in the same loop (the LLAMBO recipe the paper
+//! stress-tests; the tune service's `ServiceLlmSearch`, which scores each
+//! candidate pool through an `InferenceService`). Prints the best-so-far
+//! curves and final winners.
 //!
 //! ```text
 //! cargo run --release --example autotune_shootout
 //! ```
 
 use lm_peel::configspace::{ArraySize, Syr2kConfig};
-use lm_peel::core::autotune::{GbdtSearch, LlmSearch, RandomSearch, Tuner};
+use lm_peel::core::autotune::{GbdtSearch, RandomSearch, Tuner};
 use lm_peel::lm::InductionLm;
 use lm_peel::perfdata::{CostModel, PerfDataset};
+use lm_peel::tune::ServiceLlmSearch;
 
 fn main() {
     let dataset = PerfDataset::generate(&CostModel::paper(), ArraySize::SM);
@@ -28,7 +31,7 @@ fn main() {
     let tuners: Vec<Box<dyn Tuner>> = vec![
         Box::new(RandomSearch),
         Box::new(GbdtSearch::default()),
-        Box::new(LlmSearch {
+        Box::new(ServiceLlmSearch {
             model: std::sync::Arc::new(InductionLm::paper(0)),
             init_random: 8,
             pool: 4,
