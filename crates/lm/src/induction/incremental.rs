@@ -8,23 +8,25 @@
 //! the trailing tokens against every earlier position (O(T x max_match)).
 //! Over a generation of G tokens that is O(G·T·max_match).
 //!
-//! [`InductionLmSession`] maintains all three incrementally:
+//! [`InductionLmSession`] keeps the first two incrementally and narrows the
+//! third:
 //!
 //! * **segmentation** — block starts, frozen `Performance` positions and
 //!   per-block config token sets grow in O(1) per appended token;
 //! * **similarities** — integer intersection counts `|config ∩ query|`
 //!   updated per append, so each Jaccard is the *same* integer division the
 //!   batch path performs (bit-identical similarities);
-//! * **suffix matches** — the match length of position `t` against the
-//!   current context tail obeys `m'(t) = tokens[t-1] == x ? min(1 + m(t-1),
-//!   max_match) : 0` when `x` is appended, so the sparse set of nonzero
-//!   match lengths is rebuilt from an occurrence index in O(#occurrences of
-//!   x) per append. The map is keyed by position in a [`BTreeMap`] so vote
-//!   accumulation runs in the batch path's ascending-position order.
+//! * **suffix matches** — only a position `t` preceded by the last token
+//!   can match the context tail at all, so an occurrence index (token ->
+//!   ascending positions) names every candidate. Appending pushes one
+//!   position; `logits()` walks the last token's earlier occurrences and
+//!   measures each match with the batch path's compare loop, in
+//!   O(occurrences x max_match). No per-position match state is kept.
 //!
-//! `logits()` then assembles votes from the sparse match set and hands them
-//! to the same `finish_logits` tail the batch path uses: priors, smearing,
-//! drift, background and jitter are shared code, not a reimplementation.
+//! Votes come from the batch path's own vote walk, fed the candidate
+//! positions in the same ascending order, and go to the same
+//! `finish_logits` tail: priors, smearing, drift, background and jitter are
+//! shared code, so session and batch logits are bitwise equal.
 //!
 //! The session's logit jitter is keyed by a session-owned seed initialised
 //! from the model's. [`DecodeSession::rekey`] swaps that seed, which is
@@ -58,10 +60,10 @@ struct BlockState {
 
 /// Incremental [`DecodeSession`] over an [`InductionLm`].
 ///
-/// Logits agree with the model's batch path on every prefix (the
-/// equivalence proptests in this module pin the two together); appends cost
-/// O(occurrences of the appended token) instead of the batch path's
-/// O(context x max_match) per decode step.
+/// Logits equal the model's batch path bit for bit on every prefix (the
+/// equivalence proptests in this module pin the two together). An append
+/// costs O(1), plus O(blocks) when it changes the query's config set; a
+/// logits call walks the last token's occurrences, not the whole context.
 #[derive(Debug, Clone)]
 pub struct InductionLmSession {
     model: Arc<InductionLm>,
@@ -71,10 +73,6 @@ pub struct InductionLmSession {
     blocks: Vec<BlockState>,
     /// token -> ascending positions at which it occurs.
     occ: BTreeMap<TokenId, Vec<usize>>,
-    /// position `t` -> current suffix-match length `m(t) >= 1`: the number
-    /// of trailing context tokens that match the tokens before `t`, capped
-    /// at `max_match`. Positions absent from the map have `m(t) = 0`.
-    match_len: BTreeMap<usize, usize>,
 }
 
 impl InductionLmSession {
@@ -87,7 +85,6 @@ impl InductionLmSession {
             seed,
             blocks: Vec::new(),
             occ: BTreeMap::new(),
-            match_len: BTreeMap::new(),
         }
     }
 
@@ -113,50 +110,24 @@ impl InductionLmSession {
             .collect()
     }
 
-    /// The induction votes for the current context, mirroring the batch
-    /// `InductionLm::induction_votes` term for term — same weights, same
-    /// short-match fallback, same ascending-position accumulation order —
-    /// but walking only the sparse nonzero-match set.
+    /// The induction votes for the current context: the batch path's vote
+    /// walk over the positions that follow an earlier occurrence of the last
+    /// token — exactly the positions whose suffix match is nonzero, in
+    /// ascending order.
     fn assemble_votes(&self) -> (BTreeMap<TokenId, f64>, f64) {
-        let cfg = self.model.config();
-        let t_end = self.tokens.len();
-        let mut votes: BTreeMap<TokenId, f64> = BTreeMap::new();
-        let mut strength = 0.0f64;
-        if t_end < cfg.min_match + 1 {
-            return (votes, strength);
-        }
-        let sims = self.sims();
-        let query_block = self.blocks.len().checked_sub(1);
-        let best_sim = sims
-            .iter()
-            .take(sims.len().saturating_sub(1))
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let block_weight = |pos: usize| -> f64 {
-            match self.block_of(pos) {
-                Some(b) if Some(b) == query_block => cfg.self_block_discount,
-                Some(b) if best_sim.is_finite() => (cfg.sim_sharpness * (sims[b] - best_sim)).exp(),
-                Some(_) => 1.0,
-                None => cfg.non_block_weight,
+        let earlier = match self.tokens.last() {
+            Some(last) => {
+                let occ = &self.occ[last];
+                &occ[..occ.len() - 1]
             }
+            None => &[],
         };
-        let mut short_votes: BTreeMap<TokenId, f64> = BTreeMap::new();
-        let mut short_strength = 0.0f64;
-        for (&t, &k) in &self.match_len {
-            if k >= cfg.min_match {
-                let base = cfg.lambda.powi(k as i32);
-                *votes.entry(self.tokens[t]).or_insert(0.0) += base * block_weight(t);
-                strength += base;
-            } else {
-                let base = cfg.lambda;
-                *short_votes.entry(self.tokens[t]).or_insert(0.0) += base * block_weight(t);
-                short_strength += base;
-            }
-        }
-        if votes.is_empty() {
-            return (short_votes, short_strength);
-        }
-        (votes, strength)
+        self.model.induction_votes(
+            &self.tokens,
+            earlier.iter().map(|&q| q + 1),
+            &self.sims(),
+            |pos| self.block_of(pos),
+        )
     }
 }
 
@@ -167,20 +138,6 @@ impl DecodeSession for InductionLmSession {
 
     fn append(&mut self, token: TokenId) {
         let p = self.tokens.len();
-
-        // Suffix matches: appending `x` zeroes every position not preceded
-        // by `x` and extends every position that is, per the recurrence in
-        // the module docs. `occ` does not yet contain `p`, so only genuine
-        // earlier positions contribute.
-        let mut next = BTreeMap::new();
-        if let Some(positions) = self.occ.get(&token) {
-            let max_match = self.model.config().max_match;
-            for &q in positions {
-                let prev = self.match_len.get(&q).copied().unwrap_or(0);
-                next.insert(q + 1, (prev + 1).min(max_match));
-            }
-        }
-        self.match_len = next;
         self.occ.entry(token).or_default().push(p);
 
         // Segmentation and similarity counts.
@@ -284,19 +241,23 @@ mod tests {
         p
     }
 
-    fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len());
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| match (x.is_finite(), y.is_finite()) {
-                (true, true) => (x - y).abs(),
-                (false, false) => {
-                    assert_eq!(x, y, "support mismatch");
-                    0.0
-                }
-                _ => panic!("support mismatch: {x} vs {y}"),
-            })
-            .fold(0.0, f32::max)
+    /// Whether two logit vectors are equal bit for bit.
+    fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Append `ids` one at a time, checking session logits against the
+    /// batch path at every prefix.
+    fn assert_session_matches_batch(m: &Arc<InductionLm>, ids: &[TokenId]) {
+        let mut s = m.clone().session();
+        for (i, &t) in ids.iter().enumerate() {
+            s.append(t);
+            assert!(
+                bitwise_eq(&s.logits(), &m.logits(&ids[..=i])),
+                "prefix {}",
+                i + 1
+            );
+        }
     }
 
     #[test]
@@ -305,12 +266,7 @@ mod tests {
         let ids = m
             .tokenizer()
             .encode(&prompt(&["0.0022155", "0.0051230", "0.0031999"]));
-        let mut s = m.clone().session();
-        for (i, &t) in ids.iter().enumerate() {
-            s.append(t);
-            let diff = max_abs_diff(&s.logits(), &m.logits(&ids[..=i]));
-            assert!(diff < 1e-4, "prefix {}: max diff {diff}", i + 1);
-        }
+        assert_session_matches_batch(&m, &ids);
     }
 
     #[test]
@@ -321,19 +277,14 @@ mod tests {
         let tok = m.tokenizer();
         let mut ids = tok.encode(&prompt(&["0.0022155", "0.0051230"]));
         ids.extend(tok.encode("0.0023117\nHyperparameter"));
-        let mut s = m.clone().session();
-        for (i, &t) in ids.iter().enumerate() {
-            s.append(t);
-            let diff = max_abs_diff(&s.logits(), &m.logits(&ids[..=i]));
-            assert!(diff < 1e-4, "prefix {}: max diff {diff}", i + 1);
-        }
+        assert_session_matches_batch(&m, &ids);
     }
 
     #[test]
     fn empty_session_matches_empty_batch() {
         let m = Arc::new(InductionLm::paper(0));
         let s = m.clone().session();
-        assert_eq!(max_abs_diff(&s.logits(), &m.logits(&[])), 0.0);
+        assert!(bitwise_eq(&s.logits(), &m.logits(&[])));
     }
 
     #[test]
@@ -347,37 +298,26 @@ mod tests {
         {
             let mut fork = parent.fork();
             assert!(fork.rekey(9), "induction sessions can re-key jitter");
-            let diff = max_abs_diff(&fork.logits(), &b.logits(&ids));
-            assert!(diff < 1e-6, "rekeyed fork vs seed-9 model: {diff}");
+            assert!(
+                bitwise_eq(&fork.logits(), &b.logits(&ids)),
+                "rekeyed fork vs seed-9 model"
+            );
             fork.append(a.tokenizer().encode("0")[0]);
         }
         assert_eq!(parent.logits(), before, "fork must not disturb the parent");
-        let diff = max_abs_diff(&parent.logits(), &a.logits(&ids));
-        assert!(diff < 1e-6, "parent still keyed by its own seed");
+        assert!(
+            bitwise_eq(&parent.logits(), &a.logits(&ids)),
+            "parent still keyed by its own seed"
+        );
     }
 
     #[test]
-    fn match_lengths_follow_the_recurrence() {
+    fn session_matches_batch_bitwise_on_a_repetitive_stream() {
+        // Every position repeats an earlier one, so each logits call walks
+        // a growing occurrence list and matches run up to the whole tail.
         let m = Arc::new(InductionLm::paper(0));
-        let tok = m.tokenizer();
-        let ids = tok.encode("80 64 80 64 80");
-        let mut s = InductionLmSession::new(m.clone());
-        for &t in &ids {
-            s.append(t);
-        }
-        // Batch ground truth: longest common suffix ending before t vs the
-        // full tail, capped.
-        let cfg = m.config();
-        for t in 1..ids.len() {
-            let mut k = 0usize;
-            while k < cfg.max_match && k < t {
-                if ids[t - 1 - k] != ids[ids.len() - 1 - k] {
-                    break;
-                }
-                k += 1;
-            }
-            assert_eq!(s.match_len.get(&t).copied().unwrap_or(0), k, "position {t}");
-        }
+        let ids = m.tokenizer().encode("80 64 80 64 80");
+        assert_session_matches_batch(&m, &ids);
     }
 
     mod equivalence_props {
@@ -426,8 +366,7 @@ mod tests {
                 let mut s = m.clone().session();
                 for (i, &t) in ids.iter().enumerate() {
                     s.append(t);
-                    let diff = max_abs_diff(&s.logits(), &m.logits(&ids[..=i]));
-                    prop_assert!(diff < 1e-4, "prefix {}: max diff {diff}", i + 1);
+                    prop_assert!(bitwise_eq(&s.logits(), &m.logits(&ids[..=i])), "prefix {}", i + 1);
                 }
             }
 
@@ -450,13 +389,13 @@ mod tests {
                 fa.extend(&tail_a);
                 let mut ctx_a = stem.clone();
                 ctx_a.extend_from_slice(&tail_a);
-                prop_assert!(max_abs_diff(&fa.logits(), &m.logits(&ctx_a)) < 1e-4);
+                prop_assert!(bitwise_eq(&fa.logits(), &m.logits(&ctx_a)));
                 drop(fa);
                 let mut fb = parent.fork();
                 fb.extend(&tail_b);
                 let mut ctx_b = stem.clone();
                 ctx_b.extend_from_slice(&tail_b);
-                prop_assert!(max_abs_diff(&fb.logits(), &m.logits(&ctx_b)) < 1e-4);
+                prop_assert!(bitwise_eq(&fb.logits(), &m.logits(&ctx_b)));
             }
         }
     }

@@ -42,7 +42,7 @@ pub mod prior;
 use crate::model::LanguageModel;
 use crate::session::DecodeSession;
 use blocks::{AnchorIds, ContextMap};
-use lmpeel_recover::{fnv1a64, fnv1a64_extend, FNV1A64_OFFSET};
+use lmpeel_recover::{fnv1a64_extend, FNV1A64_OFFSET};
 use lmpeel_stats::rng::hash_to_unit;
 use lmpeel_tokenizer::{TokenId, Tokenizer, EOS};
 use prior::{MagnitudePrior, ValueState};
@@ -269,19 +269,28 @@ impl InductionLm {
         self.anchors
     }
 
-    /// Suffix-match votes: for every position whose preceding tokens match
-    /// the context's trailing tokens for `k >= min_match`, the token at that
-    /// position receives weight `lambda^k * block_weight`.
+    /// Suffix-match votes: for every candidate position `t` whose preceding
+    /// tokens match the context's trailing tokens for `k >= min_match`, the
+    /// token at `t` receives weight `lambda^k * block_weight(t)`.
     /// Returns the similarity-weighted vote distribution plus the
     /// *unweighted* total match strength. The distribution decides *what*
     /// gets copied (similar examples count more); the unweighted total
     /// decides *how strongly* the model copies at all — otherwise a sharper
     /// similarity focus would also (wrongly) weaken format anchoring.
+    ///
+    /// `positions` must ascend within `1..context.len()` and include every
+    /// `t` with `context[t - 1] == context[len - 1]` (positions with no
+    /// match contribute nothing). The batch path passes all of `1..len`;
+    /// the incremental session passes only the last token's earlier
+    /// occurrences, plus one — the same votes summed in the same order.
+    /// `sims` holds one similarity per block, the last being the query's;
+    /// `block_of` maps a position to its block.
     fn induction_votes(
         &self,
         context: &[TokenId],
-        map: &ContextMap,
+        positions: impl IntoIterator<Item = usize>,
         sims: &[f64],
+        block_of: impl Fn(usize) -> Option<usize>,
     ) -> (BTreeMap<TokenId, f64>, f64) {
         let t_end = context.len();
         let mut votes: BTreeMap<TokenId, f64> = BTreeMap::new();
@@ -289,7 +298,7 @@ impl InductionLm {
         if t_end < self.cfg.min_match + 1 {
             return (votes, strength);
         }
-        let query_block = map.blocks.len().checked_sub(1);
+        let query_block = sims.len().checked_sub(1);
         // Normalize similarities against the best example block, so the
         // most similar example always votes at full strength and the
         // sharpness only controls how quickly *less* similar examples fade.
@@ -299,7 +308,7 @@ impl InductionLm {
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max);
         let block_weight = |pos: usize| -> f64 {
-            match map.block_of(pos) {
+            match block_of(pos) {
                 Some(b) if Some(b) == query_block => self.cfg.self_block_discount,
                 Some(b) if best_sim.is_finite() => {
                     (self.cfg.sim_sharpness * (sims[b] - best_sim)).exp()
@@ -310,10 +319,10 @@ impl InductionLm {
         };
         let mut short_votes: BTreeMap<TokenId, f64> = BTreeMap::new();
         let mut short_strength = 0.0f64;
-        for t in 1..t_end {
+        for t in positions {
             // Match context[t-k..t] against context[t_end-k..t_end].
             let mut k = 0usize;
-            while k < self.cfg.max_match && k < t && k < t_end {
+            while k < self.cfg.max_match && k < t {
                 if context[t - 1 - k] != context[t_end - 1 - k] {
                     break;
                 }
@@ -409,7 +418,8 @@ impl LanguageModel for InductionLm {
     fn logits(&self, context: &[TokenId]) -> Vec<f32> {
         let map = ContextMap::segment(context, self.anchors);
         let sims = map.config_similarities(context);
-        let (votes, strength) = self.induction_votes(context, &map, &sims);
+        let (votes, strength) =
+            self.induction_votes(context, 1..context.len(), &sims, |pos| map.block_of(pos));
         let query_start = map.blocks.last().map(|b| b.span.start);
         self.finish_logits(
             context,
@@ -568,19 +578,24 @@ impl InductionLm {
         }
         // EOS is special but must stay reachable where assigned above.
 
-        // To logits with seed-keyed jitter (support never changes).
-        let t_len = context.len() as u64;
+        // To logits with seed-keyed jitter (support never changes). Token
+        // `i`'s jitter hashes the 24-byte key `seed ‖ len ‖ i` (little-endian
+        // u64s); FNV-1a is sequential, so the `seed ‖ len` prefix is hashed
+        // once and extended per token. Background-only tokens hold exactly
+        // `bg_each` (`0.0 * (1 - bg) + bg_each`), so they share one `ln`.
+        let prefix = fnv1a64_extend(
+            fnv1a64_extend(FNV1A64_OFFSET, &seed.to_le_bytes()),
+            &(context.len() as u64).to_le_bytes(),
+        );
+        let bg_ln = bg_each.ln();
         out.clear();
         out.extend(p.iter().enumerate().map(|(i, &prob)| {
             if prob <= 0.0 {
                 f32::NEG_INFINITY
             } else {
-                let mut key = [0u8; 24];
-                key[..8].copy_from_slice(&seed.to_le_bytes());
-                key[8..16].copy_from_slice(&t_len.to_le_bytes());
-                key[16..24].copy_from_slice(&(i as u64).to_le_bytes());
-                let u = hash_to_unit(fnv1a64(&key)) as f32;
-                (prob.ln() as f32) + self.cfg.jitter_eps * (u - 0.5)
+                let ln = if prob == bg_each { bg_ln } else { prob.ln() };
+                let u = hash_to_unit(fnv1a64_extend(prefix, &(i as u64).to_le_bytes())) as f32;
+                (ln as f32) + self.cfg.jitter_eps * (u - 0.5)
             }
         }));
     }
@@ -733,6 +748,50 @@ mod tests {
         let m = InductionLm::paper(3);
         let ids = m.tokenizer().encode(&prompt(&["0.0022155"]));
         assert_eq!(m.logits(&ids), m.logits(&ids));
+    }
+
+    #[test]
+    fn hoisted_jitter_matches_the_24_byte_key_oracle() {
+        // Oracle: each token's jitter hashes the whole key `seed ‖ len ‖ id`
+        // in one `fnv1a64` call. A jitter-free model gives the exact `f32`
+        // log-probability the jittered logit is built from.
+        fn oracle_u(seed: u64, len: usize, id: usize) -> f32 {
+            let mut key = [0u8; 24];
+            key[..8].copy_from_slice(&seed.to_le_bytes());
+            key[8..16].copy_from_slice(&(len as u64).to_le_bytes());
+            key[16..24].copy_from_slice(&(id as u64).to_le_bytes());
+            hash_to_unit(lmpeel_recover::fnv1a64(&key)) as f32
+        }
+        let ids = InductionLm::paper(0)
+            .tokenizer()
+            .encode(&prompt(&["0.0022155", "0.0051230"]));
+        for seed in [0, 1, 7, 0xDEAD_BEEF, u64::MAX] {
+            let jittered = InductionLm::paper(seed);
+            let plain = InductionLm::new(
+                Tokenizer::paper(),
+                InductionConfig::default().without_jitter(),
+                seed,
+            );
+            let eps = jittered.cfg.jitter_eps;
+            let bg_ln = (jittered.cfg.background / jittered.num_non_special as f64).ln() as f32;
+            for len in [0, 1, 9, ids.len() / 2, ids.len()] {
+                let (lj, lp) = (jittered.logits(&ids[..len]), plain.logits(&ids[..len]));
+                assert_eq!(lj.len(), lp.len());
+                assert!(lp.contains(&bg_ln), "len {len}: no background-only token");
+                for (id, (&j, &l)) in lj.iter().zip(&lp).enumerate() {
+                    let want = if l.is_finite() {
+                        l + eps * (oracle_u(seed, len, id) - 0.5)
+                    } else {
+                        l
+                    };
+                    assert_eq!(
+                        j.to_bits(),
+                        want.to_bits(),
+                        "seed {seed}, len {len}, id {id}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

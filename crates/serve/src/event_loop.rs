@@ -283,6 +283,14 @@ impl Conn {
     }
 }
 
+/// Ready an accepted stream for its loop: nonblocking, so one socket never
+/// stalls the others, and with Nagle off, so a small response frame is sent
+/// at once instead of waiting for the peer's delayed ACK of the last one.
+fn prepare_stream(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
+}
+
 /// One event-loop thread: multiplex this loop's connections until stop,
 /// then drain them.
 pub(crate) fn run_event_loop(ctx: LoopCtx) {
@@ -307,7 +315,7 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
         let adopted = std::mem::take(&mut *ctx.conns.lock());
         for (token, stream) in adopted {
             progress = true;
-            if stream.set_nonblocking(true).is_err() {
+            if prepare_stream(&stream).is_err() {
                 ctx.conn_count.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
@@ -636,5 +644,23 @@ fn queue_ext_error(
     conn.queue_frame(&frame, ctx.cfg.write_buf_cap);
     if conn.close != Some(CloseReason::SlowReader) {
         ctx.counters.response(arrived, conn_shed, conn_shed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn adopted_streams_are_nonblocking_with_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        assert!(!server.nodelay().unwrap(), "Nagle is on by default");
+        prepare_stream(&server).unwrap();
+        assert!(server.nodelay().unwrap(), "TCP_NODELAY set");
+        let err = (&server).read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 }
