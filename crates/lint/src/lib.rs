@@ -20,7 +20,8 @@
 //!   the interprocedural acquired-while-holding graph;
 //! * **LML0008** — no blocking call (channels, `join`, file I/O,
 //!   substrate calls) reached while a lock guard is live;
-//! * **LML0009** — no guard held across a `catch_unwind` boundary;
+//! * **LML0009** — no guard held across a `catch_unwind` boundary or a
+//!   call through a callback parameter;
 //! * **LML0010** — no stale attestation comments or allowlist entries
 //!   (every exemption must still suppress a would-fire diagnostic).
 //!

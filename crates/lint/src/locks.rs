@@ -18,13 +18,18 @@
 //!   condvars are for.
 //! * **LML0009** — no guard live across a `catch_unwind` boundary: a
 //!   panic inside would poison the lock under the recovery helper's feet.
+//!   A call through one of the fn's own parameters (a callback: the
+//!   caller's closure, which may unwind, block or lock out of sight) is
+//!   treated as such a boundary.
 //!
 //! Approximations, chosen to fit a lexer-level analysis (documented in
 //! DESIGN.md §14): calls are resolved by bare name, so same-named fns
-//! merge (over-approximate); trait-object dispatch and macro-generated
-//! code are invisible (under-approximate); closure bodies are attributed
-//! to the enclosing fn, so code spawned onto another thread counts as if
-//! it ran inline (over-approximate). Guard lifetimes follow Rust 2021
+//! merge (over-approximate); a fn passed by path as an argument
+//! (`for_each(lanes, Lane::step)`) counts as called where it is passed;
+//! trait-object dispatch and macro-generated code are invisible
+//! (under-approximate); closure bodies are attributed to the enclosing
+//! fn, so code spawned onto another thread counts as if it ran inline
+//! (over-approximate). Guard lifetimes follow Rust 2021
 //! temporary-scope rules: a let-bound guard lives to the end of its
 //! block (or an explicit `drop(guard)`), a temporary guard to the end of
 //! its statement — including the tail block of `if let` / `match` /
@@ -84,6 +89,8 @@ struct FnItem {
     file: usize,
     /// Token indices of the body `{` and its matching `}`.
     body: (usize, usize),
+    /// The fn's parameter names; a call through one runs a callback.
+    params: Vec<String>,
 }
 
 /// One lock acquisition site.
@@ -378,9 +385,71 @@ fn collect_fns(ctx: &FileCtx, file: usize, out: &mut Vec<FnItem>) {
                 name: name_tok.text.clone(),
                 file,
                 body: (b, matching_close(tokens, b)),
+                params: param_names(&tokens[i + 2..b]),
             });
         }
     }
+}
+
+/// The parameter names in a fn signature (the tokens after the name,
+/// up to the body): the idents directly followed by a single `:` at the
+/// top level of the parameter list, which comes after any `<..>`
+/// generics (whose `Fn(..)` bounds carry parens of their own).
+fn param_names(sig: &[Token]) -> Vec<String> {
+    let mut k = 0;
+    if sig.first().is_some_and(|t| t.is_ch('<')) {
+        let mut angle = 0i64;
+        while let Some(t) = sig.get(k) {
+            let arrow = k > 0 && sig[k - 1].is_ch('-');
+            if t.is_ch('<') {
+                angle += 1;
+            } else if t.is_ch('>') && !arrow {
+                angle -= 1;
+                if angle == 0 {
+                    break;
+                }
+            }
+            k += 1;
+        }
+    }
+    let Some(open) = (k..sig.len()).find(|&j| sig[j].is_ch('(')) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    let mut depth = 0i64;
+    for j in open..sig.len() {
+        let t = &sig[j];
+        match t.kind {
+            Kind::Open => depth += 1,
+            Kind::Close => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            Kind::Ident
+                if depth == 1
+                    && sig.get(j + 1).is_some_and(|c| c.is_ch(':'))
+                    && !sig.get(j + 2).is_some_and(|c| c.is_ch(':')) =>
+            {
+                out.push(t.text.clone());
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Does token `k` call a workspace fn: `name(..)`, or a fn passed by
+/// path as an argument (`Type::name` followed by `,` or `)`), which
+/// the callee may call?
+fn calls_at(tokens: &[Token], k: usize) -> bool {
+    let next = tokens.get(k + 1);
+    next.is_some_and(|p| p.ch == '(')
+        || (k >= 2
+            && tokens[k - 1].is_ch(':')
+            && tokens[k - 2].is_ch(':')
+            && next.is_some_and(|p| p.is_ch(',') || p.is_ch(')')))
 }
 
 /// Body ranges of fns nested strictly inside `item` (their code does not
@@ -735,7 +804,7 @@ fn effects_of(
                 continue;
             }
             // A call into the analyzed workspace: inherit its effects.
-            if tokens.get(k + 1).is_some_and(|p| p.ch == '(')
+            if calls_at(tokens, k)
                 && t.text != name
                 && by_name.contains_key(t.text.as_str())
                 && !(k > 0 && tokens[k - 1].is_ident("fn"))
@@ -860,6 +929,29 @@ fn scan_extent(
             continue;
         }
         if tokens.get(k + 1).is_some_and(|p| p.ch == '(')
+            && item.params.contains(&t.text)
+            && !(k > 0
+                && (tokens[k - 1].is_ch('.')
+                    || tokens[k - 1].is_ch(':')
+                    || tokens[k - 1].is_ident("fn")))
+        {
+            if !ctx.attested(t.line, "unwind-ok") {
+                report.diagnostics.push(ctx.diag(
+                    Rule::GuardAcrossUnwind,
+                    t,
+                    format!(
+                        "call to callback parameter `{}(..)` while lock `{}` ({guard_desc}) is \
+                         live: the caller's closure may panic, block or lock where this \
+                         analysis cannot see; drop the guard first or attest with \
+                         `// lint: unwind-ok — <why>`",
+                        t.text, acq.name,
+                    ),
+                ));
+            }
+            k += 1;
+            continue;
+        }
+        if calls_at(tokens, k)
             && by_name.contains_key(t.text.as_str())
             && !(k > 0 && tokens[k - 1].is_ident("fn"))
         {

@@ -45,6 +45,7 @@ const RANK_INV: &str = include_str!("../fixtures/lock_rank_inversion.rs");
 const BLOCKING: &str = include_str!("../fixtures/blocking_under_guard.rs");
 const UNWIND: &str = include_str!("../fixtures/unwind_under_guard.rs");
 const STALE: &str = include_str!("../fixtures/stale_attest.rs");
+const CALLBACK: &str = include_str!("../fixtures/callback_under_guard.rs");
 
 fn rules_of(diags: &[lmpeel_lint::diag::Diagnostic]) -> Vec<Rule> {
     diags.iter().map(|d| d.rule).collect()
@@ -241,6 +242,29 @@ fn guard_across_unwind_direct_transitive_and_clean() {
     }));
     assert!(lml9.iter().any(|d| {
         d.message.contains("call to `isolate(..)` enters `catch_unwind(..)`")
+            && d.message.contains("while lock `state` (guard `g`) is live")
+    }));
+}
+
+#[test]
+fn guard_across_callback_and_fn_passed_by_path() {
+    let cfg = test_config();
+    let diags = lint_source("crates/serve/src/fixture.rs", CALLBACK, &cfg);
+    let lml9: Vec<_> = diags
+        .iter()
+        .filter(|d| d.rule == Rule::GuardAcrossUnwind)
+        .collect();
+    assert_eq!(lml9.len(), 2, "{diags:?}");
+    assert!(lml9.iter().any(|d| {
+        d.line == 22
+            && d.message.contains(
+                "call to callback parameter `step(..)` while lock `state` (a temporary guard) \
+                 is live",
+            )
+    }));
+    assert!(lml9.iter().any(|d| {
+        d.line == 40
+            && d.message.contains("call to `isolate(..)` enters `catch_unwind(..)`")
             && d.message.contains("while lock `state` (guard `g`) is live")
     }));
 }

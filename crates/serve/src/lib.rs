@@ -11,7 +11,8 @@
 //!   configurable [`BackpressurePolicy`] (block or reject);
 //! * a scheduler thread **continuously batches**: it admits requests
 //!   between decode steps, advances every in-flight generation one token
-//!   per round, and retires finished traces immediately — no
+//!   per round (spreading wide rounds' single-lane steps over scoped step
+//!   threads), and retires finished traces immediately — no
 //!   wait-for-the-batch barrier;
 //! * a per-substrate **prefix-cache trie** keyed on token ids makes
 //!   shared prompt prefixes pay prefill once: later requests fork the

@@ -1,7 +1,8 @@
 //! The continuous-batching scheduler loop.
 //!
-//! One thread owns every model, the per-substrate prefix tries and the set
-//! of in-flight generations. Its loop:
+//! One scheduler thread owns every model, the per-substrate prefix tries,
+//! the circuit breakers, the stats ledger and the set of in-flight
+//! generations. Its loop:
 //!
 //! 1. **Admit** — pull requests off the bounded channel until the batch is
 //!    full. Blocks when nothing is in flight (idle service burns no CPU),
@@ -11,23 +12,37 @@
 //!    a snapshot for the next request, re-keys if asked, and wraps the
 //!    session in a [`GenerationStepper`].
 //! 2. **Step** — advance every in-flight stepper by exactly one token.
-//!    Steppers sharing a substrate are grouped by their
+//!    Cancellation and deadlines are checked first, on the scheduler
+//!    thread. Steppers sharing a substrate are grouped by their
 //!    [`lmpeel_lm::BatchDriver`] key and each group's logits are computed
 //!    in **one fused forward pass per round**
-//!    ([`lmpeel_lm::BatchDriver::logits_batch`]); each lane then consumes
-//!    its precomputed logits. Fusion is byte-invisible: the driver
-//!    contract pins each fused lane's logits bitwise to its single-lane
-//!    path, and sessions are independent, so traces are identical to the
-//!    sequential loop under any group shape.
-//! 3. **Retire** — finished (or errored) generations send their result over
-//!    the per-request response channel immediately and free their slot.
+//!    ([`lmpeel_lm::BatchDriver::logits_batch`]) on the scheduler thread;
+//!    each lane then consumes its precomputed logits. The lanes that step
+//!    alone (no driver, as with every `InductionLm` request, or the only
+//!    lane of their driver) **fan out over scoped step threads**: each
+//!    thread pulls the next lane from a shared queue until none is left,
+//!    and the round joins them all before it moves on. A round uses
+//!    `min(step_threads, lanes / 4)` threads, where `step_threads` is the
+//!    host's cores divided by the shard count (at least 1), so a round of
+//!    fewer than eight single lanes — a tune's 4-lane pools — steps them
+//!    in order on the scheduler thread and spawns nothing: one scoped
+//!    spawn and join costs about as much as one lane step.
+//! 3. **Retire** — after the join, on the scheduler thread and in lane
+//!    order, finished (or errored) generations update their substrate's
+//!    breaker and the stats, send their result over the per-request
+//!    response channel and free their slot.
 //!
-//! Interleaving cannot change any request's bytes: each stepper owns its
-//! session and RNG (keyed by `(spec.seed, prompt_len)` exactly as the
-//! sequential loop), so the only cross-request coupling is the trie — and
-//! forking a cached snapshot then extending it yields the same state as
-//! prefilling from scratch (PR 1's fork/extend equivalence suites), which
-//! the determinism proptests in `tests/` re-verify end to end.
+//! Neither fusion nor fan-out can change any request's bytes. A step
+//! touches only its own lane — session, stepper, RNG (keyed by
+//! `(spec.seed, prompt_len)` exactly as the sequential loop), retry
+//! budget and error — so which thread runs it, and in what order, is
+//! invisible; the driver contract pins each fused lane's logits bitwise
+//! to its single-lane path; and everything shared (trie, breakers, stats,
+//! responses) is touched only on the scheduler thread, in lane order. The
+//! only cross-request coupling left is the trie, and forking a cached
+//! snapshot then extending it yields the same state as prefilling from
+//! scratch (the fork/extend equivalence suites), which the determinism
+//! proptests in `tests/` re-verify end to end.
 //!
 //! # Fault containment and self-healing
 //!
@@ -89,6 +104,62 @@ pub(crate) struct SchedulerConfig {
     /// In-place decode-step retries granted to each request before a
     /// transient `LmError` becomes its terminal error.
     pub retry_budget: u32,
+    /// Most threads, the scheduler thread included, a Step phase spreads
+    /// its single lanes over: the host's cores divided by the shard
+    /// count, at least 1.
+    pub step_threads: usize,
+}
+
+/// Single lanes each step thread must have before a round fans out. One
+/// scoped spawn and join costs 52–65 µs on a 2-core Xeon and one
+/// induction lane step ~61 µs, so a thread pays off only when it takes
+/// several lanes off the scheduler thread.
+const LANES_PER_STEP_THREAD: usize = 4;
+
+/// Apply `step` to every lane across `threads` threads: the caller plus
+/// `threads - 1` scoped workers, each pulling the next lane from a shared
+/// queue whose lock is held only for `next()`. Which thread steps which
+/// lane, and in what order, is unspecified, so `step` must touch nothing
+/// but the lane it is given. At `threads <= 1` every lane steps here, in
+/// order, and nothing is spawned. A worker the OS refuses to start leaves
+/// its lanes to the others.
+fn for_each_mut<'a, T, I>(lanes: I, threads: usize, step: impl Fn(&mut T) + Sync)
+where
+    T: Send + 'a,
+    I: Iterator<Item = &'a mut T> + Send,
+{
+    if threads <= 1 {
+        lanes.for_each(step);
+        return;
+    }
+    let lanes = crate::sync::RankedMutex::new("lanes", lanes);
+    // The guard dies with this statement, before the lane is stepped.
+    let next = || lanes.lock().next();
+    let work = || {
+        while let Some(lane) = next() {
+            step(lane);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            let _ = std::thread::Builder::new()
+                .name("lmpeel-step".into())
+                .spawn_scoped(scope, work);
+        }
+        work();
+    });
+}
+
+/// How a lane advances this round, decided after its precheck.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneStep {
+    /// Finished, cancelled or past its deadline: no step.
+    Idle,
+    /// Computes its own logits, on whichever step thread takes it.
+    Single,
+    /// Fused with the other lanes of this batch-driver key on the
+    /// scheduler thread.
+    Fused(usize),
 }
 
 /// Cap on the exponential cooldown so a long-dead substrate still gets a
@@ -298,11 +369,11 @@ pub(crate) struct Scheduler {
     /// only when it could differ.
     trie_dirty: bool,
     /// Round-local scratch, hoisted so a steady-state decode round
-    /// allocates nothing: the lanes steppable this round with their fuse
-    /// keys, the lane indices of the group being driven, the fused logits
-    /// buffers (one vocab-wide `Vec` per lane, reused round over round),
-    /// and the retire list.
-    step_plan: Vec<(usize, Option<usize>)>,
+    /// allocates nothing: how each lane steps this round, the lane
+    /// indices of the group being driven, the fused logits buffers (one
+    /// vocab-wide `Vec` per lane, reused round over round), and the
+    /// retire list.
+    step_plan: Vec<LaneStep>,
     group_scratch: Vec<usize>,
     fused_bufs: Vec<Vec<f32>>,
     finished_scratch: Vec<Inflight>,
@@ -409,50 +480,66 @@ impl Scheduler {
         self.finished_scratch = finished;
     }
 
-    /// The Step phase: precheck every lane, group the steppable lanes by
-    /// their substrate's batch-driver key in first-seen order, and drive
-    /// each group two-or-more wide through a single `logits_batch`
-    /// forward pass. Lanes with no driver and singleton groups take the
-    /// ordinary single-lane step. Per-request bytes cannot differ from
-    /// stepping every lane alone: sessions are independent, the driver
-    /// contract pins each fused lane's logits bitwise to its own
-    /// single-lane computation, and each lane still consumes its own RNG
-    /// exactly once per step.
+    /// The Step phase: precheck every lane, step the single lanes across
+    /// the round's step threads, then drive each batch-driver group two
+    /// or more wide through a single `logits_batch` forward pass, in
+    /// first-seen order, on this thread. Lanes with no driver and
+    /// singleton groups are the single lanes. Per-request bytes cannot
+    /// differ from stepping every lane alone, in order: sessions are
+    /// independent, a step touches only its own lane, the driver contract
+    /// pins each fused lane's logits bitwise to its own single-lane
+    /// computation, and each lane still consumes its own RNG exactly once
+    /// per step.
     fn step_groups(&mut self) {
         let mut plan = std::mem::take(&mut self.step_plan);
         plan.clear();
-        for (i, w) in self.inflight.iter_mut().enumerate() {
-            if w.precheck() {
-                let key = w.stepper.batch_driver().map(|h| h.key);
-                plan.push((i, key));
+        plan.extend(self.inflight.iter_mut().map(|w| {
+            if !w.precheck() {
+                LaneStep::Idle
+            } else if let Some(h) = w.stepper.batch_driver() {
+                LaneStep::Fused(h.key)
+            } else {
+                LaneStep::Single
             }
-        }
-        let mut group = std::mem::take(&mut self.group_scratch);
-        for (slot, &(i, key)) in plan.iter().enumerate() {
-            let Some(k) = key else {
-                // No driver: this lane always steps alone.
-                if let Some(w) = self.inflight.get_mut(i) {
-                    w.step_single();
-                }
+        }));
+        // A driver key no other lane shares has nothing to fuse with.
+        for slot in 0..plan.len() {
+            let Some(&fused @ LaneStep::Fused(_)) = plan.get(slot) else {
                 continue;
             };
-            if plan.iter().take(slot).any(|&(_, k2)| k2 == Some(k)) {
-                // Group already driven when its first lane came up.
+            if plan.iter().filter(|&&s| s == fused).count() < 2 {
+                if let Some(s) = plan.get_mut(slot) {
+                    *s = LaneStep::Single;
+                }
+            }
+        }
+        let singles = plan.iter().filter(|&&s| s == LaneStep::Single).count();
+        for_each_mut(
+            self.inflight
+                .iter_mut()
+                .zip(&plan)
+                .filter(|&(_, &s)| s == LaneStep::Single)
+                .map(|(w, _)| w),
+            self.cfg.step_threads.min(singles / LANES_PER_STEP_THREAD),
+            Inflight::step_single,
+        );
+        let mut group = std::mem::take(&mut self.group_scratch);
+        for (slot, &fused) in plan.iter().enumerate() {
+            let LaneStep::Fused(_) = fused else {
+                continue;
+            };
+            if plan.iter().take(slot).any(|&s| s == fused) {
+                // Driven when its group's first lane came up.
                 continue;
             }
             group.clear();
             group.extend(
                 plan.iter()
-                    .filter(|&&(_, k2)| k2 == Some(k))
-                    .map(|&(j, _)| j),
+                    .enumerate()
+                    .filter(|&(_, &s)| s == fused)
+                    .map(|(j, _)| j),
             );
-            if group.len() < 2 {
-                if let Some(w) = self.inflight.get_mut(i) {
-                    w.step_single();
-                }
-            } else {
-                self.step_group(&group);
-            }
+            self.step_group(&group);
         }
         group.clear();
         self.group_scratch = group;
@@ -731,11 +818,13 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{Fault, FaultyLm};
     use crate::request::GenerateResponse;
     use lmpeel_lm::{
         generate, BatchDriver, BatchDriverRef, GenerateSpec, GenerationStepper, InductionLm,
     };
     use lmpeel_tokenizer::TokenId;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
     use std::sync::mpsc;
 
@@ -818,6 +907,7 @@ mod tests {
                 quarantine_after: 3,
                 breaker_cooldown: 8,
                 retry_budget: 0,
+                step_threads: 1,
             },
             Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default())),
             Arc::new(AtomicBool::new(false)),
@@ -949,5 +1039,147 @@ mod tests {
                 assert_eq!(got.trace, expected, "healthy lane {i} diverged");
             }
         }
+    }
+
+    #[test]
+    fn for_each_mut_steps_every_lane_exactly_once() {
+        for threads in 0..=4 {
+            let mut lanes = vec![0u32; 37];
+            for_each_mut(lanes.iter_mut(), threads, |n| *n += 1);
+            assert!(
+                lanes.iter().all(|&n| n == 1),
+                "threads {threads}: {lanes:?}"
+            );
+        }
+    }
+
+    fn icl_prompt(model: &InductionLm) -> Vec<TokenId> {
+        model.tokenizer().encode(
+            "Hyperparameter configuration: outer_loop_tiling_factor is 80\n\
+             Performance: 0.0022155\n\
+             Hyperparameter configuration: outer_loop_tiling_factor is 80\n\
+             Performance: ",
+        )
+    }
+
+    /// Pre-admit one induction lane per `codes` entry (mixed seeds,
+    /// lengths and stop tokens) and drain them at `threads` step threads:
+    /// the per-lane results in lane order, the stats ledger, and the
+    /// specs the lanes ran.
+    fn drain_induction(
+        model: &Arc<InductionLm>,
+        codes: &[usize],
+        threads: usize,
+    ) -> (
+        Vec<Result<GenerateResponse, RequestError>>,
+        ServeStats,
+        Vec<GenerateSpec>,
+    ) {
+        let prompt = icl_prompt(model);
+        let newline = model.tokenizer().vocab().token_id("\n").unwrap();
+        let specs: Vec<GenerateSpec> = codes
+            .iter()
+            .map(|&code| {
+                GenerateSpec::builder()
+                    .seed((code % 7) as u64)
+                    .max_tokens(1 + (code / 7) % 12)
+                    .stop_tokens(if code / 84 == 1 {
+                        vec![newline]
+                    } else {
+                        vec![]
+                    })
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let steppers = specs
+            .iter()
+            .map(|spec| {
+                let mut session = model.clone().session();
+                session.extend(&prompt);
+                GenerationStepper::new(session, spec.clone()).unwrap()
+            })
+            .collect();
+        let mut h = harness(steppers);
+        h.scheduler.cfg.step_threads = threads;
+        let results = drain(&mut h);
+        let stats = *h.scheduler.stats.lock();
+        (results, stats, specs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // Fan-out is byte-invisible: 1–16 driverless lanes drained at one
+        // and at four step threads give the same per-lane traces and the
+        // same stats, and every trace is sequential `generate`'s.
+        #[test]
+        fn step_thread_count_never_changes_a_trace(
+            codes in proptest::collection::vec(0usize..168, 1..17),
+        ) {
+            let model = Arc::new(InductionLm::paper(0));
+            let (alone, alone_stats, specs) = drain_induction(&model, &codes, 1);
+            let (fanned, fanned_stats, _) = drain_induction(&model, &codes, 4);
+            prop_assert_eq!(&alone, &fanned);
+            prop_assert_eq!(alone_stats, fanned_stats);
+            prop_assert_eq!(alone_stats.completed, codes.len() as u64);
+            let prompt = icl_prompt(&model);
+            for (lane, spec) in fanned.into_iter().zip(&specs) {
+                let got = lane.map(|r| r.trace);
+                prop_assert_eq!(got, Ok(generate(&model, &prompt, spec).unwrap()));
+            }
+        }
+    }
+
+    /// A panicking lane and an erroring lane among 16 fanned-out
+    /// driverless lanes each fail alone, with exactly one terminal error
+    /// apiece, while the other 14 decode byte-identically.
+    #[test]
+    fn faulted_lanes_fail_alone_under_fan_out() {
+        crate::faults::silence_injected_panics();
+        let model = Arc::new(InductionLm::paper(0));
+        let prompt = icl_prompt(&model);
+        let (panics, empties) = (5, 11);
+        let spec = |i: usize| {
+            GenerateSpec::builder()
+                .max_tokens(8)
+                .seed(i as u64)
+                .build()
+                .unwrap()
+        };
+        let steppers = (0..16)
+            .map(|i| {
+                let lm: Arc<dyn LanguageModel> = match i {
+                    _ if i == panics => {
+                        Arc::new(FaultyLm::new(model.clone(), Fault::PanicOnStep(2)))
+                    }
+                    _ if i == empties => {
+                        Arc::new(FaultyLm::new(model.clone(), Fault::EmptyLogitsOnStep(3)))
+                    }
+                    _ => model.clone(),
+                };
+                let mut session = lm.session();
+                session.extend(&prompt);
+                GenerationStepper::new(session, spec(i)).unwrap()
+            })
+            .collect();
+        let mut h = harness(steppers);
+        h.scheduler.cfg.step_threads = 4;
+        let results = drain(&mut h);
+        for (i, r) in results.into_iter().enumerate() {
+            match r {
+                Err(RequestError::Panicked(msg)) if i == panics => {
+                    assert!(msg.contains("decode step 2"), "got {msg}")
+                }
+                Err(RequestError::Lm(LmError::EmptyVocab)) if i == empties => {}
+                Ok(got) if i != panics && i != empties => {
+                    let expected = generate(&model, &prompt, &spec(i)).unwrap();
+                    assert_eq!(got.trace, expected, "healthy lane {i} diverged");
+                }
+                other => panic!("lane {i} got {other:?}"),
+            }
+        }
+        let stats = *h.scheduler.stats.lock();
+        assert_eq!((stats.completed, stats.failed, stats.panicked), (14, 2, 1));
     }
 }

@@ -7,6 +7,7 @@ use crate::trie::TrieStats;
 use lmpeel_lm::LanguageModel;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -300,9 +301,12 @@ impl ServiceBuilder {
     }
 
     /// Spawn every shard's scheduler thread and return the running
-    /// service.
+    /// service. Each shard may step its lanes over the host's cores
+    /// divided by the shard count (at least 1).
     pub fn build(self) -> InferenceService {
         let router = ShardRouter::new(self.shards, DEFAULT_PREFIX_WINDOW);
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let step_threads = (cores / router.shards()).max(1);
         let shards = (0..router.shards())
             .map(|shard| {
                 let models = self
@@ -316,7 +320,7 @@ impl ServiceBuilder {
                         (name.clone(), replica)
                     })
                     .collect();
-                Shard::spawn(models, &self)
+                Shard::spawn(models, &self, step_threads)
             })
             .collect();
         InferenceService { router, shards }
@@ -333,7 +337,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn spawn(models: HashMap<String, Arc<dyn LanguageModel>>, b: &ServiceBuilder) -> Self {
+    fn spawn(
+        models: HashMap<String, Arc<dyn LanguageModel>>,
+        b: &ServiceBuilder,
+        step_threads: usize,
+    ) -> Self {
         let (tx, rx) = mpsc::sync_channel(b.queue_capacity);
         let stats = Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default()));
         let draining = Arc::new(AtomicBool::new(false));
@@ -346,6 +354,7 @@ impl Shard {
                 quarantine_after: b.quarantine_after,
                 breaker_cooldown: b.breaker_cooldown,
                 retry_budget: b.retry_budget,
+                step_threads,
             },
             Arc::clone(&stats),
             Arc::clone(&draining),

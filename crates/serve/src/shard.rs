@@ -2,8 +2,10 @@
 //! [`crate::InferenceService`]'s scheduler shards.
 //!
 //! One scheduler thread is a single-shard service's scale ceiling: every
-//! decode step of every in-flight request funnels through it, and its one
-//! prefix trie is the only cache capacity the whole workload gets.
+//! admission, fused forward pass and retirement funnels through it (only
+//! single-lane decode steps spread over its step threads, the host's cores
+//! divided by the shard count), and its one prefix trie is the only cache
+//! capacity the whole workload gets.
 //! [`crate::ServiceBuilder::shards`] removes both limits at once. The
 //! service then owns `N` complete schedulers — each with its own thread,
 //! its own substrate replicas and its own per-substrate prefix tries — and
@@ -16,10 +18,11 @@
 //!
 //! # Determinism boundary
 //!
-//! Per-shard behaviour is exactly the one-shard service's — fusion,
-//! circuit breakers, retries and trace bytes are all per-shard state, and
-//! a shard fed some request stream behaves byte-identically to a
-//! one-shard service fed the same stream (pinned by `tests/sharded.rs`).
+//! Per-shard behaviour is exactly the one-shard service's — fusion, step
+//! threads, circuit breakers, retries and trace bytes are all per-shard
+//! state (and no trace depends on the step-thread count), and a shard fed
+//! some request stream behaves byte-identically to a one-shard service fed
+//! the same stream (pinned by `tests/sharded.rs`).
 //! What sharding deliberately does **not** pin is *cross-shard completion
 //! order*: shards run on independent OS threads, so which shard retires
 //! first is timing. Callers observe order only through their own

@@ -33,7 +33,8 @@ pub const LOCK_RANKS: &[(&str, u32)] = &[
     ("cache", 20), // tune-service result cache (commit serializer)
     ("state", 30), // fault-gate state
     ("hist", 35),  // front-end latency histogram (leaf: record/snapshot only)
-    ("stats", 40), // serve stats ledger (innermost: leaf updates only)
+    ("stats", 40), // serve stats ledger (leaf updates only)
+    ("lanes", 45), // scheduler step-thread lane queue (innermost: held for next() only)
 ];
 
 /// Lock `m`, recovering the guard if a previous holder panicked.
