@@ -9,7 +9,8 @@
 //! 1110 numeric tokens, single-byte fallback tokens covering every input,
 //! corpus-learned word tokens (with their leading space, GPT-style), and a
 //! handful of chat special tokens; and a greedy longest-match
-//! [`tokenizer::Tokenizer`] with offset-tracking encode and exact decode.
+//! [`tokenizer::Tokenizer`] with offset-tracking encode (a walk over a flat
+//! byte trie of the scannable tokens) and exact decode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

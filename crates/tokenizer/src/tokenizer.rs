@@ -1,6 +1,11 @@
 //! Greedy longest-match encoding and exact decoding.
+//!
+//! Encoding walks a byte trie over the scannable tokens (every token but
+//! the specials and the `<0xNN>` escape spellings), built once when the
+//! [`Tokenizer`] is made: from each position it follows the text byte by
+//! byte and keeps the deepest token it passed.
 
-use crate::vocab::{TokenId, Vocab};
+use crate::vocab::{byte_token, TokenId, Vocab};
 
 /// One encoded token with its source byte range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,21 +20,41 @@ pub struct TokenSpan {
 
 /// Greedy longest-match tokenizer over a [`Vocab`].
 ///
-/// At each position the longest vocabulary entry matching the remaining
-/// text is consumed; ties cannot occur because entries are exact strings.
-/// Special tokens are never produced by scanning — they are inserted
-/// programmatically via [`Tokenizer::special`]. Bytes with no printable
-/// token fall back to `<0xNN>` byte tokens, so every input encodes and
-/// decodes losslessly.
+/// At each position the longest scannable vocabulary entry matching the
+/// remaining text is consumed; ties cannot occur because entries are exact
+/// strings. Special tokens are never produced by scanning — they are
+/// inserted programmatically via [`Tokenizer::special`] — and neither are
+/// the `<0xNN>` escape spellings: text that spells one out encodes as its
+/// characters. Bytes with no scannable token fall back to their byte
+/// token, so every input encodes and decodes losslessly.
 #[derive(Debug, Clone)]
 pub struct Tokenizer {
     vocab: Vocab,
+    trie: Trie,
+    byte_ids: [TokenId; 256],
 }
 
 impl Tokenizer {
-    /// Wrap a vocabulary.
+    /// Wrap a vocabulary, building its match trie and byte-fallback table.
+    ///
+    /// # Panics
+    /// Panics if `vocab` lacks a token for some byte value.
     pub fn new(vocab: Vocab) -> Self {
-        Self { vocab }
+        let byte_ids = std::array::from_fn(|b| {
+            vocab
+                .token_id(&byte_token(b as u8))
+                .expect("byte token exists")
+        });
+        let trie = Trie::new((0..vocab.len() as TokenId).filter_map(|id| {
+            let s = vocab.token_str(id);
+            let scannable = !vocab.is_special(id) && parse_byte_escape(s).is_none();
+            scannable.then_some((s.as_bytes(), id))
+        }));
+        Self {
+            vocab,
+            trie,
+            byte_ids,
+        }
     }
 
     /// Tokenizer over the paper vocabulary.
@@ -61,39 +86,21 @@ impl Tokenizer {
     }
 
     /// Encode text, tracking each token's source byte range.
+    ///
+    /// From each position the trie walk takes the longest scannable token;
+    /// where none starts (including inside a multi-byte char whose lead
+    /// byte already fell back), one byte is consumed as its byte token.
+    /// Tokens are whole UTF-8 strings, so none starts with a continuation
+    /// byte, and one that starts on a char boundary also ends on one.
     pub fn encode_spans(&self, text: &str) -> Vec<TokenSpan> {
         let bytes = text.as_bytes();
         let mut out = Vec::with_capacity(bytes.len() / 3 + 1);
         let mut pos = 0;
-        let max_len = self.vocab.max_token_len();
         while pos < bytes.len() {
-            let mut matched: Option<(TokenId, usize)> = None;
-            let limit = if text.is_char_boundary(pos) {
-                max_len.min(bytes.len() - pos)
-            } else {
-                // Mid-character position (a previous byte fallback split a
-                // multi-byte char): only byte fallback can apply here.
-                0
-            };
-            // Longest match first; skip boundaries that split UTF-8 chars.
-            for len in (1..=limit).rev() {
-                if !text.is_char_boundary(pos + len) {
-                    continue;
-                }
-                let cand = &text[pos..pos + len];
-                if let Some(id) = self.vocab.token_id(cand) {
-                    // Scanning never yields special tokens.
-                    if !self.vocab.is_special(id) {
-                        matched = Some((id, len));
-                        break;
-                    }
-                }
-            }
-            let (id, len) = matched.unwrap_or_else(|| {
-                // Byte fallback: guaranteed to exist for every byte value.
-                let esc = format!("<0x{:02X}>", bytes[pos]);
-                (self.vocab.token_id(&esc).expect("byte token exists"), 1)
-            });
+            let (id, len) = self
+                .trie
+                .longest_match(&bytes[pos..])
+                .unwrap_or((self.byte_ids[bytes[pos] as usize], 1));
             out.push(TokenSpan {
                 id,
                 start: pos,
@@ -120,6 +127,106 @@ impl Tokenizer {
     }
 }
 
+/// Marks a trie node that ends no token.
+const NO_TOKEN: TokenId = TokenId::MAX;
+
+/// A byte trie stored flat. Node 0 is the root, which is no node's child,
+/// so 0 also stands for "no such node". The root's children are looked up
+/// directly in `root`; any other node `n`'s outgoing edges are
+/// `labels[edges[n]..edges[n + 1]]`, sorted by byte and scanned in order
+/// (few enough that a scan beats a binary search), leading to the same
+/// range of `targets`. `token[n]` is the id of the token spelled by the
+/// path to `n`, or [`NO_TOKEN`].
+#[derive(Debug, Clone)]
+struct Trie {
+    root: [u32; 256],
+    edges: Vec<u32>,
+    labels: Vec<u8>,
+    targets: Vec<u32>,
+    token: Vec<TokenId>,
+}
+
+impl Trie {
+    /// Build from distinct, non-empty token spellings in any order.
+    fn new<'a>(tokens: impl Iterator<Item = (&'a [u8], TokenId)>) -> Self {
+        let mut tokens: Vec<(&[u8], TokenId)> = tokens.collect();
+        tokens.sort_unstable();
+        // Inserting in sorted order, a token shares its path with the
+        // previous one up to their common prefix and never revisits the
+        // rest, so every node is created once, after its parent's earlier
+        // children, without a child lookup. `created[n - 1]` is node n's
+        // (parent, byte).
+        let mut token = vec![NO_TOKEN];
+        let mut created: Vec<(u32, u8)> = Vec::new();
+        let mut path: Vec<u32> = vec![0];
+        let mut prev: &[u8] = &[];
+        for (s, id) in tokens {
+            let common = s.iter().zip(prev).take_while(|(a, b)| a == b).count();
+            path.truncate(common + 1);
+            for &b in &s[common..] {
+                created.push((path[path.len() - 1], b));
+                path.push(token.len() as u32);
+                token.push(NO_TOKEN);
+            }
+            token[path[path.len() - 1] as usize] = id;
+            prev = s;
+        }
+        // Group the edges by parent; a counting sort keeps each parent's
+        // children in creation, hence byte, order.
+        let mut edges = vec![0u32; token.len() + 1];
+        for &(parent, _) in &created {
+            edges[parent as usize + 1] += 1;
+        }
+        for n in 1..edges.len() {
+            edges[n] += edges[n - 1];
+        }
+        let mut fill = edges.clone();
+        let mut labels = vec![0u8; created.len()];
+        let mut targets = vec![0u32; created.len()];
+        let mut root = [0u32; 256];
+        for (child, &(parent, b)) in (1..).zip(&created) {
+            if parent == 0 {
+                root[b as usize] = child;
+            }
+            let slot = &mut fill[parent as usize];
+            labels[*slot as usize] = b;
+            targets[*slot as usize] = child;
+            *slot += 1;
+        }
+        Self {
+            root,
+            edges,
+            labels,
+            targets,
+            token,
+        }
+    }
+
+    /// The longest token that is a prefix of the non-empty `bytes`, as
+    /// `(id, byte length)`.
+    fn longest_match(&self, bytes: &[u8]) -> Option<(TokenId, usize)> {
+        let mut node = self.root[bytes[0] as usize] as usize;
+        let mut len = 1;
+        let mut best = None;
+        while node != 0 {
+            let id = self.token[node];
+            if id != NO_TOKEN {
+                best = Some((id, len));
+            }
+            let Some(&b) = bytes.get(len) else {
+                break;
+            };
+            let (lo, hi) = (self.edges[node] as usize, self.edges[node + 1] as usize);
+            node = self.labels[lo..hi]
+                .iter()
+                .position(|&l| l == b)
+                .map_or(0, |i| self.targets[lo + i] as usize);
+            len += 1;
+        }
+        best
+    }
+}
+
 fn parse_byte_escape(s: &str) -> Option<u8> {
     let hex = s.strip_prefix("<0x")?.strip_suffix('>')?;
     u8::from_str_radix(hex, 16).ok()
@@ -128,12 +235,66 @@ fn parse_byte_escape(s: &str) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::{BOS, EOS};
+    use crate::vocab::{BOS, EOS, ROLE_USER};
+    use lmpeel_configspace::text::ValueFormat;
+    use lmpeel_configspace::{syr2k_space, ArraySize};
+    use lmpeel_core::PromptBuilder;
     use proptest::prelude::*;
 
     fn tok() -> Tokenizer {
         Tokenizer::paper()
     }
+
+    /// The hash-probe scan the trie replaced, escape spellings left
+    /// unscanned: at each char boundary, every length from the longest
+    /// token's down to 1, each one a `HashMap` probe.
+    fn oracle_encode_spans(t: &Tokenizer, text: &str) -> Vec<TokenSpan> {
+        let vocab = t.vocab();
+        let max_len = (0..vocab.len() as TokenId)
+            .map(|id| vocab.token_str(id).len())
+            .max()
+            .unwrap_or(1);
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let mut matched: Option<(TokenId, usize)> = None;
+            let limit = if text.is_char_boundary(pos) {
+                max_len.min(bytes.len() - pos)
+            } else {
+                0
+            };
+            for len in (1..=limit).rev() {
+                if !text.is_char_boundary(pos + len) {
+                    continue;
+                }
+                let cand = &text[pos..pos + len];
+                if let Some(id) = vocab.token_id(cand) {
+                    if !vocab.is_special(id) && parse_byte_escape(cand).is_none() {
+                        matched = Some((id, len));
+                        break;
+                    }
+                }
+            }
+            let (id, len) = matched.unwrap_or_else(|| {
+                let esc = byte_token(bytes[pos]);
+                (vocab.token_id(&esc).expect("byte token exists"), 1)
+            });
+            out.push(TokenSpan {
+                id,
+                start: pos,
+                end: pos + len,
+            });
+            pos += len;
+        }
+        out
+    }
+
+    /// Marker and escape spellings, and prefixes of them, that the scanner
+    /// must encode as plain characters.
+    const SPLICES: [&str; 8] = [
+        "<0x00>", "<0x1B>", "<0xFF>", "<0x", BOS, EOS, ROLE_USER, "<|",
+    ];
 
     #[test]
     fn digit_runs_group_in_threes_from_the_left() {
@@ -213,6 +374,22 @@ mod tests {
         let text = "π ≈ 3.14";
         let round = t.decode(&t.encode(text));
         assert_eq!(round, text);
+        let ids = t.encode("\0\u{1b}\u{ff}");
+        let strs: Vec<&str> = ids.iter().map(|&i| t.vocab().token_str(i)).collect();
+        assert_eq!(strs, ["<0x00>", "<0x1B>", "<0xC3>", "<0xBF>"]);
+    }
+
+    #[test]
+    fn escape_spellings_are_never_scanned() {
+        let t = tok();
+        for text in ["<0x00>", "a<0x1B>b", "<0xFF>"] {
+            let ids = t.encode(text);
+            assert_eq!(t.decode(&ids), text);
+            for &id in &ids {
+                let s = t.vocab().token_str(id);
+                assert!(parse_byte_escape(s).is_none(), "{text:?} scanned as {s:?}");
+            }
+        }
     }
 
     #[test]
@@ -236,6 +413,51 @@ mod tests {
         }
 
         #[test]
+        fn trie_matches_oracle_on_ascii(s in "[ -~\n\t]{0,200}") {
+            let t = tok();
+            prop_assert_eq!(t.encode_spans(&s), oracle_encode_spans(&t, &s));
+        }
+
+        #[test]
+        fn trie_matches_oracle_on_unicode(s in "\\PC{0,80}") {
+            let t = tok();
+            prop_assert_eq!(t.encode_spans(&s), oracle_encode_spans(&t, &s));
+        }
+
+        #[test]
+        fn trie_matches_oracle_on_a_unicode_vocab(picks in proptest::collection::vec(0usize..9, 0..40)) {
+            // Multi-byte tokens, and text where they are cut short, test
+            // that every match ends on a char boundary.
+            let t = Tokenizer::new(Vocab::from_corpus("café naïve π≈ π ≈", 16));
+            let frags = ["café", " naïve", "é", " π≈", "≈", "caf", " na", "ï", " π"];
+            let text: String = picks.iter().map(|&i| frags[i]).collect();
+            prop_assert_eq!(t.encode_spans(&text), oracle_encode_spans(&t, &text));
+        }
+
+        #[test]
+        fn trie_matches_oracle_on_digit_runs(s in "[0-9.e\\- \n]{0,120}") {
+            let t = tok();
+            prop_assert_eq!(t.encode_spans(&s), oracle_encode_spans(&t, &s));
+        }
+
+        #[test]
+        fn trie_matches_oracle_with_markers_spliced_in(
+            base in "[ -~\n]{0,80}",
+            cuts in proptest::collection::vec(0usize..81, 0..6),
+            picks in proptest::collection::vec(0usize..SPLICES.len(), 6),
+        ) {
+            let t = tok();
+            let mut text = base.clone();
+            for (&cut, &pick) in cuts.iter().zip(&picks) {
+                text.insert_str(cut.min(text.len()), SPLICES[pick]);
+            }
+            let spans = t.encode_spans(&text);
+            prop_assert_eq!(&spans, &oracle_encode_spans(&t, &text));
+            let ids: Vec<TokenId> = spans.iter().map(|s| s.id).collect();
+            prop_assert_eq!(t.decode(&ids), text);
+        }
+
+        #[test]
         fn decimal_values_tokenize_canonically(int in 0u32..10, frac in 0u64..10_000_000u64) {
             let t = tok();
             let text = format!("{int}.{frac:07}");
@@ -246,6 +468,33 @@ mod tests {
             prop_assert_eq!(t.vocab().token_str(ids[2]).len(), 3);
             prop_assert_eq!(t.vocab().token_str(ids[3]).len(), 3);
             prop_assert_eq!(t.vocab().token_str(ids[4]).len(), 1);
+        }
+    }
+
+    proptest! {
+        // Each case encodes a whole prompt (~3k bytes) twice; the prompts
+        // share most of their text, so fewer cases cover them.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn trie_matches_oracle_on_prompts(
+            size in 0usize..6,
+            scientific in proptest::bool::ANY,
+            configs in proptest::collection::vec(0u64..u64::MAX, 1..10),
+            runtimes in proptest::collection::vec(1e-4f64..5.0, 9),
+        ) {
+            let t = tok();
+            let space = syr2k_space();
+            let format = if scientific { ValueFormat::Scientific } else { ValueFormat::Decimal };
+            let builder = PromptBuilder::new(space.clone(), ArraySize::ALL[size]).with_format(format);
+            let configs: Vec<_> =
+                configs.iter().map(|&i| space.config_at(i % space.cardinality())).collect();
+            let (query, examples) = configs.split_last().expect("at least one config");
+            let examples: Vec<_> = examples.iter().cloned().zip(runtimes).collect();
+            let p = builder.discriminative(&examples, query);
+            for text in [&p.system, &p.user, &p.primer] {
+                prop_assert_eq!(t.encode_spans(text), oracle_encode_spans(&t, text));
+            }
         }
     }
 }

@@ -6,7 +6,9 @@
 //! 1. **special tokens** — BOS/EOS and chat role markers (never matched by
 //!    the text scanner; they are inserted programmatically);
 //! 2. **byte tokens** — one token per byte value, guaranteeing that any
-//!    input encodes;
+//!    input encodes; bytes outside printable ASCII, `\n` and `\t` are
+//!    spelled `<0xNN>`, and like the specials those escape spellings are
+//!    never matched by the scanner (they come only from its byte fallback);
 //! 3. **numeric tokens** — every 1-, 2- and 3-digit string (`0`–`9`,
 //!    `00`–`99`, `000`–`999`), the Llama-3 convention that drives the
 //!    paper's Table II;
@@ -39,7 +41,6 @@ pub struct Vocab {
     tokens: Vec<String>,
     index: HashMap<String, TokenId>,
     num_specials: usize,
-    max_token_len: usize,
 }
 
 impl Vocab {
@@ -64,12 +65,7 @@ impl Vocab {
         // 2. byte tokens — printable ASCII and whitespace as themselves;
         //    everything else via <0xNN> escape handled by the tokenizer.
         for b in 0u8..=255 {
-            let s = if (0x20..0x7f).contains(&b) || b == b'\n' || b == b'\t' {
-                (b as char).to_string()
-            } else {
-                format!("<0x{b:02X}>")
-            };
-            push(&mut tokens, &mut index, s);
+            push(&mut tokens, &mut index, byte_token(b));
         }
 
         // 3. numeric tokens: all 1-3 digit strings. (1-digit strings are
@@ -127,12 +123,10 @@ impl Vocab {
             push(&mut tokens, &mut index, cluster.to_string());
         }
 
-        let max_token_len = tokens.iter().map(|t| t.len()).max().unwrap_or(1);
         Self {
             tokens,
             index,
             num_specials,
-            max_token_len,
         }
     }
 
@@ -154,11 +148,6 @@ impl Vocab {
     /// Number of special tokens (ids `0..num_specials`).
     pub fn num_specials(&self) -> usize {
         self.num_specials
-    }
-
-    /// Longest token string length in bytes (greedy-match search bound).
-    pub fn max_token_len(&self) -> usize {
-        self.max_token_len
     }
 
     /// String of a token id.
@@ -194,6 +183,16 @@ impl Vocab {
                 s.len() == len && self.is_numeric(id)
             })
             .collect()
+    }
+}
+
+/// The string of byte `b`'s token: printable ASCII, `\n` and `\t` as
+/// themselves, every other byte as its `<0xNN>` escape.
+pub(crate) fn byte_token(b: u8) -> String {
+    if (0x20..0x7f).contains(&b) || b == b'\n' || b == b'\t' {
+        (b as char).to_string()
+    } else {
+        format!("<0x{b:02X}>")
     }
 }
 
@@ -308,12 +307,7 @@ mod tests {
     fn every_byte_is_representable() {
         let v = Vocab::paper();
         for b in 0u8..=255 {
-            let s = if (0x20..0x7f).contains(&b) || b == b'\n' || b == b'\t' {
-                (b as char).to_string()
-            } else {
-                format!("<0x{b:02X}>")
-            };
-            assert!(v.token_id(&s).is_some(), "byte {b} missing");
+            assert!(v.token_id(&byte_token(b)).is_some(), "byte {b} missing");
         }
     }
 
