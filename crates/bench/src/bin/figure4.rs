@@ -67,8 +67,7 @@ fn main() {
     let spec_hist = HistogramSpec::Linear { lo, hi, bins: 18 };
 
     let mut per_seed: Vec<SeedSeries> = Vec::new();
-    let picked: Vec<&PredictionRecord> =
-        records.iter().filter(|r| r.replica == chosen).collect();
+    let picked: Vec<&PredictionRecord> = records.iter().filter(|r| r.replica == chosen).collect();
     for rec in picked {
         let span = rec.value_span.clone().expect("value generated");
         let first = &rec.trace.steps[span.start];

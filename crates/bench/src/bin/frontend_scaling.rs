@@ -106,30 +106,30 @@ fn run_point(
     let mut received = 0usize;
     let slo_ms = slo.as_secs_f64() * 1e3;
     let start = Instant::now();
-    let account = |frames: &mut Vec<(usize, Vec<u8>)>, ok: &mut u64, shed: &mut u64, received: &mut usize| {
-        for (_, body) in frames.drain(..) {
-            if is_goaway(&body) {
-                continue;
-            }
-            let Ok(resp) = WireResponse::decode(&body) else {
+    let account =
+        |frames: &mut Vec<(usize, Vec<u8>)>, ok: &mut u64, shed: &mut u64, received: &mut usize| {
+            for (_, body) in frames.drain(..) {
+                if is_goaway(&body) {
+                    continue;
+                }
+                let Ok(resp) = WireResponse::decode(&body) else {
+                    *received += 1;
+                    continue;
+                };
+                let scheduled = start + Duration::from_secs_f64(resp.id as f64 / rate);
+                let ms = Instant::now()
+                    .saturating_duration_since(scheduled)
+                    .as_secs_f64()
+                    * 1e3;
+                match resp.body {
+                    WireResult::Ok { .. } if ms <= slo_ms => *ok += 1,
+                    WireResult::Ok { .. } => {}
+                    WireResult::Err { .. } if resp.is_shed() => *shed += 1,
+                    WireResult::Err { .. } => {}
+                }
                 *received += 1;
-                continue;
-            };
-            let scheduled =
-                start + Duration::from_secs_f64(resp.id as f64 / rate);
-            let ms = Instant::now()
-                .saturating_duration_since(scheduled)
-                .as_secs_f64()
-                * 1e3;
-            match resp.body {
-                WireResult::Ok { .. } if ms <= slo_ms => *ok += 1,
-                WireResult::Ok { .. } => {}
-                WireResult::Err { .. } if resp.is_shed() => *shed += 1,
-                WireResult::Err { .. } => {}
             }
-            *received += 1;
-        }
-    };
+        };
 
     for i in 0..total {
         let due = start + Duration::from_secs_f64(i as f64 / rate);
@@ -330,7 +330,10 @@ fn main() {
         let mut failed = false;
         for pt in &points {
             if pt.threads > 8 {
-                eprintln!("conns={}: {} front-end threads exceeds the 8-thread bar", pt.conns, pt.threads);
+                eprintln!(
+                    "conns={}: {} front-end threads exceeds the 8-thread bar",
+                    pt.conns, pt.threads
+                );
                 failed = true;
             }
             if pt.lost > 0 {

@@ -30,8 +30,8 @@
 
 use lmpeel_bench::cli::{arg_flag, str_flag};
 use lmpeel_bench::runs::{out_dir, write_golden};
-use lmpeel_lm::LanguageModel;
 use lmpeel_bench::wireload::WireSwarm;
+use lmpeel_lm::LanguageModel;
 use lmpeel_serve::frontend::{Frontend, WireRequest, WireResponse, WireResult, SHED_QUEUE_FULL};
 use lmpeel_serve::prelude::*;
 use lmpeel_transformer::InductionTransformer;
@@ -131,7 +131,9 @@ struct Event {
 
 /// Zipf(s) inverse-CDF table over `groups` ranks.
 fn zipf_cdf(groups: usize, s: f64) -> Vec<f64> {
-    let weights: Vec<f64> = (0..groups).map(|k| 1.0 / ((k + 1) as f64).powf(s)).collect();
+    let weights: Vec<f64> = (0..groups)
+        .map(|k| 1.0 / ((k + 1) as f64).powf(s))
+        .collect();
     let total: f64 = weights.iter().sum();
     let mut acc = 0.0;
     weights
@@ -268,7 +270,11 @@ struct Outcome {
 impl Outcome {
     fn goodput(&self, slo: Duration) -> f64 {
         let slo_ms = slo.as_secs_f64() * 1e3;
-        let good = self.ok_latencies_ms.iter().filter(|&&l| l <= slo_ms).count();
+        let good = self
+            .ok_latencies_ms
+            .iter()
+            .filter(|&&l| l <= slo_ms)
+            .count();
         good as f64 / self.elapsed.as_secs_f64()
     }
 

@@ -20,10 +20,7 @@ pub fn paper_records(bundle: &DatasetBundle) -> Vec<PredictionRecord> {
 /// [`paper_records`] with an optional write-ahead journal (see
 /// [`run_plan_at`]): pass the path from [`journal_flag`] to make the
 /// 285-generation grid resumable after a kill.
-pub fn paper_records_at(
-    bundle: &DatasetBundle,
-    journal: Option<&Path>,
-) -> Vec<PredictionRecord> {
+pub fn paper_records_at(bundle: &DatasetBundle, journal: Option<&Path>) -> Vec<PredictionRecord> {
     run_plan_at(bundle, &ExperimentPlan::paper(), journal)
 }
 

@@ -96,7 +96,9 @@ impl Gen {
         (0..n).map(|_| f(self)).collect()
     }
     fn string(&mut self) -> String {
-        self.vec(|g| ['a', ' ', '\n', 'é'][g.u64() as usize % 4]).into_iter().collect()
+        self.vec(|g| ['a', ' ', '\n', 'é'][g.u64() as usize % 4])
+            .into_iter()
+            .collect()
     }
 }
 

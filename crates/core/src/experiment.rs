@@ -308,9 +308,7 @@ where
                 .iter()
                 .map(|&seed| {
                     let task_key = crate::journal::task_key(key, *replica, seed);
-                    if let Some(rec) =
-                        journal.as_deref().and_then(|j| j.get(&task_key)).cloned()
-                    {
+                    if let Some(rec) = journal.as_deref().and_then(|j| j.get(&task_key)).cloned() {
                         return (key, *replica, set, seed, CellWork::Cached(rec));
                     }
                     let ids = ids

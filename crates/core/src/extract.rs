@@ -241,9 +241,15 @@ mod tests {
                  Performance: 0.0044123\nPerformance: 9.9",
                 Some((0.0044123, AfterMarker)),
             ),
-            ("Performance: \nPerformance: 7.5e-1", Some((0.75, AfterMarker))),
+            (
+                "Performance: \nPerformance: 7.5e-1",
+                Some((0.75, AfterMarker)),
+            ),
             // Chatter with an embedded decimal is scavenged; exponents count.
-            ("my best guess would be 3e-2 seconds", Some((3e-2, Scavenged))),
+            (
+                "my best guess would be 3e-2 seconds",
+                Some((3e-2, Scavenged)),
+            ),
             ("tiles 80 and 64 give 1.75 here", Some((1.75, Scavenged))),
             // Nothing numeric, nothing decimal-like: refuse.
             ("", None),

@@ -398,18 +398,12 @@ mod tests {
         run_plan_journaled(bundle(), &plan, InductionLm::paper, &path, "induction").unwrap();
         // Different substrate name.
         let err = run_plan_journaled(bundle(), &plan, InductionLm::paper, &path, "transformer");
-        assert!(matches!(
-            err,
-            Err(JournalError::FingerprintMismatch { .. })
-        ));
+        assert!(matches!(err, Err(JournalError::FingerprintMismatch { .. })));
         // Different plan shape.
         let mut other = plan.clone();
         other.max_tokens += 1;
         let err = run_plan_journaled(bundle(), &other, InductionLm::paper, &path, "induction");
-        assert!(matches!(
-            err,
-            Err(JournalError::FingerprintMismatch { .. })
-        ));
+        assert!(matches!(err, Err(JournalError::FingerprintMismatch { .. })));
         std::fs::remove_file(&path).unwrap();
     }
 

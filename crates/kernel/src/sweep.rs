@@ -70,12 +70,7 @@ mod tests {
     #[test]
     fn sweep_covers_all_configs_in_order() {
         let p = Syr2kProblem::new(10, 12);
-        let res = sweep(
-            &p,
-            &configs(),
-            MeasureSpec::new(0, 1).unwrap(),
-            false,
-        );
+        let res = sweep(&p, &configs(), MeasureSpec::new(0, 1).unwrap(), false);
         assert_eq!(res.len(), 4);
         for (r, c) in res.iter().zip(configs()) {
             assert_eq!(r.config, c);
@@ -86,12 +81,7 @@ mod tests {
     #[test]
     fn all_configs_compute_the_same_checksum() {
         let p = Syr2kProblem::new(10, 12);
-        let res = sweep(
-            &p,
-            &configs(),
-            MeasureSpec::new(0, 1).unwrap(),
-            false,
-        );
+        let res = sweep(&p, &configs(), MeasureSpec::new(0, 1).unwrap(), false);
         let base = res[0].checksum;
         for r in &res {
             assert!((r.checksum - base).abs() / base.abs() < 1e-12);

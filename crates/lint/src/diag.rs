@@ -173,6 +173,9 @@ mod tests {
         assert!(json.contains("\"clean\":false"));
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("x\\ny"));
-        assert_eq!(to_json(&[], 0), "{\"clean\":true,\"checked_files\":0,\"diagnostics\":[]}");
+        assert_eq!(
+            to_json(&[], 0),
+            "{\"clean\":true,\"checked_files\":0,\"diagnostics\":[]}"
+        );
     }
 }

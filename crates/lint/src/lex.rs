@@ -185,7 +185,8 @@ pub fn lex(src: &str) -> Lexed {
             b'"' => {
                 let start = c.pos;
                 lex_string(&mut c);
-                out.tokens.push(tok(Kind::Lit, &src[start..c.pos], line, col));
+                out.tokens
+                    .push(tok(Kind::Lit, &src[start..c.pos], line, col));
             }
             b'\'' => {
                 lex_quote(&mut c, src, &mut out, line, col);
@@ -193,7 +194,8 @@ pub fn lex(src: &str) -> Lexed {
             _ if b.is_ascii_digit() => {
                 let start = c.pos;
                 lex_number(&mut c);
-                out.tokens.push(tok(Kind::Num, &src[start..c.pos], line, col));
+                out.tokens
+                    .push(tok(Kind::Num, &src[start..c.pos], line, col));
             }
             _ if is_ident_start(b) => {
                 let start = c.pos;
@@ -206,15 +208,18 @@ pub fn lex(src: &str) -> Lexed {
                     && (c.peek() == Some(b'"') || c.peek() == Some(b'#'));
                 let is_str_prefix = matches!(text, "b" | "c") && c.peek() == Some(b'"');
                 if is_raw_prefix && lex_raw_string(&mut c) {
-                    out.tokens.push(tok(Kind::Lit, &src[start..c.pos], line, col));
+                    out.tokens
+                        .push(tok(Kind::Lit, &src[start..c.pos], line, col));
                 } else if is_str_prefix {
                     lex_string(&mut c);
-                    out.tokens.push(tok(Kind::Lit, &src[start..c.pos], line, col));
+                    out.tokens
+                        .push(tok(Kind::Lit, &src[start..c.pos], line, col));
                 } else if text == "b" && c.peek() == Some(b'\'') {
                     // byte char b'x'
                     c.bump();
                     lex_char_body(&mut c);
-                    out.tokens.push(tok(Kind::Lit, &src[start..c.pos], line, col));
+                    out.tokens
+                        .push(tok(Kind::Lit, &src[start..c.pos], line, col));
                 } else {
                     out.tokens.push(Token {
                         kind: Kind::Ident,
@@ -332,7 +337,7 @@ fn lex_char_body(c: &mut Cursor<'_>) {
         Some(b'\\') => {
             c.bump();
             c.bump(); // escape head: n, ', u, x, ...
-            // \u{...}
+                      // \u{...}
             if c.peek() == Some(b'{') {
                 while let Some(b) = c.bump() {
                     if b == b'}' {
@@ -355,7 +360,7 @@ fn lex_char_body(c: &mut Cursor<'_>) {
 fn lex_quote(c: &mut Cursor<'_>, src: &str, out: &mut Lexed, line: usize, col: usize) {
     let start = c.pos;
     c.bump(); // the quote
-    // Lifetime: 'ident not followed by a closing quote.
+              // Lifetime: 'ident not followed by a closing quote.
     if c.peek().is_some_and(is_ident_start) && c.peek() != Some(b'\'') {
         // Look ahead over the identifier for a closing quote ('a' is a char,
         // 'abc is a lifetime, 'a is a lifetime).
@@ -365,7 +370,8 @@ fn lex_quote(c: &mut Cursor<'_>, src: &str, out: &mut Lexed, line: usize, col: u
         }
         if c.peek_at(n) == Some(b'\'') && n == 1 {
             lex_char_body(c);
-            out.tokens.push(tok(Kind::Lit, &src[start..c.pos], line, col));
+            out.tokens
+                .push(tok(Kind::Lit, &src[start..c.pos], line, col));
         } else {
             for _ in 0..n {
                 c.bump();
@@ -374,7 +380,8 @@ fn lex_quote(c: &mut Cursor<'_>, src: &str, out: &mut Lexed, line: usize, col: u
         }
     } else {
         lex_char_body(c);
-        out.tokens.push(tok(Kind::Lit, &src[start..c.pos], line, col));
+        out.tokens
+            .push(tok(Kind::Lit, &src[start..c.pos], line, col));
     }
 }
 

@@ -207,7 +207,15 @@ pub(crate) fn analyze(files: &[FileCtx], cfg: &Config) -> LockReport {
                     .or_insert((ctx.rel.clone(), t.line, t.col));
             }
             scan_extent(
-                ctx, tokens, item, &skip, &acq, &by_name, &memo, &mut edges, &mut report,
+                ctx,
+                tokens,
+                item,
+                &skip,
+                &acq,
+                &by_name,
+                &memo,
+                &mut edges,
+                &mut report,
             );
         }
     }
@@ -456,9 +464,7 @@ fn calls_at(tokens: &[Token], k: usize) -> bool {
 /// run under `item`'s guards).
 fn nested_ranges(item: &FnItem, fns: &[FnItem]) -> Vec<(usize, usize)> {
     fns.iter()
-        .filter(|g| {
-            g.file == item.file && g.body.0 > item.body.0 && g.body.1 < item.body.1
-        })
+        .filter(|g| g.file == item.file && g.body.0 > item.body.0 && g.body.1 < item.body.1)
         .map(|g| g.body)
         .collect()
 }

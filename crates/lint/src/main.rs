@@ -40,11 +40,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = match root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|d| find_root(&d))
-    }) {
+    let root = match root.or_else(|| std::env::current_dir().ok().and_then(|d| find_root(&d))) {
         Some(r) => r,
         None => return usage("no lint.toml found walking up from the current directory"),
     };
@@ -65,7 +61,10 @@ fn main() -> ExitCode {
     };
 
     if json {
-        println!("{}", diag::to_json(&report.diagnostics, report.checked_files));
+        println!(
+            "{}",
+            diag::to_json(&report.diagnostics, report.checked_files)
+        );
     } else {
         for d in &report.diagnostics {
             println!("{d}");

@@ -167,7 +167,9 @@ impl FileCtx {
     /// The crate directory name (`crates/<name>/...`), if any.
     pub(crate) fn crate_name(&self) -> Option<&str> {
         let mut parts = self.rel.split('/');
-        (parts.next() == Some("crates")).then(|| parts.next()).flatten()
+        (parts.next() == Some("crates"))
+            .then(|| parts.next())
+            .flatten()
     }
 
     pub(crate) fn diag(&self, rule: Rule, tok: &Token, message: String) -> Diagnostic {

@@ -92,9 +92,7 @@ fn clock_reads_flagged_outside_allowlist() {
     ] {
         let diags = lint_source(allowed, CLOCK, &cfg);
         assert!(
-            diags
-                .iter()
-                .all(|d| d.rule != Rule::NondeterministicSource),
+            diags.iter().all(|d| d.rule != Rule::NondeterministicSource),
             "{allowed} is allowlisted: {diags:?}"
         );
     }
@@ -144,9 +142,9 @@ fn raw_lock_unwraps_flagged_outside_the_helper() {
     // `lock_unpoisoned` call, the `.lock().unwrap_or_else(..)` chain and
     // the bare `PoisonError` — six sites; the RankedMutex user is clean.
     assert_eq!(locks.len(), 6, "{locks:?}");
-    assert!(locks
-        .iter()
-        .any(|d| d.message.contains("`lock_unpoisoned` bypasses the named-lock layer")));
+    assert!(locks.iter().any(|d| d
+        .message
+        .contains("`lock_unpoisoned` bypasses the named-lock layer")));
     assert!(locks
         .iter()
         .any(|d| d.message.contains("`PoisonError` handled outside")));
@@ -174,7 +172,10 @@ fn diagnostics_render_ids_and_spans() {
     let cfg = test_config();
     let diags = lint_source("crates/lm/src/fixture.rs", CLOCK, &cfg);
     let rendered = diags[0].to_string();
-    assert!(rendered.starts_with("LML0002: crates/lm/src/fixture.rs:"), "{rendered}");
+    assert!(
+        rendered.starts_with("LML0002: crates/lm/src/fixture.rs:"),
+        "{rendered}"
+    );
 }
 
 // ------------------------------------------------- lock analysis (LML0007+)
@@ -195,11 +196,9 @@ fn seeded_inversion_caught_statically() {
         "rank inversion with its witness chain: {diags:?}"
     );
     assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("lock-order cycle:")
-                && d.message.contains("rank_hi")
-                && d.message.contains("rank_lo")),
+        diags.iter().any(|d| d.message.contains("lock-order cycle:")
+            && d.message.contains("rank_hi")
+            && d.message.contains("rank_lo")),
         "cycle with both witness paths: {diags:?}"
     );
 }
@@ -215,16 +214,19 @@ fn blocking_under_guard_direct_transitive_attested_and_clean() {
     // The direct recv and the transitive flush_disk→fs::write; the
     // attested write_all and the copy-then-send pattern are clean.
     assert_eq!(lml8.len(), 2, "{lml8:?}");
-    assert!(lml8
-        .iter()
-        .any(|d| d.message.contains("`.recv(..)` while holding lock `stats` (guard `g`)")));
+    assert!(lml8.iter().any(|d| d
+        .message
+        .contains("`.recv(..)` while holding lock `stats` (guard `g`)")));
     assert!(lml8.iter().any(|d| {
         d.message
             .contains("call to `flush_disk(..)` reaches `fs::write(..)`")
             && d.message.contains("while lock `stats` (guard `g`) is held")
     }));
     // The blocking-ok attestation is live, so no LML0010 either.
-    assert!(diags.iter().all(|d| d.rule != Rule::StaleExemption), "{diags:?}");
+    assert!(
+        diags.iter().all(|d| d.rule != Rule::StaleExemption),
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -241,7 +243,8 @@ fn guard_across_unwind_direct_transitive_and_clean() {
             .contains("lock `state` (guard `g`) is live across this `catch_unwind` boundary")
     }));
     assert!(lml9.iter().any(|d| {
-        d.message.contains("call to `isolate(..)` enters `catch_unwind(..)`")
+        d.message
+            .contains("call to `isolate(..)` enters `catch_unwind(..)`")
             && d.message.contains("while lock `state` (guard `g`) is live")
     }));
 }
@@ -264,7 +267,8 @@ fn guard_across_callback_and_fn_passed_by_path() {
     }));
     assert!(lml9.iter().any(|d| {
         d.line == 40
-            && d.message.contains("call to `isolate(..)` enters `catch_unwind(..)`")
+            && d.message
+                .contains("call to `isolate(..)` enters `catch_unwind(..)`")
             && d.message.contains("while lock `state` (guard `g`) is live")
     }));
 }

@@ -50,8 +50,8 @@ fn workspace_has_no_violations() {
 fn lock_ranks_match_the_runtime_sanitizer_table() {
     let root = workspace_root();
     let cfg = Config::load(&root.join("lint.toml")).expect("lint.toml parses");
-    let sync_src = std::fs::read_to_string(root.join("crates/serve/src/sync.rs"))
-        .expect("sync.rs readable");
+    let sync_src =
+        std::fs::read_to_string(root.join("crates/serve/src/sync.rs")).expect("sync.rs readable");
     let tokens = lex::lex(&sync_src).tokens;
 
     // `pub const LOCK_RANKS .. = &[("name", rank), ..];`

@@ -392,7 +392,10 @@ impl InductionLm {
         let h = context[start..end]
             .iter()
             .fold(FNV1A64_OFFSET, |h, t| fnv1a64_extend(h, &t.to_le_bytes()));
-        hash_to_unit(fnv1a64_extend(fnv1a64_extend(h, &salt.to_le_bytes()), &[0xDF]))
+        hash_to_unit(fnv1a64_extend(
+            fnv1a64_extend(h, &salt.to_le_bytes()),
+            &[0xDF],
+        ))
     }
 
     fn add_weighted(p: &mut [f64], pairs: &[(TokenId, f64)], scale: f64) {
@@ -456,7 +459,15 @@ impl InductionLm {
         seed: u64,
     ) -> Vec<f32> {
         let mut out = Vec::new();
-        self.finish_logits_into(context, n_blocks, query_start, votes, strength, seed, &mut out);
+        self.finish_logits_into(
+            context,
+            n_blocks,
+            query_start,
+            votes,
+            strength,
+            seed,
+            &mut out,
+        );
         out
     }
 

@@ -236,7 +236,9 @@ impl Default for CostModel {
 /// `key`: Box-Muller over two hash-derived uniforms, FNV-1a of the key's
 /// little-endian words and that hash continued by the `salt` byte.
 fn lognormal_factor(key: &[u64], salt: u8, sigma: f64) -> f64 {
-    let h1 = key.iter().fold(FNV1A64_OFFSET, |h, k| fnv1a64_extend(h, &k.to_le_bytes()));
+    let h1 = key
+        .iter()
+        .fold(FNV1A64_OFFSET, |h, k| fnv1a64_extend(h, &k.to_le_bytes()));
     let h2 = fnv1a64_extend(h1, &[salt]);
     let u1 = hash_to_unit(h1).max(1e-12);
     let u2 = hash_to_unit(h2);

@@ -256,7 +256,10 @@ impl<R: JournalRecord> RunJournal<R> {
     /// `fingerprint`, creating it if absent, salvaging the longest valid
     /// record prefix if the tail is torn, and refusing a journal whose
     /// header names a different fingerprint.
-    pub fn open(path: impl AsRef<Path>, fingerprint: u64) -> Result<(Self, Recovery), JournalError> {
+    pub fn open(
+        path: impl AsRef<Path>,
+        fingerprint: u64,
+    ) -> Result<(Self, Recovery), JournalError> {
         let path = path.as_ref().to_path_buf();
         let mut recovery = Recovery::default();
         let mut records = BTreeMap::new();
@@ -286,7 +289,10 @@ impl<R: JournalRecord> RunJournal<R> {
             // Salvage: longest prefix of frames whose length, checksum and
             // decode all hold.
             let mut pos = HEADER_LEN;
-            while let Some(len) = data.get(pos..pos + 4).and_then(|b| wire::Reader::new(b).u32()) {
+            while let Some(len) = data
+                .get(pos..pos + 4)
+                .and_then(|b| wire::Reader::new(b).u32())
+            {
                 if len > MAX_RECORD_LEN {
                     break;
                 }
@@ -471,7 +477,9 @@ mod tests {
         TestRec {
             id,
             // Varied, id-derived payloads so checksums differ per record.
-            data: (0..(id % 7) as u8 + 1).map(|i| i.wrapping_mul(31) ^ id as u8).collect(),
+            data: (0..(id % 7) as u8 + 1)
+                .map(|i| i.wrapping_mul(31) ^ id as u8)
+                .collect(),
         }
     }
 

@@ -351,7 +351,8 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
             if conn.close.is_some() {
                 continue;
             }
-            let token_progress = service_conn(token, conn, &ctx, &ext_tx, draining, tick, &mut scratch);
+            let token_progress =
+                service_conn(token, conn, &ctx, &ext_tx, draining, tick, &mut scratch);
             if token_progress {
                 conn.last_activity_tick = tick;
                 progress = true;
@@ -363,7 +364,9 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
             if conn.close.is_some() {
                 continue;
             }
-            if conn.read_closed && conn.pending.is_empty() && conn.ext_inflight == 0
+            if conn.read_closed
+                && conn.pending.is_empty()
+                && conn.ext_inflight == 0
                 && conn.write_buf.is_empty()
             {
                 conn.close = Some(CloseReason::Finished);
@@ -378,8 +381,7 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
                 }
             } else if (conn.assembler.mid_frame()
                 && tick.saturating_sub(conn.last_read_tick) > cfg.mid_frame_ticks)
-                || (conn.quiescent()
-                    && tick.saturating_sub(conn.last_read_tick) > cfg.idle_ticks)
+                || (conn.quiescent() && tick.saturating_sub(conn.last_read_tick) > cfg.idle_ticks)
             {
                 // A torn frame past its budget or a fully idle peer:
                 // either way the read deadline reaps it.
@@ -399,7 +401,9 @@ pub(crate) fn run_event_loop(ctx: LoopCtx) {
                         ctx.counters.malformed.fetch_add(1, Ordering::SeqCst);
                     }
                     CloseReason::SlowReader => {
-                        ctx.counters.disconnected_slow.fetch_add(1, Ordering::SeqCst);
+                        ctx.counters
+                            .disconnected_slow
+                            .fetch_add(1, Ordering::SeqCst);
                     }
                     CloseReason::Deadline => {
                         ctx.counters
@@ -520,7 +524,13 @@ fn dispatch_frame(
             };
             let id = wire.id;
             if draining {
-                queue_response(conn, ctx, WireResponse::err(id, &RequestError::ShutDown), arrived, false);
+                queue_response(
+                    conn,
+                    ctx,
+                    WireResponse::err(id, &RequestError::ShutDown),
+                    arrived,
+                    false,
+                );
                 return;
             }
             if conn.pending.len() >= cfg.conn_inflight_cap {
@@ -541,7 +551,14 @@ fn dispatch_frame(
                 return;
             };
             if draining {
-                queue_ext_error(conn, ctx, ext.id, "front-end shutting down".to_string(), arrived, false);
+                queue_ext_error(
+                    conn,
+                    ctx,
+                    ext.id,
+                    "front-end shutting down".to_string(),
+                    arrived,
+                    false,
+                );
                 return;
             }
             if conn.ext_inflight >= cfg.ext_inflight_cap {
@@ -553,7 +570,10 @@ fn dispatch_frame(
                 return;
             }
             let Some(queue) = &ctx.ext_queue else {
-                let msg = format!("this front-end serves no extension handler (kind {})", ext.kind);
+                let msg = format!(
+                    "this front-end serves no extension handler (kind {})",
+                    ext.kind
+                );
                 queue_ext_error(conn, ctx, ext.id, msg, arrived, false);
                 return;
             };
@@ -620,7 +640,13 @@ fn flush_writes(conn: &mut Conn) -> bool {
     written > 0
 }
 
-fn queue_response(conn: &mut Conn, ctx: &LoopCtx, wire: WireResponse, arrived: Instant, conn_shed: bool) {
+fn queue_response(
+    conn: &mut Conn,
+    ctx: &LoopCtx,
+    wire: WireResponse,
+    arrived: Instant,
+    conn_shed: bool,
+) {
     let shed = wire.is_shed() || conn_shed;
     conn.queue_frame(&wire.encode(), ctx.cfg.write_buf_cap);
     if conn.close != Some(CloseReason::SlowReader) {

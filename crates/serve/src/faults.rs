@@ -16,9 +16,9 @@
 //!
 //! [`LmError::EmptyVocab`]: lmpeel_lm::LmError::EmptyVocab
 
+use crate::sync::RankedMutex;
 use lmpeel_lm::{DecodeSession, LanguageModel};
 use lmpeel_tokenizer::{TokenId, Tokenizer};
-use crate::sync::RankedMutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 

@@ -141,7 +141,12 @@ pub struct WireRequest {
 
 impl WireRequest {
     /// Minimal request: paper-default knobs except the length cap.
-    pub fn new(id: u64, substrate: impl Into<String>, prompt: Vec<TokenId>, max_tokens: u32) -> Self {
+    pub fn new(
+        id: u64,
+        substrate: impl Into<String>,
+        prompt: Vec<TokenId>,
+        max_tokens: u32,
+    ) -> Self {
         Self {
             id,
             substrate: substrate.into(),
@@ -934,7 +939,9 @@ impl Frontend {
                 }
                 // Handshakes completed before the stop are still queued.
                 if listener.set_nonblocking(true).is_ok() {
-                    late.extend(std::iter::from_fn(|| listener.accept().ok().map(|(s, _)| s)));
+                    late.extend(std::iter::from_fn(|| {
+                        listener.accept().ok().map(|(s, _)| s)
+                    }));
                 }
                 (dealer, late)
             })
@@ -1224,7 +1231,11 @@ mod tests {
         for bad in [2u8, 8, 0x80] {
             let mut body = good.clone();
             *body.last_mut().unwrap() = bad;
-            assert_eq!(WireRequest::decode(&body), Err(WireError::Truncated), "tag {bad}");
+            assert_eq!(
+                WireRequest::decode(&body),
+                Err(WireError::Truncated),
+                "tag {bad}"
+            );
         }
     }
 
@@ -1240,7 +1251,11 @@ mod tests {
         for bad in [SHED_QUEUE_FULL, CODE_LM, 0xff] {
             let mut body = good.clone();
             body[9] = bad;
-            assert_eq!(ExtResponse::decode(&body), Err(WireError::Truncated), "code {bad}");
+            assert_eq!(
+                ExtResponse::decode(&body),
+                Err(WireError::Truncated),
+                "code {bad}"
+            );
         }
     }
 
@@ -1259,7 +1274,9 @@ mod tests {
         let body = goaway_frame_body();
         assert!(is_goaway(&body));
         assert!(!is_goaway(&[]));
-        assert!(!is_goaway(&WireResponse::err(1, &RequestError::ShutDown).encode()));
+        assert!(!is_goaway(
+            &WireResponse::err(1, &RequestError::ShutDown).encode()
+        ));
     }
 
     #[test]
@@ -1372,10 +1389,9 @@ mod tests {
                 .model("default", model.clone())
                 .build(),
         );
-        let frontend =
-            Frontend::builder()
-                .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Doubler))
-                .unwrap();
+        let frontend = Frontend::builder()
+            .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Doubler))
+            .unwrap();
         // Extension traffic on its own connection...
         let mut ext_client = FrontendClient::connect(frontend.local_addr()).unwrap();
         ext_client
@@ -1397,7 +1413,10 @@ mod tests {
         lm_client
             .send(&WireRequest::new(1, "default", prompt, 3))
             .unwrap();
-        assert!(matches!(lm_client.recv().unwrap().body, WireResult::Ok { .. }));
+        assert!(matches!(
+            lm_client.recv().unwrap().body,
+            WireResult::Ok { .. }
+        ));
         let mut got = std::collections::BTreeMap::new();
         for _ in 0..2 {
             let resp = ext_client.recv_ext().unwrap();
@@ -1413,9 +1432,7 @@ mod tests {
     #[test]
     fn extension_frames_without_a_handler_error_cleanly() {
         let model = Arc::new(InductionLm::paper(0));
-        let service = Arc::new(
-            InferenceService::builder().model("default", model).build(),
-        );
+        let service = Arc::new(InferenceService::builder().model("default", model).build());
         let frontend = Frontend::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
         client
@@ -1444,13 +1461,10 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let model = Arc::new(InductionLm::paper(0));
-        let service = Arc::new(
-            InferenceService::builder().model("default", model).build(),
-        );
-        let frontend =
-            Frontend::builder()
-                .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Bomb))
-                .unwrap();
+        let service = Arc::new(InferenceService::builder().model("default", model).build());
+        let frontend = Frontend::builder()
+            .bind_with_extension(Arc::clone(&service), "127.0.0.1:0", Arc::new(Bomb))
+            .unwrap();
         let mut client = FrontendClient::connect(frontend.local_addr()).unwrap();
         client
             .send_ext(&ExtRequest {
@@ -1468,9 +1482,9 @@ mod tests {
     #[test]
     fn end_to_end_pipelined_requests_match_direct_generation() {
         let model = Arc::new(InductionLm::paper(0));
-        let prompt = model.tokenizer().encode(
-            "Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ",
-        );
+        let prompt = model
+            .tokenizer()
+            .encode("Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ");
         let service = Arc::new(
             InferenceService::builder()
                 .model("default", model.clone())
@@ -1526,10 +1540,11 @@ mod tests {
         let gate = FaultGate::new();
         let model = Arc::new(InductionLm::paper(0));
         let prompt = model.tokenizer().encode("Performance: ");
-        let faulty = Arc::new(FaultyLm::new(model, Fault::HangUntilGate(Arc::clone(&gate))));
-        let service = Arc::new(
-            InferenceService::builder().model("default", faulty).build(),
-        );
+        let faulty = Arc::new(FaultyLm::new(
+            model,
+            Fault::HangUntilGate(Arc::clone(&gate)),
+        ));
+        let service = Arc::new(InferenceService::builder().model("default", faulty).build());
         let frontend = Frontend::builder()
             .conn_inflight_cap(2)
             .tick_interval(Duration::from_micros(100))
@@ -1585,9 +1600,7 @@ mod tests {
         }
         let gate = Arc::new((RankedMutex::with_rank("extgate", 99, false), Condvar::new()));
         let model = Arc::new(InductionLm::paper(0));
-        let service = Arc::new(
-            InferenceService::builder().model("default", model).build(),
-        );
+        let service = Arc::new(InferenceService::builder().model("default", model).build());
         let frontend = Frontend::builder()
             .ext_workers(1)
             .ext_inflight_cap(1)
@@ -1636,9 +1649,7 @@ mod tests {
     fn shutdown_sends_goaway_and_drains_in_flight_responses() {
         let model = Arc::new(InductionLm::paper(0));
         let prompt = model.tokenizer().encode("Performance: ");
-        let service = Arc::new(
-            InferenceService::builder().model("default", model).build(),
-        );
+        let service = Arc::new(InferenceService::builder().model("default", model).build());
         let frontend = Frontend::builder()
             .tick_interval(Duration::from_micros(100))
             .drain_linger_ticks(32)

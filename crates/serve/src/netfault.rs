@@ -104,7 +104,8 @@ impl FaultProxy {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<RankedMutex<Vec<TcpStream>>> = Arc::new(RankedMutex::new("conns", Vec::new()));
+        let conns: Arc<RankedMutex<Vec<TcpStream>>> =
+            Arc::new(RankedMutex::new("conns", Vec::new()));
         let acceptor = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);

@@ -284,10 +284,7 @@ impl std::fmt::Display for RequestError {
                 write!(f, "substrate panicked while serving the request: {reason}")
             }
             RequestError::SubstrateQuarantined(name) => {
-                write!(
-                    f,
-                    "substrate {name:?} is quarantined after repeated panics"
-                )
+                write!(f, "substrate {name:?} is quarantined after repeated panics")
             }
             RequestError::DeadlineExceeded => {
                 write!(f, "request deadline exceeded before completion")

@@ -343,7 +343,10 @@ impl Shard {
         step_threads: usize,
     ) -> Self {
         let (tx, rx) = mpsc::sync_channel(b.queue_capacity);
-        let stats = Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default()));
+        let stats = Arc::new(crate::sync::RankedMutex::new(
+            "stats",
+            ServeStats::default(),
+        ));
         let draining = Arc::new(AtomicBool::new(false));
         let scheduler = Scheduler::new(
             rx,
@@ -603,7 +606,10 @@ mod tests {
                     .spawn(|| panic!("{} scheduler bug", crate::faults::INJECTED_PANIC))
                     .expect("spawn"),
             ),
-            stats: Arc::new(crate::sync::RankedMutex::new("stats", ServeStats::default())),
+            stats: Arc::new(crate::sync::RankedMutex::new(
+                "stats",
+                ServeStats::default(),
+            )),
             draining: Arc::new(AtomicBool::new(false)),
         };
         let service = InferenceService {

@@ -76,10 +76,7 @@ impl<T> RankedMutex<T> {
     /// name has no declared rank — an undeclared lock is exactly what the
     /// sanitizer exists to catch.
     pub fn new(name: &'static str, value: T) -> Self {
-        let rank = LOCK_RANKS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, r)| r);
+        let rank = LOCK_RANKS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r);
         #[cfg(feature = "lock-rank")]
         let rank = Some(rank.unwrap_or_else(|| {
             panic!("lock `{name}` has no rank in LOCK_RANKS; declare it there and in lint.toml")

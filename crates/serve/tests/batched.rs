@@ -47,7 +47,10 @@ fn service(max_batch: usize, trie_capacity: usize) -> InferenceService {
             "transformer",
             Arc::new(InductionTransformer::paper()) as Arc<dyn LanguageModel>,
         )
-        .model("induction", Arc::new(InductionLm::paper(0)) as Arc<dyn LanguageModel>)
+        .model(
+            "induction",
+            Arc::new(InductionLm::paper(0)) as Arc<dyn LanguageModel>,
+        )
         .max_batch(max_batch)
         .prefix_cache_capacity(trie_capacity)
         .build()

@@ -131,7 +131,10 @@ fn a_stalled_mid_frame_sender_is_reaped_by_the_read_deadline() {
     healthy
         .send(&WireRequest::new(1, "default", prompt, 3))
         .unwrap();
-    assert!(matches!(healthy.recv().unwrap().body, WireResult::Ok { .. }));
+    assert!(matches!(
+        healthy.recv().unwrap().body,
+        WireResult::Ok { .. }
+    ));
 
     // The staller is reaped: its socket reports EOF/reset and the
     // deadline counter records the disconnect.
@@ -243,7 +246,10 @@ fn a_slow_reader_is_disconnected_once_its_write_buffer_fills() {
     healthy
         .send(&WireRequest::new(99, "default", prompt, 3))
         .unwrap();
-    assert!(matches!(healthy.recv().unwrap().body, WireResult::Ok { .. }));
+    assert!(matches!(
+        healthy.recv().unwrap().body,
+        WireResult::Ok { .. }
+    ));
 
     let stats = frontend.shutdown();
     assert_eq!(stats.disconnected_slow, 1);

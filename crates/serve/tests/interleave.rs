@@ -49,9 +49,9 @@ fn yield_n(n: u64) {
 }
 
 fn prompt(model: &dyn LanguageModel) -> Vec<lmpeel_tokenizer::TokenId> {
-    model.tokenizer().encode(
-        "Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ",
-    )
+    model
+        .tokenizer()
+        .encode("Hyperparameter configuration: outer_loop_tiling_factor is 80\nPerformance: ")
 }
 
 fn spec(seed: u64, max_tokens: usize) -> GenerateSpec {
@@ -92,7 +92,11 @@ fn cancel_flag_races_scheduler_rounds() {
         // A second request keeps the batch non-trivial while the first is
         // being cancelled out from under the round.
         let bystander = service
-            .submit(GenerateRequest::new("default", prompt.clone(), spec(seed, 8)))
+            .submit(GenerateRequest::new(
+                "default",
+                prompt.clone(),
+                spec(seed, 8),
+            ))
             .unwrap();
 
         let canceller = std::thread::spawn({
@@ -140,7 +144,11 @@ fn handle_drop_races_completion() {
         // The scheduler survives the orphaned response channel and the
         // freed slot admits new work.
         let after = service
-            .generate(GenerateRequest::new("default", prompt.clone(), spec(seed, 4)))
+            .generate(GenerateRequest::new(
+                "default",
+                prompt.clone(),
+                spec(seed, 4),
+            ))
             .expect("scheduler still serving after a dropped handle");
         assert!(!after.trace.steps.is_empty());
         assert_reconciled(service.shutdown().expect("clean join"));

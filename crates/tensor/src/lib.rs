@@ -15,5 +15,5 @@ pub mod ops;
 pub mod paged;
 
 pub use matrix::Tensor2;
-pub use paged::{PagedRows, ROWS_PER_PAGE};
 pub use ops::{argmax, gelu, layernorm, rmsnorm, rope_rotate, silu, softmax_in_place};
+pub use paged::{PagedRows, ROWS_PER_PAGE};

@@ -110,7 +110,11 @@ impl PagedRows {
     /// # Panics
     /// Panics if `i >= len`.
     pub fn row(&self, i: usize) -> &[f32] {
-        assert!(i < self.len, "row index {i} out of bounds (len {})", self.len);
+        assert!(
+            i < self.len,
+            "row index {i} out of bounds (len {})",
+            self.len
+        );
         let page = &self.pages[i / ROWS_PER_PAGE];
         let off = (i % ROWS_PER_PAGE) * self.width;
         &page[off..off + self.width]
@@ -204,7 +208,11 @@ mod tests {
             f.push_row(&[i as f32, 0.5, -1.0, 2.0]);
         }
         for (i, b) in before.iter().enumerate() {
-            assert_eq!(p.row(i), &b[..], "parent row {i} changed under fork appends");
+            assert_eq!(
+                p.row(i),
+                &b[..],
+                "parent row {i} changed under fork appends"
+            );
         }
         // And the fork sees the parent prefix plus its own tail.
         assert_eq!(f.row(3), p.row(3));

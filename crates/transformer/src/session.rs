@@ -599,10 +599,8 @@ mod tests {
         let mut stranger = TransformerSession::new(other_model);
         stranger.extend(&m.tokenizer().encode(" loop tile loop"));
 
-        let mut lanes: Vec<&dyn DecodeSession> = sessions
-            .iter()
-            .map(|s| s as &dyn DecodeSession)
-            .collect();
+        let mut lanes: Vec<&dyn DecodeSession> =
+            sessions.iter().map(|s| s as &dyn DecodeSession).collect();
         lanes.push(&foreign);
         lanes.push(&stranger);
         let mut out = vec![Vec::new(); lanes.len()];
@@ -667,7 +665,10 @@ mod tests {
                 })
                 .collect();
             let shared = forks[0].shared_score_pages(&forks[1]);
-            assert!(shared >= 2, "expected >= 2 shared sealed pages, got {shared}");
+            assert!(
+                shared >= 2,
+                "expected >= 2 shared sealed pages, got {shared}"
+            );
 
             let lanes: Vec<&dyn DecodeSession> =
                 forks.iter().map(|s| s as &dyn DecodeSession).collect();

@@ -169,7 +169,9 @@ mod tests {
             seed: 3,
         };
         let ext = |id: u64, kind: u32, payload: Vec<u8>| ExtRequest { id, kind, payload };
-        client.send_ext(&ext(1, TUNE_EXT_KIND, req.encode())).unwrap();
+        client
+            .send_ext(&ext(1, TUNE_EXT_KIND, req.encode()))
+            .unwrap();
         let first = client.recv_ext().unwrap();
         assert_eq!(first.id, 1);
         let first = TuneWireResponse::decode(&first.result.expect("tune ok")).unwrap();
@@ -178,7 +180,9 @@ mod tests {
         assert!(first.validated);
 
         // Same request again: answered from the persistent cache.
-        client.send_ext(&ext(2, TUNE_EXT_KIND, req.encode())).unwrap();
+        client
+            .send_ext(&ext(2, TUNE_EXT_KIND, req.encode()))
+            .unwrap();
         let second = client.recv_ext().unwrap();
         let second = TuneWireResponse::decode(&second.result.expect("tune ok")).unwrap();
         assert!(second.cache_hit);
@@ -188,7 +192,9 @@ mod tests {
         // Unknown kinds and malformed payloads error without wedging.
         client.send_ext(&ext(3, 999, req.encode())).unwrap();
         assert!(client.recv_ext().unwrap().result.is_err());
-        client.send_ext(&ext(4, TUNE_EXT_KIND, b"garbage".to_vec())).unwrap();
+        client
+            .send_ext(&ext(4, TUNE_EXT_KIND, b"garbage".to_vec()))
+            .unwrap();
         assert!(client.recv_ext().unwrap().result.is_err());
 
         drop(client);

@@ -74,10 +74,9 @@ fn main() {
         "configuration", "measured", "model estimate", "max |diff|"
     );
     for (name, cfg) in configs {
-        let (timing, result) = measure(
-            MeasureSpec::new(1, 5).expect("nonzero repeats"),
-            || problem.run_configured(cfg),
-        );
+        let (timing, result) = measure(MeasureSpec::new(1, 5).expect("nonzero repeats"), || {
+            problem.run_configured(cfg)
+        });
         let diff = reference.max_abs_diff(&result);
         assert!(
             diff / reference.frobenius() < 1e-12,
