@@ -163,9 +163,11 @@ pub struct TuneReport {
 /// LLM discriminative surrogate scored **through the serving layer**: each
 /// candidate's runtime prediction is generated by submitting a request to
 /// an [`InferenceService`] hosting the model, so tune-time LLM traffic exercises
-/// the same admission/batching/prefix-cache path as the experiments (and
-/// one iteration's pool scores share their prompt prefill). The search
-/// itself is [`pool_search`]; this type only supplies the scorer.
+/// the same admission/batching path as the experiments. Its prefix cache
+/// is off: each candidate's prompt ends with its own query line, so no
+/// prompt in a pool is a prefix of another and a snapshot would never be
+/// forked. The search itself is [`pool_search`]; this type only supplies
+/// the scorer.
 pub struct ServiceLlmSearch<M> {
     /// The surrogate model served behind the [`InferenceService`].
     pub model: Arc<M>,
@@ -189,11 +191,12 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
         let builder = PromptBuilder::new(objective.space().clone(), objective.size());
-        // Ephemeral service around the surrogate: one iteration's pool
-        // shares its prompt prefill through the prefix cache.
+        // Ephemeral service around the surrogate, without a prefix cache:
+        // the pool's prompts differ in their last line, so none would hit.
         let service = InferenceService::builder()
             .model("tune", self.model.clone())
             .shards(shards_from_env())
+            .prefix_cache_capacity(0)
             .queue_capacity(self.pool.max(1))
             .max_batch(self.pool.max(1))
             .build();
