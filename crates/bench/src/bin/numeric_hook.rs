@@ -16,7 +16,6 @@ use lmpeel_lm::{generate, GenerateSpec, InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{icl_replicas, DatasetBundle};
 use lmpeel_stats::{r2_score, relative_error};
 use lmpeel_tokenizer::EOS;
-use rayon::prelude::*;
 
 fn main() {
     let bundle = DatasetBundle::paper();
@@ -39,33 +38,26 @@ fn main() {
             let sets = icl_replicas(dataset, count, replicas, 3);
             let builder = PromptBuilder::new(dataset.space().clone(), size);
             let results: Vec<(f64, f64, f64)> = sets
-                .par_iter()
-                .flat_map(|set| {
-                    seeds
-                        .par_iter()
-                        .map(|&seed| {
-                            let model = std::sync::Arc::new(InductionLm::paper(seed));
-                            let tok = model.tokenizer();
-                            let ids = builder.for_icl_set(set).to_tokens(tok);
-                            let spec = GenerateSpec::builder()
-                                .sampler(Sampler::paper())
-                                .max_tokens(24)
-                                .stop_tokens(vec![
-                                    tok.vocab().token_id("\n").unwrap(),
-                                    tok.special(EOS),
-                                ])
-                                .trace_min_prob(1e-3)
-                                .seed(seed)
-                                .build()
-                                .unwrap();
-                            let trace = generate(&model, &ids, &spec).unwrap();
-                            let plain = extract_value(&trace.decode(tok))
-                                .map(|(v, _)| v)
-                                .unwrap_or(0.0);
-                            let (_, hybrid) = hybrid_predict(&model, &builder, set, seed);
-                            (plain, hybrid, set.truth)
-                        })
-                        .collect::<Vec<_>>()
+                .iter()
+                .flat_map(|set| seeds.iter().map(move |&seed| (set, seed)))
+                .map(|(set, seed)| {
+                    let model = std::sync::Arc::new(InductionLm::paper(seed));
+                    let tok = model.tokenizer();
+                    let ids = builder.for_icl_set(set).to_tokens(tok);
+                    let spec = GenerateSpec::builder()
+                        .sampler(Sampler::paper())
+                        .max_tokens(24)
+                        .stop_tokens(vec![tok.vocab().token_id("\n").unwrap(), tok.special(EOS)])
+                        .trace_min_prob(1e-3)
+                        .seed(seed)
+                        .build()
+                        .unwrap();
+                    let trace = generate(&model, &ids, &spec).unwrap();
+                    let plain = extract_value(&trace.decode(tok))
+                        .map(|(v, _)| v)
+                        .unwrap_or(0.0);
+                    let (_, hybrid) = hybrid_predict(&model, &builder, set, seed);
+                    (plain, hybrid, set.truth)
                 })
                 .collect();
             let plain: Vec<f64> = results.iter().map(|r| r.0).collect();

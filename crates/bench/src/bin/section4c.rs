@@ -12,7 +12,6 @@ use lmpeel_core::decoding::value_distribution;
 use lmpeel_perfdata::DatasetBundle;
 use lmpeel_stats::{relative_error, Welford};
 use lmpeel_tokenizer::Tokenizer;
-use rayon::prelude::*;
 
 fn main() {
     let bundle = DatasetBundle::paper();
@@ -29,7 +28,7 @@ fn main() {
     }
 
     let rows: Vec<Row> = records
-        .par_iter()
+        .iter()
         .filter_map(|r| {
             let predicted = r.predicted?;
             let span = r.value_span.clone()?;

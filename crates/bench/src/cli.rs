@@ -5,7 +5,7 @@
 //! crash-safe runs, `--force` for golden replacement, and the
 //! `LMPEEL_CRASH_AFTER` kill switch the CI crash smoke uses. The parsers
 //! live here (once) so the binaries cannot drift apart on flag names or
-//! precedence; `runs` re-exports them for older call sites.
+//! precedence.
 
 use lmpeel_recover::{CrashAfter, CrashMode};
 use std::path::PathBuf;

@@ -1,5 +1,6 @@
 //! Shared experiment execution for the reproduction binaries.
 
+use crate::cli::{crash_from_env, force_flag, journal_flag};
 use lmpeel_configspace::ArraySize;
 use lmpeel_core::experiment::{run_plan, ExperimentPlan, PredictionRecord};
 use lmpeel_core::journal::{run_plan_journaled_with_crash, size_ordinal};
@@ -133,10 +134,6 @@ pub fn out_dir() -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).expect("create bench_out/");
     dir
 }
-
-// The CLI-flag parsers moved to [`crate::cli`]; re-exported here so the
-// long-standing `runs::journal_flag`-style paths keep working.
-pub use crate::cli::{arg_flag, crash_from_env, force_flag, journal_flag};
 
 /// Durably publish a golden artifact (temp file + fsync + rename — a
 /// reader never observes a half-written golden).

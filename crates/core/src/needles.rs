@@ -16,7 +16,6 @@ use crate::experiment::PredictionRecord;
 use lmpeel_stats::needle::PAPER_THRESHOLDS;
 use lmpeel_stats::NeedleReport;
 use lmpeel_tokenizer::Tokenizer;
-use rayon::prelude::*;
 
 /// The three LLM-side needle views plus sample counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +47,7 @@ pub fn llm_needles(
 ) -> LlmNeedles {
     assert!(!records.is_empty(), "needle analysis requires records");
     let per_record: Vec<NeedleFlags> = records
-        .par_iter()
+        .iter()
         .map(|r| {
             let dist: Option<ValueDistribution> = r.value_span.clone().map(|span| {
                 value_distribution(&r.trace, span, tokenizer, decode_budget, decode_seed)

@@ -12,8 +12,7 @@
 //! matrices ([`data`]), histogram-split regression trees ([`tree`]),
 //! squared-error gradient boosting with shrinkage, row subsampling and
 //! column sampling ([`boost`]), and the randomized hyperparameter search
-//! ([`search`]), rayon-parallel over both split candidates and search
-//! iterations.
+//! ([`search`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

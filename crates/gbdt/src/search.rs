@@ -1,16 +1,14 @@
 //! Randomized hyperparameter search (the paper uses 1000 iterations).
 //!
 //! Candidates are drawn log-uniformly / uniformly from a [`SearchSpace`],
-//! fitted on the training split and scored (R²) on a validation split;
-//! candidate evaluation is rayon-parallel. Deterministic per seed: draws
-//! are generated up front from one stream, so parallelism cannot reorder
-//! them.
+//! fitted on the training split and scored (R²) on a validation split.
+//! Deterministic per seed: draws are generated up front from one stream,
+//! and candidate `i` fits with seed `seed ^ i`.
 
 use crate::boost::{Gbdt, GbdtParams};
 use crate::tree::TreeParams;
 use lmpeel_stats::{r2_score, seeded_rng, SeedDomain};
 use rand::RngExt;
-use rayon::prelude::*;
 
 /// Ranges for the randomized search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,7 +92,7 @@ pub fn random_search(
     let candidates: Vec<GbdtParams> = (0..iterations).map(|_| space.draw(&mut rng)).collect();
 
     let scored: Vec<(usize, f64)> = candidates
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, params)| {
             let model = Gbdt::fit(train_x, train_y, *params, seed ^ (i as u64));

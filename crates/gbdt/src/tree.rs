@@ -3,11 +3,9 @@
 //! Standard CART-style squared-error trees over binned features: at each
 //! node, for every candidate feature, accumulate per-bin `(sum, count)`
 //! histograms of the targets and pick the split maximizing the variance
-//! -reduction gain `sum_L²/n_L + sum_R²/n_R − sum²/n`. Split search is
-//! rayon-parallel over features.
+//! -reduction gain `sum_L²/n_L + sum_R²/n_R − sum²/n`.
 
 use crate::data::DMatrix;
-use rayon::prelude::*;
 
 /// Tree growth constraints.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +141,7 @@ impl Tree {
         let n = rows.len() as f64;
         let parent_score = total_sum * total_sum / n;
         features
-            .par_iter()
+            .iter()
             .filter_map(|&f| {
                 let n_bins = data.n_bins(f);
                 if n_bins < 2 {

@@ -6,8 +6,8 @@
 //! implementation of the same triangular loop nest whose tiling, loop
 //! interchange and array packing are applied at runtime from a
 //! [`lmpeel_configspace::Syr2kConfig`], plus a wall-clock measurement
-//! harness and a sweep runner. Every transformed variant is verified
-//! against the untransformed reference nest (the transformations are
+//! harness. Every transformed variant is verified against the
+//! untransformed reference nest (the transformations are
 //! semantics-preserving up to floating-point reassociation).
 //!
 //! The full-lattice datasets in `lmpeel-perfdata` use the analytical model
@@ -20,10 +20,8 @@
 
 pub mod arrays;
 pub mod measure;
-pub mod sweep;
 pub mod syr2k;
 
 pub use arrays::Matrix;
 pub use measure::{measure, MeasureSpec, Measurement};
-pub use sweep::{sweep, SweepResult};
 pub use syr2k::Syr2kProblem;

@@ -153,7 +153,7 @@ impl Syr2kProblem {
         c
     }
 
-    /// Checksum of a result matrix (stable diagnostic for sweeps).
+    /// Checksum of a result matrix (stable cross-configuration diagnostic).
     pub fn checksum(c: &Matrix) -> f64 {
         c.data().iter().sum()
     }

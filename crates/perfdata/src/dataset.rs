@@ -8,7 +8,6 @@ use crate::costmodel::CostModel;
 use lmpeel_configspace::{syr2k_space, ArraySize, Config, ConfigSpace, Syr2kConfig};
 use lmpeel_stats::{seeded_rng, SeedDomain, Summary};
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 
 /// One `(configuration, runtime)` observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,12 +29,11 @@ pub struct PerfDataset {
 
 impl PerfDataset {
     /// Generate the full-lattice dataset for a size with the given cost
-    /// model. Evaluation is embarrassingly parallel over the lattice.
+    /// model, one evaluation per lattice point in flat index order.
     pub fn generate(model: &CostModel, size: ArraySize) -> Self {
         let space = syr2k_space();
         let card = space.cardinality();
         let runtimes: Vec<f64> = (0..card)
-            .into_par_iter()
             .map(|i| {
                 let cfg = Syr2kConfig::from_config(&space, &space.config_at(i));
                 model.runtime_measured(cfg, size)

@@ -1,7 +1,7 @@
 //! Minimal f32 tensor operations for the transformer inference engine.
 //!
 //! Small by design: dense row-major matrices ([`matrix::Tensor2`]), a
-//! rayon-parallel blocked matmul/matvec, and the pointwise/normalization
+//! blocked matmul and a matvec, and the pointwise/normalization
 //! kernels a decoder layer needs ([`ops`]): numerically stable softmax,
 //! layer/RMS norm, GELU/SiLU, and rotary position embedding. All routines
 //! are deterministic and allocation-conscious (callers pass output buffers

@@ -1,6 +1,4 @@
-//! Dense row-major f32 matrices with parallel matmul.
-
-use rayon::prelude::*;
+//! Dense row-major f32 matrices with blocked matmul.
 
 /// A dense row-major `rows x cols` f32 matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,8 +70,8 @@ impl Tensor2 {
         &self.data
     }
 
-    /// Mutable flat row-major storage (for chunked parallel row writes;
-    /// `data_mut().par_chunks_mut(cols)` yields one chunk per row).
+    /// Mutable flat row-major storage (`data_mut().chunks_mut(cols)` yields
+    /// one chunk per row).
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
@@ -103,26 +101,18 @@ impl Tensor2 {
         t
     }
 
-    /// `y = self * x` for a column vector `x` (len = cols), rayon-parallel
-    /// over result rows. Chunked so short matrices don't pay a fork-join
-    /// per element.
+    /// `y = self * x` for a column vector `x` (len = cols), one [`dot`]
+    /// per result row.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        let mut y = vec![0.0f32; self.rows];
-        let chunk = 64;
-        y.par_chunks_mut(chunk).enumerate().for_each(|(c, ys)| {
-            for (o, i) in ys.iter_mut().zip(c * chunk..) {
-                *o = dot(self.row(i), x);
-            }
-        });
+        let mut y = Vec::new();
+        self.matvec_into(x, &mut y);
         y
     }
 
-    /// `y = self * x` written into a reusable buffer: identical arithmetic
-    /// to [`Tensor2::matvec`] (same per-row `dot`), but the caller owns the
+    /// `y = self * x` written into a reusable buffer: the caller owns the
     /// output allocation, so a decode loop can run one vocab-wide product
     /// per step without a vocab-wide `Vec` per step.
     ///
@@ -131,48 +121,14 @@ impl Tensor2 {
     pub fn matvec_into(&self, x: &[f32], y: &mut Vec<f32>) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         y.clear();
-        y.resize(self.rows, 0.0);
-        let chunk = 64;
-        y.par_chunks_mut(chunk).enumerate().for_each(|(c, ys)| {
-            for (o, i) in ys.iter_mut().zip(c * chunk..) {
-                *o = dot(self.row(i), x);
-            }
-        });
-    }
-
-    /// `self * other`, rayon-parallel over result rows.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Tensor2) -> Tensor2 {
-        assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
-        let n = other.cols;
-        let mut out = Tensor2::zeros(self.rows, n);
-        // Parallel over output rows; each row is an accumulate-over-k walk
-        // with unit-stride access to `other`'s rows (i-k-j loop order).
-        out.data
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, out_row)| {
-                let a_row = self.row(i);
-                for (k, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = other.row(k);
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += aik * b;
-                    }
-                }
-            });
-        out
+        y.extend(self.data.chunks_exact(self.cols).map(|row| dot(row, x)));
     }
 
     /// Cache-blocked `self * other` whose every output element is **bitwise
     /// identical** to the [`Tensor2::matvec`] / [`dot`] path on the matching
     /// column of `other`.
     ///
-    /// Tiled over row blocks × k blocks (rayon over row blocks); within a
+    /// Tiled over row blocks × k blocks; within a
     /// tile the i-k-j loop reuses each `other` row across the whole row
     /// block while it is hot in cache, and the j-inner update keeps the
     /// per-element accumulators independent, so the compiler may vectorize
@@ -181,10 +137,9 @@ impl Tensor2 {
     /// strictly ascending `k` — k blocks are walked in ascending order and
     /// `k` ascends within each block — which is exactly the sequential fold
     /// `dot` performs, including its `-0.0` fold seed (std's float `sum()`
-    /// starts from `-0.0`, the true additive identity). Unlike
-    /// [`Tensor2::matmul`] there is **no** zero-skip: skipping
-    /// `a[i][k] == 0.0` terms could flip a `-0.0` accumulator to `+0.0`
-    /// relative to the single-query path.
+    /// starts from `-0.0`, the true additive identity). There is **no**
+    /// zero-skip: skipping `a[i][k] == 0.0` terms could flip a `-0.0`
+    /// accumulator to `+0.0` relative to the single-query path.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -196,28 +151,25 @@ impl Tensor2 {
         const MC: usize = 64;
         const KC: usize = 256;
         let mut out = Tensor2::zeros(self.rows, n);
-        out.data
-            .par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(blk, out_block)| {
-                let i0 = blk * MC;
-                // Seed the accumulators exactly as `dot`'s fold does.
-                out_block.fill(-0.0);
-                let mut k0 = 0;
-                while k0 < self.cols {
-                    let k1 = (k0 + KC).min(self.cols);
-                    for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                        let a_row = &self.row(i0 + r)[k0..k1];
-                        for (k, &aik) in a_row.iter().enumerate() {
-                            let b_row = other.row(k0 + k);
-                            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                                *o += aik * b;
-                            }
+        for (blk, out_block) in out.data.chunks_mut(MC * n).enumerate() {
+            let i0 = blk * MC;
+            // Seed the accumulators exactly as `dot`'s fold does.
+            out_block.fill(-0.0);
+            let mut k0 = 0;
+            while k0 < self.cols {
+                let k1 = (k0 + KC).min(self.cols);
+                for (r, out_row) in out_block.chunks_mut(n).enumerate() {
+                    let a_row = &self.row(i0 + r)[k0..k1];
+                    for (k, &aik) in a_row.iter().enumerate() {
+                        let b_row = other.row(k0 + k);
+                        for (o, &b) in out_row.iter_mut().zip(b_row) {
+                            *o += aik * b;
                         }
                     }
-                    k0 = k1;
                 }
-            });
+                k0 = k1;
+            }
+        }
         out
     }
 
@@ -269,7 +221,7 @@ mod tests {
     fn matmul_matches_naive() {
         let a = Tensor2::from_fn(7, 5, |i, j| ((i * 31 + j * 7) % 13) as f32 - 6.0);
         let b = Tensor2::from_fn(5, 9, |i, j| ((i * 17 + j * 3) % 11) as f32 - 5.0);
-        let fast = a.matmul(&b);
+        let fast = a.matmul_blocked(&b);
         let slow = naive_matmul(&a, &b);
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
@@ -280,7 +232,7 @@ mod tests {
         let x = vec![1.0, -2.0, 0.5, 3.0];
         let y = a.matvec(&x);
         let xm = Tensor2::from_vec(4, 1, x);
-        let ym = a.matmul(&xm);
+        let ym = a.matmul_blocked(&xm);
         for (i, &yi) in y.iter().enumerate() {
             assert!((yi - ym.get(i, 0)).abs() < 1e-6);
         }
@@ -288,7 +240,7 @@ mod tests {
 
     #[test]
     fn matvec_handles_chunk_boundaries() {
-        // Rows straddling the parallel chunk size must all be written.
+        // Every row of a tall matrix must be written.
         let a = Tensor2::from_fn(130, 3, |i, j| (i as f32) * 0.5 - j as f32);
         let x = vec![2.0, -1.0, 0.25];
         let y = a.matvec(&x);
@@ -366,8 +318,8 @@ mod tests {
     fn identity_matmul_is_identity() {
         let a = Tensor2::from_fn(4, 4, |i, j| (i * 4 + j) as f32);
         let eye = Tensor2::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
-        assert_eq!(a.matmul(&eye), a);
-        assert_eq!(eye.matmul(&a), a);
+        assert_eq!(a.matmul_blocked(&eye), a);
+        assert_eq!(eye.matmul_blocked(&a), a);
     }
 
     #[test]
@@ -394,7 +346,7 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Tensor2::zeros(2, 3);
         let b = Tensor2::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = a.matmul_blocked(&b);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Causal scaled-dot-product attention.
 
 use lmpeel_tensor::{matrix::dot, softmax_in_place, Tensor2};
-use rayon::prelude::*;
 
 /// Causal attention: for each query row `p`, attend over key rows `0..=p`
 /// with scores `beta * <q_p, k_j>`, softmax-normalize, and mix value rows.
@@ -26,19 +25,10 @@ pub fn causal_attention(q: &Tensor2, k: &Tensor2, v: &Tensor2, beta: f32) -> Ten
     let mut out = Tensor2::zeros(t, dv);
     // Offset so query p aligns with key p when q is a suffix of the stream.
     let offset = k.rows() - q.rows();
-
-    if t == 1 {
-        // Single-query fast path (the per-step suffix query of incremental
-        // decoding): skip the parallel machinery, one row isn't worth a
-        // fork-join.
-        attend_row(out.row_mut(0), q.row(0), k, v, beta, offset);
-        return out;
-    }
     // Write each output row in place — no per-row Vec collection.
-    out.data_mut()
-        .par_chunks_mut(dv)
-        .enumerate()
-        .for_each(|(p, out_row)| attend_row(out_row, q.row(p), k, v, beta, offset + p));
+    for (p, out_row) in out.data_mut().chunks_mut(dv).enumerate() {
+        attend_row(out_row, q.row(p), k, v, beta, offset + p);
+    }
     out
 }
 
