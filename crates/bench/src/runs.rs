@@ -203,7 +203,7 @@ impl JournalRecord for FitRecord {
 
 /// Fingerprint binding a fit journal to the hyperparameter-search budget:
 /// fits from different `--iters` runs must never mix in one journal.
-pub fn fit_fingerprint(search_iters: usize) -> u64 {
+fn fit_fingerprint(search_iters: usize) -> u64 {
     let mut buf = Vec::new();
     wire::put_str(&mut buf, "lmpeel-gbdt-fit");
     wire::put_u32(&mut buf, 1);

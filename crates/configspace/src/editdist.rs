@@ -37,7 +37,7 @@ pub fn edit_distance(a: &Config, b: &Config) -> usize {
 /// # Panics
 /// Panics if the configurations have different arity or do not belong to
 /// `space`.
-pub fn ordinal_distance(space: &ConfigSpace, a: &Config, b: &Config) -> f64 {
+fn ordinal_distance(space: &ConfigSpace, a: &Config, b: &Config) -> f64 {
     assert_eq!(a.len(), b.len(), "configuration arity mismatch");
     assert_eq!(
         a.len(),
@@ -93,18 +93,6 @@ pub fn curated_neighborhood(space: &ConfigSpace, center: &Config, n: usize) -> V
         .take(n)
         .map(|(_, _, idx)| space.config_at(idx))
         .collect()
-}
-
-/// Maximum pairwise Hamming distance within a set of configurations; a
-/// compactness diagnostic for curated ICL sets.
-pub fn diameter(configs: &[Config]) -> usize {
-    let mut max = 0;
-    for i in 0..configs.len() {
-        for j in (i + 1)..configs.len() {
-            max = max.max(edit_distance(&configs[i], &configs[j]));
-        }
-    }
-    max
 }
 
 #[cfg(test)]
@@ -195,15 +183,10 @@ mod tests {
         let center = s.config_at(5_000);
         let hood = curated_neighborhood(&s, &center, 50);
         // 50 nearest neighbours in a 6-parameter space should all be within
-        // 2 edits of the center, so pairwise diameter stays small.
+        // 2 edits of the center, so no pair is more than 4 edits apart.
         assert!(hood.iter().all(|c| edit_distance(&center, c) <= 2));
-        assert!(diameter(&hood) <= 4);
-    }
-
-    #[test]
-    fn diameter_of_singleton_is_zero() {
-        let s = tiny();
-        assert_eq!(diameter(&[s.config_at(0)]), 0);
-        assert_eq!(diameter(&[]), 0);
+        for (i, a) in hood.iter().enumerate() {
+            assert!(hood[i + 1..].iter().all(|b| edit_distance(a, b) <= 4));
+        }
     }
 }

@@ -25,7 +25,7 @@ pub mod space;
 pub mod syr2k;
 pub mod text;
 
-pub use editdist::{curated_neighborhood, edit_distance, ordinal_distance};
+pub use editdist::{curated_neighborhood, edit_distance};
 pub use param::{Config, ParamDef, ParamValue};
 pub use size::ArraySize;
 pub use space::ConfigSpace;

@@ -91,13 +91,6 @@ impl ArraySize {
             ArraySize::XL => 5,
         }
     }
-
-    /// Total floating-point elements touched by syr2k at this size:
-    /// `A[N,M] + B[N,M] + C[N,N]`.
-    pub fn footprint_elems(self) -> usize {
-        let (m, n) = self.dims();
-        2 * n * m + n * n
-    }
 }
 
 impl std::fmt::Display for ArraySize {
@@ -139,13 +132,6 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), 6);
-    }
-
-    #[test]
-    fn footprint_grows_with_size() {
-        assert!(ArraySize::XL.footprint_elems() > ArraySize::SM.footprint_elems());
-        // SM: 2*160*130 + 160*160 = 41600 + 25600
-        assert_eq!(ArraySize::SM.footprint_elems(), 67_200);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl ConfigSpace {
         self.params[i].value_of(config.choice(i))
     }
 
-    /// Typed value of a parameter by name, or `None` if no such parameter.
-    pub fn value_by_name(&self, config: &Config, name: &str) -> Option<ParamValue> {
-        self.param_index(name).map(|i| self.value(config, i))
-    }
-
     /// Build a configuration from typed values in declaration order.
     ///
     /// # Panics
@@ -181,31 +176,6 @@ impl ConfigSpace {
         indices.shuffle(rng);
         indices.into_iter().map(|i| self.config_at(i)).collect()
     }
-
-    /// Partition `pool` into `k` disjoint chunks of `chunk` items each,
-    /// shuffling first; mirrors the paper's "five disjoint datasets with the
-    /// same number of in-context learning examples".
-    ///
-    /// # Panics
-    /// Panics if `pool.len() < k * chunk`.
-    pub fn disjoint_subsets<R: RngExt + ?Sized>(
-        &self,
-        pool: &[Config],
-        k: usize,
-        chunk: usize,
-        rng: &mut R,
-    ) -> Vec<Vec<Config>> {
-        assert!(
-            pool.len() >= k * chunk,
-            "pool of {} cannot supply {k} disjoint chunks of {chunk}",
-            pool.len()
-        );
-        let mut shuffled: Vec<Config> = pool.to_vec();
-        shuffled.shuffle(rng);
-        (0..k)
-            .map(|i| shuffled[i * chunk..(i + 1) * chunk].to_vec())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -264,8 +234,7 @@ mod tests {
         ]);
         assert_eq!(s.value(&c, 0), ParamValue::Bool(true));
         assert_eq!(s.value(&c, 1), ParamValue::Int(8));
-        assert_eq!(s.value_by_name(&c, "s"), Some(ParamValue::Cat("y".into())));
-        assert_eq!(s.value_by_name(&c, "nope"), None);
+        assert_eq!(s.value(&c, 2), ParamValue::Cat("y".into()));
     }
 
     #[test]
@@ -304,22 +273,6 @@ mod tests {
         let s = small_space();
         let mut rng = seeded_rng(3, SeedDomain::Custom(3));
         let _ = s.sample_distinct(13, &mut rng);
-    }
-
-    #[test]
-    fn disjoint_subsets_do_not_overlap() {
-        let s = small_space();
-        let mut rng = seeded_rng(4, SeedDomain::Custom(4));
-        let pool: Vec<Config> = s.enumerate().collect();
-        let subsets = s.disjoint_subsets(&pool, 3, 4, &mut rng);
-        assert_eq!(subsets.len(), 3);
-        let mut seen = std::collections::HashSet::new();
-        for sub in &subsets {
-            assert_eq!(sub.len(), 4);
-            for c in sub {
-                assert!(seen.insert(s.index_of(c)), "config reused across subsets");
-            }
-        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Natural-language and CSV serialization of configurations.
+//! Natural-language serialization of configurations.
 //!
-//! The paper presents performance data "in a natural language format" and in
-//! a "feature-rich text-based CSV format" (Figure 1). The exact line shapes
-//! are:
+//! The paper presents performance data "in a natural language format"
+//! (Figure 1). The exact line shapes are:
 //!
 //! ```text
 //! Hyperparameter configuration: size is SM, first_array_packed is True, ...
 //! Performance: 0.0022155
 //! ```
 //!
-//! This module produces those strings and parses them back (the parse side
-//! backs the "manual identification of relevant portions of outputs"
-//! machinery in `lmpeel-core`).
+//! This module produces the configuration line and the runtime value, and
+//! parses the configuration line back (LLAMBO's candidate sampling reads
+//! generated configurations with it).
 
 use crate::param::{Config, ParamValue};
 use crate::size::ArraySize;
@@ -56,11 +55,6 @@ pub fn format_value(secs: f64, format: ValueFormat) -> String {
     }
 }
 
-/// Format a runtime with an explicit decimal width.
-pub fn format_runtime_with(secs: f64, decimals: usize) -> String {
-    format!("{secs:.decimals$}")
-}
-
 /// The `Hyperparameter configuration: ...` line for a configuration.
 ///
 /// The size is listed first and is not tunable; tunables follow in space
@@ -72,39 +66,6 @@ pub fn nl_config_line(space: &ConfigSpace, config: &Config, size: ArraySize) -> 
         parts.push(format!("{} is {}", p.name(), space.value(config, i)));
     }
     format!("Hyperparameter configuration: {}", parts.join(", "))
-}
-
-/// A full in-context example: configuration line plus `Performance:` line.
-pub fn nl_example(space: &ConfigSpace, config: &Config, size: ArraySize, runtime: f64) -> String {
-    format!(
-        "{}\nPerformance: {}",
-        nl_config_line(space, config, size),
-        format_runtime(runtime)
-    )
-}
-
-/// The query form of an example: configuration line plus a dangling
-/// `Performance:` for the model to complete.
-pub fn nl_query(space: &ConfigSpace, config: &Config, size: ArraySize) -> String {
-    format!("{}\nPerformance:", nl_config_line(space, config, size))
-}
-
-/// CSV header: `size` followed by parameter names and `runtime`.
-pub fn csv_header(space: &ConfigSpace) -> String {
-    let mut cols = vec!["size".to_string()];
-    cols.extend(space.params().iter().map(|p| p.name().to_string()));
-    cols.push("runtime".to_string());
-    cols.join(",")
-}
-
-/// One CSV row matching [`csv_header`].
-pub fn csv_row(space: &ConfigSpace, config: &Config, size: ArraySize, runtime: f64) -> String {
-    let mut cols = vec![size.label().to_string()];
-    for (i, _) in space.params().iter().enumerate() {
-        cols.push(space.value(config, i).to_string());
-    }
-    cols.push(format_runtime(runtime));
-    cols.join(",")
 }
 
 /// Parse one `name is value` fragment against a parameter's domain.
@@ -152,32 +113,6 @@ pub fn parse_nl_config(space: &ConfigSpace, line: &str) -> Option<(ArraySize, Co
     Some((size?, Config::from_choices(choices?)))
 }
 
-/// Extract the numeric value from a `Performance: <number>` line; tolerant
-/// of leading/trailing junk on the number side, as LLM outputs often carry
-/// trailing prose.
-pub fn parse_performance(line: &str) -> Option<f64> {
-    let rest = line.trim().strip_prefix("Performance:")?.trim();
-    // Take the longest prefix that parses as a decimal number.
-    let mut end = 0;
-    let bytes = rest.as_bytes();
-    let mut seen_dot = false;
-    while end < bytes.len() {
-        let b = bytes[end];
-        if b.is_ascii_digit() {
-            end += 1;
-        } else if b == b'.' && !seen_dot {
-            seen_dot = true;
-            end += 1;
-        } else {
-            break;
-        }
-    }
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse::<f64>().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +122,6 @@ mod tests {
     fn runtime_format_matches_figure1() {
         assert_eq!(format_runtime(0.0022155), "0.0022155");
         assert_eq!(format_runtime(2.5), "2.5000000");
-        assert_eq!(format_runtime_with(2.5, 2), "2.50");
     }
 
     #[test]
@@ -210,16 +144,6 @@ mod tests {
              outer_loop_tiling_factor is 80, middle_loop_tiling_factor is 64, \
              inner_loop_tiling_factor is 100"
         );
-    }
-
-    #[test]
-    fn nl_example_and_query_shapes() {
-        let space = syr2k_space();
-        let cfg = space.config_at(0);
-        let ex = nl_example(&space, &cfg, ArraySize::SM, 0.0022155);
-        assert!(ex.ends_with("Performance: 0.0022155"));
-        let q = nl_query(&space, &cfg, ArraySize::SM);
-        assert!(q.ends_with("Performance:"));
     }
 
     #[test]
@@ -277,35 +201,5 @@ mod tests {
             None,
             "81 is not a candidate tile"
         );
-    }
-
-    #[test]
-    fn parse_performance_variants() {
-        assert_eq!(parse_performance("Performance: 0.0022155"), Some(0.0022155));
-        assert_eq!(parse_performance("  Performance: 2.5"), Some(2.5));
-        assert_eq!(
-            parse_performance("Performance: 1.75 seconds, approximately"),
-            Some(1.75),
-            "trailing prose tolerated"
-        );
-        assert_eq!(parse_performance("Performance: fast"), None);
-        assert_eq!(parse_performance("Perf: 1.0"), None);
-        assert_eq!(
-            parse_performance("Performance: 1.2.3"),
-            Some(1.2),
-            "second dot stops parse"
-        );
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let space = syr2k_space();
-        let header = csv_header(&space);
-        assert!(header.starts_with("size,first_array_packed"));
-        assert!(header.ends_with("runtime"));
-        let row = csv_row(&space, &space.config_at(7), ArraySize::XL, 3.25);
-        assert_eq!(row.split(',').count(), header.split(',').count());
-        assert!(row.starts_with("XL,"));
-        assert!(row.ends_with("3.2500000"));
     }
 }

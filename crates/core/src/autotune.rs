@@ -86,22 +86,6 @@ pub struct TuningTrajectory {
 }
 
 impl TuningTrajectory {
-    /// Best runtime found within the first `k` evaluations. `k` is clamped
-    /// to the trajectory length; `None` when `k == 0` or nothing was
-    /// evaluated (there is no best of zero measurements).
-    pub fn best_after(&self, k: usize) -> Option<f64> {
-        let k = k.min(self.evaluated.len());
-        if k == 0 {
-            return None;
-        }
-        Some(
-            self.evaluated[..k]
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(f64::INFINITY, f64::min),
-        )
-    }
-
     /// Best-so-far curve (length = number of evaluations).
     pub fn best_curve(&self) -> Vec<f64> {
         let mut best = f64::INFINITY;
@@ -305,11 +289,6 @@ mod tests {
                 (sm().space().config_at(2), 2.0),
             ],
         };
-        assert_eq!(t.best_after(1), Some(3.0));
-        assert_eq!(t.best_after(3), Some(1.0));
-        // k past the end clamps; k == 0 has no best.
-        assert_eq!(t.best_after(100), Some(1.0));
-        assert_eq!(t.best_after(0), None);
         assert_eq!(t.best_curve(), vec![3.0, 1.0, 1.0]);
         assert_eq!(t.best().1, 1.0);
     }
@@ -317,9 +296,7 @@ mod tests {
     #[test]
     fn empty_trajectory_has_no_best() {
         let t = TuningTrajectory { evaluated: vec![] };
-        assert_eq!(t.best_after(0), None);
-        assert_eq!(t.best_after(5), None);
-        assert!(t.best_curve().is_empty());
+        assert_eq!(t.best_curve().last(), None);
     }
 
     #[test]
@@ -344,7 +321,7 @@ mod tests {
         for seed in 0..5 {
             let g = GbdtSearch::default().run_dataset(d, budget, seed);
             let r = RandomSearch.run_dataset(d, budget, seed);
-            if g.best_after(budget) <= r.best_after(budget) {
+            if g.best().1 <= r.best().1 {
                 wins += 1;
             }
         }

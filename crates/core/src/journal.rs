@@ -15,7 +15,7 @@
 //! * the record codec here round-trips every field bit-exactly (floats as
 //!   IEEE-754 bit patterns — see [`lmpeel_recover::wire`]).
 //!
-//! A journal is bound to its plan: [`plan_fingerprint`] hashes every
+//! A journal is bound to its plan: `plan_fingerprint` hashes every
 //! grid-shaping field plus the substrate name and the codec version, and
 //! [`RunJournal::open`] refuses a journal whose header names a different
 //! fingerprint rather than silently mixing incompatible results.
@@ -182,7 +182,7 @@ impl JournalRecord for PredictionRecord {
 /// Fingerprint identifying what a journal holds: every grid-shaping plan
 /// field, the substrate name, and the record codec version. Two runs may
 /// share a journal iff their fingerprints match.
-pub fn plan_fingerprint(plan: &ExperimentPlan, substrate: &str) -> u64 {
+fn plan_fingerprint(plan: &ExperimentPlan, substrate: &str) -> u64 {
     let mut buf = Vec::new();
     wire::put_str(&mut buf, "lmpeel-run-plan");
     wire::put_u32(&mut buf, CODEC_VERSION);

@@ -40,6 +40,6 @@ pub mod tokenstats;
 pub use decoding::{value_distribution, value_span, ValueDistribution};
 pub use experiment::{ExperimentPlan, OverallReport, PredictionRecord, SettingKey, SettingReport};
 pub use extract::{extract_value, Extraction};
-pub use journal::{plan_fingerprint, run_plan_journaled};
+pub use journal::run_plan_journaled;
 pub use prompt::{Prompt, PromptBuilder};
 pub use tokenstats::{TokenPositionStats, TokenStatsTable};

@@ -52,22 +52,22 @@ impl RuntimeBuckets {
     }
 
     /// Number of classes.
-    pub fn n_classes(&self) -> usize {
+    fn n_classes(&self) -> usize {
         self.thresholds.len() + 1
     }
 
     /// Class index of a runtime (0 = fastest bucket).
-    pub fn class_of(&self, runtime: f64) -> usize {
+    fn class_of(&self, runtime: f64) -> usize {
         self.thresholds.iter().filter(|&&t| runtime >= t).count()
     }
 
     /// Label of a class index.
-    pub fn label_of(&self, class: usize) -> &'static str {
+    fn label_of(&self, class: usize) -> &'static str {
         LABELS[class]
     }
 
     /// Class index of a label, if valid.
-    pub fn class_of_label(&self, label: &str) -> Option<usize> {
+    fn class_of_label(&self, label: &str) -> Option<usize> {
         LABELS[..self.n_classes()].iter().position(|&l| l == label)
     }
 }
@@ -88,7 +88,7 @@ fn chat_tokens(
 }
 
 /// Build the generative-surrogate (classification) user text.
-pub fn classification_user_text(
+fn classification_user_text(
     space: &ConfigSpace,
     size: ArraySize,
     buckets: &RuntimeBuckets,
@@ -118,7 +118,7 @@ pub fn classification_user_text(
 /// Run the generative surrogate once: predict the class of `query`.
 /// Returns the predicted class index, or `None` if the response was not a
 /// valid label.
-pub fn predict_class<M: LanguageModel>(
+fn predict_class<M: LanguageModel>(
     model: &Arc<M>,
     space: &ConfigSpace,
     size: ArraySize,
@@ -161,7 +161,7 @@ fn decode<M: LanguageModel>(
 
 /// Build the candidate-sampling user text: labelled `(performance →
 /// configuration)` pairs followed by the target performance.
-pub fn candidate_user_text(
+fn candidate_user_text(
     space: &ConfigSpace,
     size: ArraySize,
     examples: &[(Config, f64)],

@@ -127,11 +127,6 @@ impl Gbdt {
         self.params
     }
 
-    /// Number of fitted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Gain-based feature importance, normalized to sum to 1 (all zeros if
     /// the ensemble never split).
     pub fn feature_importance(&self, n_features: usize) -> Vec<f64> {
@@ -204,7 +199,7 @@ mod tests {
             0,
         );
         let mean = y.iter().sum::<f64>() / y.len() as f64;
-        assert_eq!(model.n_trees(), 0);
+        assert_eq!(model.trees.len(), 0);
         assert!((model.predict_row(&x[0]) - mean).abs() < 1e-12);
     }
 

@@ -225,14 +225,6 @@ impl Tree {
         self.nodes.len() <= 1
     }
 
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
-    }
-
     /// Accumulate this tree's gain-based feature importance into `acc`
     /// (one slot per feature).
     ///
@@ -289,6 +281,13 @@ mod tests {
         Tree::fit(&data, y, &all_rows, &feats, params)
     }
 
+    fn leaf_count(t: &Tree) -> usize {
+        t.nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Leaf { .. }))
+            .count()
+    }
+
     #[test]
     fn single_split_recovers_a_step_function() {
         let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
@@ -302,7 +301,7 @@ mod tests {
             },
         );
         assert_eq!(t.depth(), 1);
-        assert_eq!(t.n_leaves(), 2);
+        assert_eq!(leaf_count(&t), 2);
         assert!((t.predict_row(&[3.0]) - 1.0).abs() < 1e-12);
         assert!((t.predict_row(&[15.0]) - 5.0).abs() < 1e-12);
     }
@@ -354,7 +353,7 @@ mod tests {
             },
         );
         // With min 5 per leaf on 10 rows, only one split is possible.
-        assert!(t.n_leaves() <= 2);
+        assert!(leaf_count(&t) <= 2);
     }
 
     #[test]

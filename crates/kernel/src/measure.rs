@@ -23,16 +23,6 @@ impl MeasureSpec {
     pub fn new(warmups: usize, repeats: usize) -> Option<Self> {
         (repeats >= 1).then_some(Self { warmups, repeats })
     }
-
-    /// Untimed warmup runs (cache/branch-predictor settling).
-    pub fn warmups(&self) -> usize {
-        self.warmups
-    }
-
-    /// Timed runs (always >= 1).
-    pub fn repeats(&self) -> usize {
-        self.repeats
-    }
 }
 
 impl Default for MeasureSpec {
@@ -56,7 +46,7 @@ pub struct Measurement {
 
 impl Measurement {
     /// Wrap raw timing samples (seconds, execution order).
-    pub fn from_samples(samples: Vec<f64>) -> Self {
+    fn from_samples(samples: Vec<f64>) -> Self {
         Self { samples }
     }
 
@@ -101,8 +91,8 @@ impl Measurement {
 }
 
 /// Measure a workload. The closure's return value is folded into a black-box
-/// sink so the optimizer cannot elide the work; the sink is returned for
-/// checksum validation.
+/// sink so the optimizer cannot elide the work; the last run's output is
+/// returned so the caller can validate it against a reference.
 pub fn measure<T, F: FnMut() -> T>(spec: MeasureSpec, mut work: F) -> (Measurement, T) {
     for _ in 0..spec.warmups {
         std::hint::black_box(work());

@@ -27,6 +27,8 @@ pub enum Rule {
     /// `LML0010` — attestation comment or allowlist entry that no longer
     /// suppresses any firing diagnostic.
     StaleExemption,
+    /// `LML0011` — library `pub fn` that no other file names.
+    UnusedPubFn,
 }
 
 impl Rule {
@@ -43,6 +45,7 @@ impl Rule {
             Rule::BlockingUnderLock => "LML0008",
             Rule::GuardAcrossUnwind => "LML0009",
             Rule::StaleExemption => "LML0010",
+            Rule::UnusedPubFn => "LML0011",
         }
     }
 
@@ -60,7 +63,8 @@ impl Rule {
             | Rule::RawLockUnwrap
             | Rule::MissingForbidUnsafe
             | Rule::LockOrderCycle
-            | Rule::StaleExemption => None,
+            | Rule::StaleExemption
+            | Rule::UnusedPubFn => None,
         }
     }
 }

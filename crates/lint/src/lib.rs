@@ -23,7 +23,10 @@
 //! * **LML0009** — no guard held across a `catch_unwind` boundary or a
 //!   call through a callback parameter;
 //! * **LML0010** — no stale attestation comments or allowlist entries
-//!   (every exemption must still suppress a would-fire diagnostic).
+//!   (every exemption must still suppress a would-fire diagnostic);
+//! * **LML0011** — no `pub fn` in a library crate that no other file
+//!   names (a function only its own file uses is private or
+//!   `pub(crate)`; one only its own tests use is deleted).
 //!
 //! Sites that are provably safe carry a one-line attestation comment
 //! (`// lint: sorted — …`, `// lint: panic-ok — …`,
@@ -46,55 +49,27 @@ use rules::{FileCtx, Usage};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-/// One in-memory source file with its workspace-relative path. The path
-/// decides which rules apply (golden-crate membership, allowlists, lock
-/// analysis scope).
-pub struct SourceFile {
-    /// Workspace-relative `/`-separated path.
-    pub rel: String,
-    /// Full source text.
-    pub source: String,
-}
-
-/// Lint one in-memory source file under its workspace-relative path.
-/// Used by the fixture tests; `lint_workspace` is the filesystem driver.
+/// Lint one in-memory source file under its workspace-relative path:
+/// the per-file rules, the lock analysis (LML0007–LML0009) when the path
+/// is in an `[locks] analyze` crate, and stale attestations (LML0010).
+/// Used by the fixture tests; [`lint_workspace`] is the filesystem
+/// driver and adds the workspace passes (LML0006, LML0011, allowlist
+/// staleness).
 pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
-    lint_sources(
-        &[SourceFile {
-            rel: rel.to_string(),
-            source: source.to_string(),
-        }],
-        cfg,
-    )
+    lint_files(&[FileCtx::new(rel, source)], cfg).0
 }
 
-/// Lint a set of in-memory sources together: per-file rules, the
-/// cross-file lock analysis (LML0007–LML0009) over the `[locks] analyze`
-/// crates, and per-file stale-attestation checks (LML0010). Allowlist
-/// staleness is a workspace-level concern and is only checked by
-/// [`lint_workspace`].
-pub fn lint_sources(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
-    lint_sources_inner(files, cfg).0
-}
-
-fn lint_sources_inner(
-    files: &[SourceFile],
-    cfg: &Config,
-) -> (Vec<Diagnostic>, Usage, BTreeSet<String>) {
-    let ctxs: Vec<FileCtx> = files
-        .iter()
-        .map(|f| FileCtx::new(&f.rel, &f.source))
-        .collect();
+fn lint_files(ctxs: &[FileCtx], cfg: &Config) -> (Vec<Diagnostic>, Usage, BTreeSet<String>) {
     let mut usage = Usage::default();
     let mut diagnostics = Vec::new();
-    for ctx in &ctxs {
+    for ctx in ctxs {
         diagnostics.extend(rules::lint_file(ctx, cfg, &mut usage));
     }
-    let lock_report = locks::analyze(&ctxs, cfg);
+    let lock_report = locks::analyze(ctxs, cfg);
     diagnostics.extend(lock_report.diagnostics);
     // Attestation staleness runs last: every rule (including the lock
     // analysis) has had its chance to mark attestations live.
-    for ctx in &ctxs {
+    for ctx in ctxs {
         diagnostics.extend(ctx.stale_attestations());
     }
     sort_diags(&mut diagnostics);
@@ -116,11 +91,16 @@ pub struct Report {
     pub checked_files: usize,
 }
 
+/// Directories outside `crates/` whose sources LML0011 reads for uses of
+/// library functions. They define nothing and no other rule checks them.
+const USE_ONLY_DIRS: &[&str] = &["src", "tests", "examples", "perfbench/src"];
+
 /// Walk `crates/*` under `root`, lint every `.rs` file (per-file rules
 /// plus the interprocedural lock analysis), verify each crate root
-/// forbids unsafe code, and flag stale `lint.toml` exemptions.
+/// forbids unsafe code, flag library `pub fn`s that nothing else names
+/// (reading root `src/`, `tests/`, `examples/` and `perfbench/src/` for
+/// uses too), and flag stale `lint.toml` exemptions.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
-    let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
         .filter_map(|e| e.ok())
@@ -128,25 +108,20 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    for dir in &crate_dirs {
-        collect_rs_files(dir, &mut files)?;
-    }
-    files.sort();
+    let linted = read_sources(root, crate_dirs.iter().cloned())?;
+    let use_only = read_sources(
+        root,
+        USE_ONLY_DIRS
+            .iter()
+            .map(|d| root.join(d))
+            .filter(|p| p.is_dir()),
+    )?;
+    let checked = linted.len();
+    let (mut diagnostics, usage, seen_locks) = lint_files(&linted, cfg);
 
-    let mut sources = Vec::new();
-    for path in &files {
-        let rel = rel_path(root, path);
-        // The linter's own rule fixtures violate on purpose.
-        if rel.contains("/fixtures/") {
-            continue;
-        }
-        sources.push(SourceFile {
-            rel,
-            source: std::fs::read_to_string(path)?,
-        });
-    }
-    let checked = sources.len();
-    let (mut diagnostics, usage, seen_locks) = lint_sources_inner(&sources, cfg);
+    // LML0011: library functions no other file names.
+    let all: Vec<&FileCtx> = linted.iter().chain(&use_only).collect();
+    diagnostics.extend(rules::check_unused_pub_fns(&all));
 
     // LML0006: every crate root must forbid unsafe code.
     for dir in &crate_dirs {
@@ -207,6 +182,28 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
         diagnostics,
         checked_files: checked,
     })
+}
+
+/// Lex every `.rs` file under `dirs`, in path order, skipping the
+/// linter's own rule fixtures (they violate on purpose).
+fn read_sources(
+    root: &Path,
+    dirs: impl IntoIterator<Item = PathBuf>,
+) -> std::io::Result<Vec<FileCtx>> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        collect_rs_files(&dir, &mut files)?;
+    }
+    files.sort();
+    let mut ctxs = Vec::new();
+    for path in &files {
+        let rel = rel_path(root, path);
+        if rel.contains("/fixtures/") {
+            continue;
+        }
+        ctxs.push(FileCtx::new(&rel, &std::fs::read_to_string(path)?));
+    }
+    Ok(ctxs)
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {

@@ -29,8 +29,9 @@ fn main() -> ExitCode {
                     "lmpeel-lint: workspace invariant checker (determinism, panic-safety,\n\
                      lock discipline)\n\n\
                      USAGE: lmpeel-lint [--json] [--root DIR] [--config FILE]\n\n\
-                     Rules LML0001..LML0010 (LML0007-LML0009 are the interprocedural lock\n\
-                     analysis; LML0010 flags stale exemptions); allowlists and [locks.ranks]\n\
+                     Rules LML0001..LML0011 (LML0007-LML0009 are the interprocedural lock\n\
+                     analysis; LML0010 flags stale exemptions; LML0011 library `pub fn`s no\n\
+                     other file names); allowlists and [locks.ranks]\n\
                      in lint.toml; attest single sites with\n\
                      `// lint: sorted|det-reduce|panic-ok|blocking-ok|unwind-ok — justification`."
                 );
@@ -71,7 +72,7 @@ fn main() -> ExitCode {
         }
         if report.diagnostics.is_empty() {
             println!(
-                "lmpeel-lint: {} files clean (LML0001..LML0010)",
+                "lmpeel-lint: {} files clean (LML0001..LML0011)",
                 report.checked_files
             );
         } else {

@@ -12,6 +12,7 @@
 //! | LML0008 | no blocking calls under a live guard (`locks` module)           |
 //! | LML0009 | no guard across `catch_unwind` (`locks` module)                 |
 //! | LML0010 | no stale attestations or allowlist entries                       |
+//! | LML0011 | no library `pub fn` that no other file names (workspace pass)    |
 //!
 //! Rules run over the token stream from [`crate::lex`], with three span
 //! classifiers: `#[test]` / `#[cfg(test)]` extents (determinism rules do
@@ -735,4 +736,125 @@ pub fn check_forbid_unsafe(rel: &str, source: &str) -> Option<Diagnostic> {
                   Rust and stays that way"
             .to_string(),
     })
+}
+
+// ---------------------------------------------------------------- LML0011
+
+/// Is token `i` the start of a `pub use` or `pub(..) use` item? Returns
+/// the index of the item's closing `;`.
+fn pub_use_extent(tokens: &[Token], i: usize) -> Option<usize> {
+    if !tokens[i].is_ident("pub") {
+        return None;
+    }
+    let mut j = i + 1;
+    if tokens.get(j).is_some_and(|t| t.is_ch('(')) {
+        j = matching_close(tokens, j) + 1;
+    }
+    if !tokens.get(j).is_some_and(|t| t.is_ident("use")) {
+        return None;
+    }
+    let end = tokens[j..].iter().position(|t| t.is_ch(';'))?;
+    Some(j + end)
+}
+
+/// The name token of a `pub fn` (also `pub const|async|unsafe|extern ".." fn`)
+/// item starting at token `i`. `pub(crate)` and other restricted
+/// visibilities are not `pub`.
+fn pub_fn_name(tokens: &[Token], i: usize) -> Option<&Token> {
+    if !tokens[i].is_ident("pub") {
+        return None;
+    }
+    let mut j = i + 1;
+    while tokens.get(j).is_some_and(|t| {
+        ["const", "async", "unsafe", "extern"]
+            .iter()
+            .any(|q| t.is_ident(q))
+            || t.kind == Kind::Lit
+    }) {
+        j += 1;
+    }
+    if !tokens.get(j).is_some_and(|t| t.is_ident("fn")) {
+        return None;
+    }
+    tokens.get(j + 1).filter(|t| t.kind == Kind::Ident)
+}
+
+/// Does `rel` lie in a library crate's sources (`crates/<name>/src/`,
+/// outside `src/bin/` and `src/main.rs`)?
+fn in_library_src(rel: &str) -> bool {
+    let mut parts = rel.splitn(4, '/');
+    let (Some("crates"), Some(_), Some("src"), Some(rest)) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return false;
+    };
+    rest != "main.rs" && !rest.starts_with("bin/")
+}
+
+/// LML0011 (workspace pass): a `pub fn` outside test code in a library
+/// crate's `src/` must be named, as a code identifier, by some other
+/// file. Comments and string literals are not uses, and neither is a
+/// `pub use` in a file of the defining crate: a re-export counts only
+/// when something outside the crate imports the name. Every file in
+/// `files` counts towards uses; only library sources define.
+///
+/// Matching is by name, so it over-approximates uses: a function that
+/// shares its name with anything named elsewhere passes.
+pub fn check_unused_pub_fns(files: &[&FileCtx]) -> Vec<Diagnostic> {
+    // name -> files naming it in code; name -> files re-exporting it.
+    let mut named: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut reexported: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (f, ctx) in files.iter().enumerate() {
+        let tokens = ctx.tokens();
+        let mut i = 0;
+        while i < tokens.len() {
+            if let Some(end) = pub_use_extent(tokens, i) {
+                for t in &tokens[i..=end] {
+                    if t.kind == Kind::Ident {
+                        reexported.entry(&t.text).or_default().insert(f);
+                    }
+                }
+                i = end + 1;
+                continue;
+            }
+            if tokens[i].kind == Kind::Ident {
+                named.entry(&tokens[i].text).or_default().insert(f);
+            }
+            i += 1;
+        }
+    }
+
+    let mut diags = Vec::new();
+    for (f, ctx) in files.iter().enumerate() {
+        if !in_library_src(&ctx.rel) {
+            continue;
+        }
+        let tokens = ctx.tokens();
+        for i in 0..tokens.len() {
+            let Some(name) = pub_fn_name(tokens, i) else {
+                continue;
+            };
+            if ctx.in_test(i) {
+                continue;
+            }
+            let key = name.text.as_str();
+            let used_elsewhere = named.get(key).is_some_and(|s| s.iter().any(|&g| g != f));
+            let imported_elsewhere = reexported
+                .get(key)
+                .is_some_and(|s| s.iter().any(|&g| files[g].crate_name() != ctx.crate_name()));
+            if used_elsewhere || imported_elsewhere {
+                continue;
+            }
+            diags.push(ctx.diag(
+                Rule::UnusedPubFn,
+                name,
+                format!(
+                    "`pub fn {key}` is named by no other file (its crate's own `pub use` does \
+                     not count); make it private or `pub(crate)` if this file uses it, or \
+                     delete it with the tests that only exercise it"
+                ),
+            ));
+        }
+    }
+    diags
 }

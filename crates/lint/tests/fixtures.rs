@@ -1,12 +1,14 @@
 //! Fixture-based rule tests: every rule gets positive (violating),
 //! negative (clean) and attested/allowlisted coverage, using the snippet
 //! files under `fixtures/` run through the public `lint_source` API under
-//! synthetic workspace paths. The lock fixtures additionally pin their
+//! synthetic workspace paths (the workspace pass LML0011 through
+//! `rules::check_unused_pub_fns`). The lock fixtures additionally pin their
 //! full `--json` output so the diagnostic wording, spans and ordering
 //! are golden.
 
 use lmpeel_lint::config::Config;
 use lmpeel_lint::diag::Rule;
+use lmpeel_lint::rules::FileCtx;
 use lmpeel_lint::{lint_source, rules};
 
 fn test_config() -> Config {
@@ -46,6 +48,7 @@ const BLOCKING: &str = include_str!("../fixtures/blocking_under_guard.rs");
 const UNWIND: &str = include_str!("../fixtures/unwind_under_guard.rs");
 const STALE: &str = include_str!("../fixtures/stale_attest.rs");
 const CALLBACK: &str = include_str!("../fixtures/callback_under_guard.rs");
+const UNUSED_PUB: &str = include_str!("../fixtures/unused_pub_fn.rs");
 
 fn rules_of(diags: &[lmpeel_lint::diag::Diagnostic]) -> Vec<Rule> {
     diags.iter().map(|d| d.rule).collect()
@@ -282,6 +285,44 @@ fn stale_attestations_flagged_live_ones_kept() {
     assert_eq!(rules_of(&diags), vec![Rule::StaleExemption], "{diags:?}");
     assert!(diags[0].message.contains("`// lint: sorted`"), "{diags:?}");
     assert_eq!(diags[0].line, 17, "anchored at the stale marker: {diags:?}");
+}
+
+#[test]
+fn pub_fns_no_other_file_names_are_flagged() {
+    let fixture = FileCtx::new("crates/demo/src/fixture.rs", UNUSED_PUB);
+    // The `pub fn` names LML0011 flags among `files`.
+    let flagged = |files: &[&FileCtx]| -> Vec<String> {
+        rules::check_unused_pub_fns(files)
+            .iter()
+            .map(|d| {
+                assert_eq!(d.rule, Rule::UnusedPubFn, "{d}");
+                assert_eq!(d.file, "crates/demo/src/fixture.rs", "{d}");
+                let name = d.message.split('`').nth(1).expect("quoted name");
+                name.trim_start_matches("pub fn ").to_string()
+            })
+            .collect()
+    };
+
+    // Named only in its own file (its own tests included) fires; the
+    // private, `pub(crate)` and test-module fns are not candidates.
+    assert_eq!(flagged(&[&fixture]), ["only_here", "spells_it"]);
+
+    // Named from a second file passes; a string spelling the name in
+    // that file does not rescue `spells_it`.
+    let user = FileCtx::new(
+        "tests/use_demo.rs",
+        "fn main() { let n = demo::only_here(); println!(\"spells_it {n}\"); }",
+    );
+    assert_eq!(flagged(&[&fixture, &user]), ["spells_it"]);
+
+    // The crate's own `pub use` is not a use; another crate's is.
+    let own = FileCtx::new(
+        "crates/demo/src/lib.rs",
+        "mod fixture;\npub use fixture::{only_here, spells_it};\n",
+    );
+    assert_eq!(flagged(&[&fixture, &own]), ["only_here", "spells_it"]);
+    let facade = FileCtx::new("crates/facade/src/lib.rs", "pub use demo::only_here;\n");
+    assert_eq!(flagged(&[&fixture, &own, &facade]), ["spells_it"]);
 }
 
 /// The lock fixtures' full `--json` reports are golden: wording, spans

@@ -474,22 +474,6 @@ impl GenerationStepper {
         self.finished = true;
     }
 
-    /// Tokens this generation may still produce under the spec's
-    /// `max_tokens` budget. Schedulers use this to bound how many more
-    /// rounds a request can possibly occupy a batch slot.
-    pub fn budget_remaining(&self) -> usize {
-        if self.finished {
-            0
-        } else {
-            self.spec.max_tokens.saturating_sub(self.steps.len())
-        }
-    }
-
-    /// Tokens generated so far.
-    pub fn tokens_generated(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Prompt length captured at construction.
     pub fn prompt_len(&self) -> usize {
         self.prompt_len
@@ -857,7 +841,7 @@ mod tests {
         let mut stepper = GenerationStepper::new(s, spec).unwrap();
         assert_eq!(stepper.prompt_len(), 1);
         assert!(stepper.step().unwrap(), "first step generates 'b'");
-        assert_eq!(stepper.tokens_generated(), 1);
+        assert_eq!(stepper.steps.len(), 1);
         assert!(!stepper.step().unwrap(), "second step hits the stop token");
         assert!(stepper.is_finished());
         assert!(!stepper.step().unwrap(), "finished steppers stay finished");
@@ -1046,12 +1030,9 @@ mod tests {
         let mut s = m.clone().session();
         s.extend(&prompt);
         let mut stepper = GenerationStepper::new(s, spec).unwrap();
-        assert_eq!(stepper.budget_remaining(), 10);
         assert!(stepper.step().unwrap());
-        assert_eq!(stepper.budget_remaining(), 9);
         stepper.abort();
         assert!(stepper.is_finished());
-        assert_eq!(stepper.budget_remaining(), 0);
         assert!(!stepper.step().unwrap(), "aborted steppers never advance");
         let trace = stepper.into_trace();
         assert_eq!(trace.decode(&m.tokenizer), "b", "partial trace survives");

@@ -148,7 +148,7 @@ impl ContextMap {
 }
 
 /// Jaccard index of two token sets; 1.0 when both are empty.
-pub fn jaccard(a: &BTreeSet<TokenId>, b: &BTreeSet<TokenId>) -> f64 {
+fn jaccard(a: &BTreeSet<TokenId>, b: &BTreeSet<TokenId>) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }

@@ -41,14 +41,6 @@ impl GenStep {
     pub fn num_possibilities(&self) -> usize {
         self.alternatives.len()
     }
-
-    /// Probability of a specific alternative, or 0 if infeasible.
-    pub fn prob_of(&self, id: TokenId) -> f32 {
-        self.alternatives
-            .iter()
-            .find(|a| a.id == id)
-            .map_or(0.0, |a| a.prob)
-    }
 }
 
 /// A complete generation: prompt length, steps, and termination reason.
@@ -71,16 +63,6 @@ impl GenerationTrace {
     /// Decode the sampled tokens to text.
     pub fn decode(&self, tokenizer: &Tokenizer) -> String {
         tokenizer.decode(&self.generated_ids())
-    }
-
-    /// Joint probability of the sampled sequence (product of step probs).
-    pub fn joint_prob(&self) -> f64 {
-        self.steps.iter().map(|s| s.chosen_prob as f64).product()
-    }
-
-    /// Per-step possibility counts (one Table II row per position).
-    pub fn possibility_counts(&self) -> Vec<usize> {
-        self.steps.iter().map(GenStep::num_possibilities).collect()
     }
 
     /// Product of per-step possibility counts: the number of distinct
@@ -127,15 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn joint_prob_is_product() {
-        let t = trace();
-        assert!((t.joint_prob() - 0.6 * 1.0 * 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn possibility_counts_and_permutations() {
         let t = trace();
-        assert_eq!(t.possibility_counts(), vec![2, 1, 3]);
+        let counts: Vec<usize> = t.steps.iter().map(GenStep::num_possibilities).collect();
+        assert_eq!(counts, vec![2, 1, 3]);
         assert_eq!(t.permutations(), 6);
     }
 
@@ -152,13 +129,5 @@ mod tests {
             stopped_naturally: false,
         };
         assert_eq!(t.permutations(), u128::MAX);
-    }
-
-    #[test]
-    fn prob_of_alternative_lookup() {
-        let s = step(1, &[(1, 0.6), (2, 0.4)]);
-        assert_eq!(s.prob_of(2), 0.4);
-        assert_eq!(s.prob_of(9), 0.0);
-        assert_eq!(s.num_possibilities(), 2);
     }
 }

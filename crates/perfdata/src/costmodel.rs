@@ -60,7 +60,7 @@ pub struct CostModel {
     /// Relative measurement noise at XL-scale runtimes.
     pub noise_xl: f64,
     /// Amplitude (log-normal sigma) of the cache-conflict interaction term
-    /// at SM scale (see [`CostModel::conflict_factor`]).
+    /// at SM scale (see `CostModel::conflict_factor`).
     pub conflict_sm: f64,
     /// Conflict-interaction amplitude at XL scale.
     pub conflict_xl: f64,
@@ -86,7 +86,7 @@ impl CostModel {
 
     /// Total floating-point operations of the triangular syr2k nest:
     /// the statement costs 6 flops and executes `M * N^2 / 2` times.
-    pub fn flops(size: ArraySize) -> f64 {
+    fn flops(size: ArraySize) -> f64 {
         let (m, n) = size.dims();
         6.0 * m as f64 * (n as f64 * n as f64) / 2.0
     }
@@ -183,7 +183,7 @@ impl CostModel {
     /// once the training set covers the lattice several times over, which
     /// reproduces Table I's learning curve: mediocre fits at 100 examples,
     /// near-ceiling fits at 5,000+.
-    pub fn conflict_factor(&self, cfg: Syr2kConfig, size: ArraySize) -> f64 {
+    fn conflict_factor(&self, cfg: Syr2kConfig, size: ArraySize) -> f64 {
         let sigma = match size {
             ArraySize::XL | ArraySize::L | ArraySize::ML => self.conflict_xl,
             _ => self.conflict_sm,

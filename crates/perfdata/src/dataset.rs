@@ -137,87 +137,6 @@ impl PerfDataset {
         let ys = indices.iter().map(|&i| self.runtimes[i as usize]).collect();
         (xs, ys)
     }
-
-    /// Parse a full-lattice dataset back from CSV produced by
-    /// [`PerfDataset::to_csv`]. Every one of the lattice's configurations
-    /// must appear exactly once; rows may come in any order.
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed, duplicate, missing or
-    /// size-inconsistent row.
-    pub fn from_csv(csv: &str) -> Result<Self, String> {
-        let space = syr2k_space();
-        let mut lines = csv.lines();
-        let header = lines.next().ok_or("empty CSV")?;
-        let expected = lmpeel_configspace::text::csv_header(&space);
-        if header.trim() != expected {
-            return Err(format!("unexpected header {header:?}"));
-        }
-        let card = space.cardinality() as usize;
-        let mut runtimes: Vec<Option<f64>> = vec![None; card];
-        let mut size: Option<ArraySize> = None;
-        for (lineno, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let cols: Vec<&str> = line.split(',').collect();
-            if cols.len() != space.num_params() + 2 {
-                return Err(format!("row {lineno}: wrong column count"));
-            }
-            let row_size = ArraySize::parse(cols[0])
-                .ok_or_else(|| format!("row {lineno}: bad size {:?}", cols[0]))?;
-            match size {
-                None => size = Some(row_size),
-                Some(s) if s == row_size => {}
-                Some(s) => return Err(format!("row {lineno}: mixed sizes {s} and {row_size}")),
-            }
-            // Reconstruct the configuration via the NL parser's value logic:
-            // build a pseudo NL line from the CSV columns.
-            let mut parts = vec![format!("size is {}", cols[0])];
-            for (p, v) in space.params().iter().zip(&cols[1..cols.len() - 1]) {
-                parts.push(format!("{} is {}", p.name(), v));
-            }
-            let nl = format!("Hyperparameter configuration: {}", parts.join(", "));
-            let (_, config) = lmpeel_configspace::text::parse_nl_config(&space, &nl)
-                .ok_or_else(|| format!("row {lineno}: unparseable configuration"))?;
-            let runtime: f64 = cols[cols.len() - 1]
-                .parse()
-                .map_err(|_| format!("row {lineno}: bad runtime {:?}", cols[cols.len() - 1]))?;
-            let idx = space.index_of(&config) as usize;
-            if runtimes[idx].is_some() {
-                return Err(format!("row {lineno}: duplicate configuration"));
-            }
-            runtimes[idx] = Some(runtime);
-        }
-        let size = size.ok_or("CSV has no data rows")?;
-        let missing = runtimes.iter().filter(|r| r.is_none()).count();
-        if missing > 0 {
-            return Err(format!("{missing} lattice configurations missing"));
-        }
-        Ok(Self {
-            space,
-            size,
-            runtimes: runtimes.into_iter().map(Option::unwrap).collect(),
-        })
-    }
-
-    /// Render the dataset (or a prefix of it) as CSV, matching the paper's
-    /// "feature-rich text-based CSV format".
-    pub fn to_csv(&self, limit: Option<usize>) -> String {
-        let n = limit.unwrap_or(self.len()).min(self.len());
-        let mut out = lmpeel_configspace::text::csv_header(&self.space);
-        out.push('\n');
-        for i in 0..n {
-            out.push_str(&lmpeel_configspace::text::csv_row(
-                &self.space,
-                &self.space.config_at(i as u64),
-                self.size,
-                self.runtimes[i],
-            ));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// The two paper datasets (SM and XL) generated from one cost model.
@@ -322,57 +241,6 @@ mod tests {
         assert_eq!(ys.len(), 3);
         assert_eq!(xs[0].len(), 6, "six syr2k features");
         assert_eq!(ys[2], d.runtime_at(10_000));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let d = sm();
-        let csv = d.to_csv(Some(3));
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("size,"));
-        assert!(lines[1].starts_with("SM,"));
-    }
-
-    #[test]
-    fn csv_roundtrips_the_full_lattice() {
-        let d = PerfDataset::generate(&CostModel::paper(), ArraySize::XL);
-        let csv = d.to_csv(None);
-        let back = PerfDataset::from_csv(&csv).expect("roundtrip parse");
-        assert_eq!(back.size(), ArraySize::XL);
-        // CSV carries 7-decimal precision; values match at that resolution.
-        for i in (0..d.len() as u64).step_by(977) {
-            assert!((back.runtime_at(i) - d.runtime_at(i)).abs() < 5e-8);
-        }
-    }
-
-    #[test]
-    fn csv_rejects_malformed_inputs() {
-        let d = sm();
-        let csv = d.to_csv(None);
-        assert!(PerfDataset::from_csv("").is_err(), "empty");
-        assert!(
-            PerfDataset::from_csv(
-                "bad,header
-"
-            )
-            .is_err(),
-            "wrong header"
-        );
-        // chop off a row -> missing configurations
-        let truncated: String = csv.lines().take(d.len()).collect::<Vec<_>>().join(
-            "
-",
-        );
-        let err = PerfDataset::from_csv(&truncated).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-        // duplicate a row
-        let mut dup = csv.clone();
-        let second_line = csv.lines().nth(1).unwrap();
-        dup.push_str(second_line);
-        dup.push('\n');
-        let err = PerfDataset::from_csv(&dup).unwrap_err();
-        assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]

@@ -23,18 +23,6 @@ pub struct IclSet {
     pub truth: f64,
 }
 
-impl IclSet {
-    /// Number of in-context examples.
-    pub fn num_examples(&self) -> usize {
-        self.examples.len()
-    }
-
-    /// Whether the query configuration leaks into the examples.
-    pub fn query_leaks(&self) -> bool {
-        self.examples.iter().any(|(c, _)| c == &self.query)
-    }
-}
-
 /// Build `replicas` disjoint random ICL sets of `n_examples` each; every
 /// replica also draws its own query configuration, distinct from all
 /// examples and all other queries. Per-setting metrics (R² "on the SM
@@ -117,6 +105,11 @@ mod tests {
         PerfDataset::generate(&CostModel::paper(), ArraySize::SM)
     }
 
+    /// Whether the query configuration leaks into the examples.
+    fn leaks_query(s: &IclSet) -> bool {
+        s.examples.iter().any(|(c, _)| c == &s.query)
+    }
+
     #[test]
     fn replicas_are_disjoint_and_sized() {
         let d = sm();
@@ -124,8 +117,8 @@ mod tests {
         assert_eq!(sets.len(), 5);
         let mut seen = std::collections::HashSet::new();
         for s in &sets {
-            assert_eq!(s.num_examples(), 10);
-            assert!(!s.query_leaks(), "query must not appear in examples");
+            assert_eq!(s.examples.len(), 10);
+            assert!(!leaks_query(s), "query must not appear in examples");
             for (c, r) in &s.examples {
                 assert!(
                     seen.insert(d.space().index_of(c)),
@@ -174,7 +167,7 @@ mod tests {
         let d = sm();
         let sets = curated_icl_replicas(&d, 10, 3, 5);
         for s in &sets {
-            assert!(!s.query_leaks());
+            assert!(!leaks_query(s));
             for (c, _) in &s.examples {
                 assert!(
                     edit_distance(c, &s.query) <= 2,
@@ -197,7 +190,7 @@ mod tests {
                 .iter()
                 .map(|(c, _)| d.space().index_of(c))
                 .collect();
-            assert_eq!(uniq.len(), s.num_examples(), "no duplicate examples");
+            assert_eq!(uniq.len(), s.examples.len(), "no duplicate examples");
         }
     }
 }

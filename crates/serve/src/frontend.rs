@@ -104,8 +104,7 @@ pub fn goaway_frame_body() -> Vec<u8> {
 }
 
 /// True when `body` is a GOAWAY drain announcement.
-/// [`FrontendClient::recv`] consumes these internally and exposes them
-/// via [`FrontendClient::saw_goaway`]; hand-rolled clients should treat
+/// [`FrontendClient::recv`] skips these; hand-rolled clients should treat
 /// one as "finish reading, then reconnect elsewhere".
 pub fn is_goaway(body: &[u8]) -> bool {
     body == [OP_GOAWAY]
@@ -505,7 +504,7 @@ pub fn push_frame(out: &mut Vec<u8>, body: &[u8]) {
 }
 
 /// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(4 + body.len());
     push_frame(&mut frame, body);
     w.write_all(&frame)?;
@@ -514,7 +513,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 
 /// Read one length-prefixed frame. `Err` on EOF mid-frame, oversize
 /// declarations, or transport errors.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
@@ -637,11 +636,6 @@ impl LatencyHistogram {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }
-    }
-
-    /// The raw bucket counts (index `i` covers `[2^i, 2^(i+1))` µs).
-    pub fn bucket_counts(&self) -> &[u64; LATENCY_BUCKETS] {
-        &self.buckets
     }
 
     /// Upper bound (in µs) of the bucket holding the `q`-quantile sample
@@ -1107,11 +1101,9 @@ impl ReconnectPolicy {
 /// Blocking client for the frame protocol. Pipelining-friendly: `send`
 /// and `recv` are independent, and [`FrontendClient::try_clone`] lets a
 /// sender thread and a receiver thread share one connection. GOAWAY
-/// drain frames are consumed internally and surfaced through
-/// [`FrontendClient::saw_goaway`].
+/// drain frames are skipped.
 pub struct FrontendClient {
     stream: TcpStream,
-    goaway: Arc<AtomicBool>,
 }
 
 impl FrontendClient {
@@ -1119,7 +1111,6 @@ impl FrontendClient {
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         Ok(Self {
             stream: TcpStream::connect(addr)?,
-            goaway: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -1140,13 +1131,6 @@ impl FrontendClient {
         }
         Err(last_err
             .unwrap_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "no connect attempts")))
-    }
-
-    /// True once a GOAWAY drain frame has been observed on this
-    /// connection (shared across [`FrontendClient::try_clone`] halves):
-    /// the server will answer what is in flight, then close.
-    pub fn saw_goaway(&self) -> bool {
-        self.goaway.load(Ordering::SeqCst)
     }
 
     /// Send one request frame (does not wait for the response).
@@ -1176,15 +1160,13 @@ impl FrontendClient {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Next non-GOAWAY frame body (GOAWAYs set the flag and are skipped).
+    /// Next non-GOAWAY frame body.
     fn next_frame(&mut self) -> io::Result<Vec<u8>> {
         loop {
             let body = read_frame(&mut self.stream)?;
-            if is_goaway(&body) {
-                self.goaway.store(true, Ordering::SeqCst);
-                continue;
+            if !is_goaway(&body) {
+                return Ok(body);
             }
-            return Ok(body);
         }
     }
 
@@ -1193,7 +1175,6 @@ impl FrontendClient {
     pub fn try_clone(&self) -> io::Result<Self> {
         Ok(Self {
             stream: self.stream.try_clone()?,
-            goaway: Arc::clone(&self.goaway),
         })
     }
 }
@@ -1325,10 +1306,10 @@ mod tests {
         }
         assert_eq!(h.count(), 7);
         // 0 and 1 land in bucket 0; 2 and 3 in bucket 1; 4 in bucket 2.
-        assert_eq!(h.bucket_counts()[0], 2);
-        assert_eq!(h.bucket_counts()[1], 2);
-        assert_eq!(h.bucket_counts()[2], 1);
-        assert_eq!(h.bucket_counts()[LATENCY_BUCKETS - 1], 1);
+        assert_eq!(h.buckets[0], 2);
+        assert_eq!(h.buckets[1], 2);
+        assert_eq!(h.buckets[2], 1);
+        assert_eq!(h.buckets[LATENCY_BUCKETS - 1], 1);
         // Percentile upper bounds are monotone in q and bound the samples.
         assert_eq!(h.percentile_upper_micros(0.0), 1);
         assert!(h.percentile_upper_micros(0.5) <= h.percentile_upper_micros(0.99));
@@ -1664,10 +1645,16 @@ mod tests {
         }
         let drainer = std::thread::spawn(move || frontend.shutdown());
         // Every submitted request resolves: a real response if it was
-        // admitted before the drain began, CODE_SHUTDOWN otherwise.
+        // admitted before the drain began, CODE_SHUTDOWN otherwise. Read
+        // raw frames so the GOAWAY is seen rather than skipped.
         let mut got = 0;
-        while let Ok(resp) = client.recv() {
-            match resp.body {
+        let mut goaways = 0;
+        while let Ok(body) = read_frame(&mut client.stream) {
+            if is_goaway(&body) {
+                goaways += 1;
+                continue;
+            }
+            match WireResponse::decode(&body).unwrap().body {
                 WireResult::Ok { .. } => {}
                 WireResult::Err { code, ref message } => {
                     assert_eq!(code, CODE_SHUTDOWN, "{message}");
@@ -1676,7 +1663,7 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 3, "drain delivered every in-flight response");
-        assert!(client.saw_goaway(), "drain announced itself with GOAWAY");
+        assert_eq!(goaways, 1, "drain announced itself with GOAWAY");
         let stats = drainer.join().unwrap();
         assert_eq!(stats.responses, 3);
     }

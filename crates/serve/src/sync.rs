@@ -41,14 +41,14 @@ pub const LOCK_RANKS: &[(&str, u32)] = &[
 ///
 /// Prefer [`RankedMutex::lock`]: this raw helper bypasses rank checking
 /// and is linted against (LML0005) outside this module.
-pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Wait on `cv`, recovering the guard if another holder panicked while we
 /// were parked. Prefer [`wait_ranked`], which also keeps the sanitizer's
 /// held-rank stack truthful across the wait.
-pub fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -180,7 +180,7 @@ mod rank {
     /// Record an acquisition, asserting strict rank monotonicity. Called
     /// *before* the underlying lock call so a violation panics instead of
     /// deadlocking, and so no guard exists yet when it does.
-    pub fn acquired(name: &'static str, rank: u32) {
+    pub(super) fn acquired(name: &'static str, rank: u32) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(held_rank, held_name)) = held.last() {
@@ -197,7 +197,7 @@ mod rank {
 
     /// Record a release (drop or condvar park). Removes the most recent
     /// matching entry — guards can be dropped out of stack order.
-    pub fn released(name: &'static str, rank: u32) {
+    pub(super) fn released(name: &'static str, rank: u32) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(i) = held.iter().rposition(|&e| e == (rank, name)) {
@@ -210,9 +210,9 @@ mod rank {
 #[cfg(not(feature = "lock-rank"))]
 mod rank {
     #[inline(always)]
-    pub fn acquired(_name: &'static str, _rank: u32) {}
+    pub(super) fn acquired(_name: &'static str, _rank: u32) {}
     #[inline(always)]
-    pub fn released(_name: &'static str, _rank: u32) {}
+    pub(super) fn released(_name: &'static str, _rank: u32) {}
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! against in-context example values; §IV-C extracts the mean and median of
 //! the *probability-weighted* generable-value distribution. This module
 //! provides a fixed-bin [`Histogram`] with linear or logarithmic bin edges,
-//! plus weighted mean/median/quantile helpers over `(value, weight)` pairs.
+//! plus weighted mean and median helpers over `(value, weight)` pairs.
 
 /// Bin layout for a [`Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,9 +101,6 @@ impl HistogramSpec {
 pub struct Histogram {
     spec: HistogramSpec,
     counts: Vec<f64>,
-    /// Total weight that fell outside the bin range.
-    outliers: f64,
-    total: f64,
 }
 
 impl Histogram {
@@ -116,8 +113,6 @@ impl Histogram {
         Self {
             counts: vec![0.0; spec.bins()],
             spec,
-            outliers: 0.0,
-            total: 0.0,
         }
     }
 
@@ -127,12 +122,11 @@ impl Histogram {
     }
 
     /// Add an observation with an explicit weight (e.g. decode probability).
+    /// A value outside the bin range is dropped.
     pub fn add_weighted(&mut self, x: f64, w: f64) {
         debug_assert!(w >= 0.0, "histogram weights must be non-negative");
-        self.total += w;
-        match self.spec.bin_of(x) {
-            Some(i) => self.counts[i] += w,
-            None => self.outliers += w,
+        if let Some(i) = self.spec.bin_of(x) {
+            self.counts[i] += w;
         }
     }
 
@@ -146,16 +140,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Weight that fell outside the configured range.
-    pub fn outlier_weight(&self) -> f64 {
-        self.outliers
-    }
-
-    /// Total weight added (in-range plus outliers).
-    pub fn total_weight(&self) -> f64 {
-        self.total
-    }
-
     /// Per-bin weights normalized to sum to 1 over in-range mass.
     /// Returns all zeros if nothing landed in range.
     pub fn normalized(&self) -> Vec<f64> {
@@ -164,18 +148,6 @@ impl Histogram {
             return vec![0.0; self.counts.len()];
         }
         self.counts.iter().map(|&c| c / in_range).collect()
-    }
-
-    /// Index of the heaviest bin, or `None` if the histogram is empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.counts.iter().all(|&c| c == 0.0) {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
     }
 
     /// Count local maxima with weight at least `min_mass` of in-range mass;
@@ -234,7 +206,7 @@ pub fn weighted_mean(pairs: &[(f64, f64)]) -> Option<f64> {
 /// `q * total`. `q = 0.5` is the weighted median used in §IV-C.
 ///
 /// Returns `None` if total weight is zero or the input is empty.
-pub fn weighted_quantile(pairs: &[(f64, f64)], q: f64) -> Option<f64> {
+fn weighted_quantile(pairs: &[(f64, f64)], q: f64) -> Option<f64> {
     assert!(
         (0.0..=1.0).contains(&q),
         "quantile must be in [0,1], got {q}"
@@ -320,10 +292,9 @@ mod tests {
         });
         h.add_weighted(0.25, 2.0);
         h.add_weighted(0.75, 1.0);
-        h.add_weighted(5.0, 4.0); // outlier
+        // The outlier lands in no bin and in no share of the mass.
+        h.add_weighted(5.0, 4.0);
         assert_eq!(h.counts(), &[2.0, 1.0]);
-        assert_eq!(h.outlier_weight(), 4.0);
-        assert_eq!(h.total_weight(), 7.0);
         let norm = h.normalized();
         assert!((norm[0] - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -343,7 +314,6 @@ mod tests {
         }
         h.add(4.5);
         assert_eq!(h.modes(0.2), 2, "should detect two well-separated modes");
-        assert_eq!(h.mode_bin(), Some(1));
     }
 
     #[test]
@@ -353,7 +323,6 @@ mod tests {
             hi: 1.0,
             bins: 4,
         });
-        assert_eq!(h.mode_bin(), None);
         assert!(h.normalized().iter().all(|&x| x == 0.0));
         assert_eq!(h.modes(0.0), 0);
     }

@@ -7,9 +7,9 @@
 //! ([`msre`]). It then aggregates per-experiment metrics across all settings
 //! with Central-Limit-Theorem style summaries (§IV-A). This crate provides
 //! those primitives plus supporting machinery: streaming [`summary::Welford`]
-//! accumulators, [`histogram`]s for the figure reproductions, weighted
-//! [`quantile`](histogram::weighted_quantile) extraction for the
-//! mean/median-decoding study (§IV-C), relative-error "needle" counting
+//! accumulators, [`histogram`]s for the figure reproductions, the weighted
+//! [`median`](histogram::weighted_median) for the mean/median-decoding study
+//! (§IV-C), relative-error "needle" counting
 //! (§IV-C.1), and deterministic seedable RNG plumbing used by every crate in
 //! the workspace.
 //!
@@ -26,9 +26,7 @@ pub mod rng;
 pub mod summary;
 
 pub use histogram::{Histogram, HistogramSpec};
-pub use metrics::{
-    mae, mare, mse, msre, r2_score, relative_error, rmse, spearman, RegressionReport,
-};
-pub use needle::{needle_fraction, NeedleReport};
-pub use rng::{derive_seed, seeded_rng, SeedDomain};
-pub use summary::{CltInterval, Summary, Welford};
+pub use metrics::{mare, msre, r2_score, relative_error, RegressionReport};
+pub use needle::NeedleReport;
+pub use rng::{seeded_rng, SeedDomain};
+pub use summary::{Summary, Welford};

@@ -67,31 +67,6 @@ pub fn msre(pred: &[f64], truth: &[f64]) -> f64 {
     sum / pred.len() as f64
 }
 
-/// Mean Absolute Error.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    check_paired(pred, truth);
-    pred.iter()
-        .zip(truth)
-        .map(|(&p, &t)| (p - t).abs())
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
-/// Mean Squared Error.
-pub fn mse(pred: &[f64], truth: &[f64]) -> f64 {
-    check_paired(pred, truth);
-    pred.iter()
-        .zip(truth)
-        .map(|(&p, &t)| (p - t) * (p - t))
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
-/// Root Mean Squared Error.
-pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
-    mse(pred, truth).sqrt()
-}
-
 /// Coefficient of determination (R² score).
 ///
 /// `R² = 1 - SS_res / SS_tot` where `SS_tot` is measured around the mean of
@@ -122,53 +97,6 @@ pub fn r2_score(pred: &[f64], truth: &[f64]) -> f64 {
     } else {
         1.0 - ss_res / ss_tot
     }
-}
-
-/// Average rank of each element, handling ties by midranks.
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).unwrap());
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let midrank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = midrank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Spearman rank correlation between predictions and ground truth.
-///
-/// An autotuner only needs the surrogate to *rank* configurations
-/// correctly — a predictor with terrible absolute error but perfect rank
-/// correlation still finds the best configuration. Ties receive midranks;
-/// a constant input yields `NaN` (no ranking exists).
-///
-/// # Panics
-/// Panics if the slices differ in length or are empty.
-pub fn spearman(pred: &[f64], truth: &[f64]) -> f64 {
-    check_paired(pred, truth);
-    let rp = ranks(pred);
-    let rt = ranks(truth);
-    let n = pred.len() as f64;
-    let mean = (n + 1.0) / 2.0;
-    let mut cov = 0.0;
-    let mut var_p = 0.0;
-    let mut var_t = 0.0;
-    for (a, b) in rp.iter().zip(&rt) {
-        cov += (a - mean) * (b - mean);
-        var_p += (a - mean) * (a - mean);
-        var_t += (b - mean) * (b - mean);
-    }
-    cov / (var_p * var_t).sqrt()
 }
 
 /// Bundle of the three paper metrics for one evaluation setting.
@@ -237,8 +165,6 @@ mod tests {
         assert_eq!(r2_score(&t, &t), 1.0);
         assert_eq!(mare(&t, &t), 0.0);
         assert_eq!(msre(&t, &t), 0.0);
-        assert_eq!(mae(&t, &t), 0.0);
-        assert_eq!(rmse(&t, &t), 0.0);
     }
 
     #[test]
@@ -254,6 +180,9 @@ mod tests {
         let truth = [1.0, 2.0, 3.0, 4.0];
         let pred = [4.0, 3.0, 2.0, 1.0];
         assert!(r2_score(&pred, &truth) < 0.0);
+        // A scale error is punished even when the ranking is perfect.
+        let scaled: Vec<f64> = truth.iter().map(|t| t * 100.0).collect();
+        assert!(r2_score(&scaled, &truth) < 0.0);
     }
 
     #[test]
@@ -286,35 +215,6 @@ mod tests {
         let s = format!("{r}");
         assert!(s.contains("MARE"), "display should label metrics: {s}");
         assert!(s.contains("n=2"));
-    }
-
-    #[test]
-    fn spearman_basics() {
-        // perfect monotone relation, regardless of scale
-        let truth = [1.0, 2.0, 3.0, 4.0];
-        let pred = [10.0, 200.0, 3000.0, 40000.0];
-        assert!((spearman(&pred, &truth) - 1.0).abs() < 1e-12);
-        // perfect anti-monotone
-        let anti = [4.0, 3.0, 2.0, 1.0];
-        assert!((spearman(&anti, &truth) + 1.0).abs() < 1e-12);
-        // constant prediction has no ranking
-        assert!(spearman(&[1.0; 4], &truth).is_nan());
-    }
-
-    #[test]
-    fn spearman_handles_ties_with_midranks() {
-        let truth = [1.0, 2.0, 3.0, 4.0];
-        let pred = [1.0, 1.0, 2.0, 3.0];
-        let rho = spearman(&pred, &truth);
-        assert!(rho > 0.9 && rho < 1.0, "tied but strongly monotone: {rho}");
-    }
-
-    #[test]
-    fn spearman_is_scale_invariant_where_r2_is_not() {
-        let truth = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let pred: Vec<f64> = truth.iter().map(|t| t * 100.0).collect();
-        assert!(r2_score(&pred, &truth) < 0.0, "R2 punishes the scale error");
-        assert!((spearman(&pred, &truth) - 1.0).abs() < 1e-12);
     }
 
     #[test]

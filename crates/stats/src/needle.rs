@@ -17,7 +17,7 @@ pub const PAPER_THRESHOLDS: [f64; 3] = [0.50, 0.10, 0.01];
 ///
 /// # Panics
 /// Panics if the slices differ in length or are empty.
-pub fn needle_fraction(pred: &[f64], truth: &[f64], bound: f64) -> f64 {
+fn needle_fraction(pred: &[f64], truth: &[f64], bound: f64) -> f64 {
     assert_eq!(pred.len(), truth.len(), "paired slices required");
     assert!(!pred.is_empty(), "needle fraction requires observations");
     let hits = pred
@@ -77,20 +77,6 @@ impl NeedleReport {
             within_50pct: needle_fraction(pred, truth, PAPER_THRESHOLDS[0]),
             within_10pct: needle_fraction(pred, truth, PAPER_THRESHOLDS[1]),
             within_1pct: needle_fraction(pred, truth, PAPER_THRESHOLDS[2]),
-        }
-    }
-
-    /// Build from a per-query oracle: for each query, 1 if any generable
-    /// value hit the bound, averaged across queries.
-    pub fn from_oracle_hits(hits_per_bound: [&[bool]; 3]) -> Self {
-        let frac = |hs: &[bool]| {
-            assert!(!hs.is_empty(), "oracle report requires observations");
-            hs.iter().filter(|&&h| h).count() as f64 / hs.len() as f64
-        };
-        Self {
-            within_50pct: frac(hits_per_bound[0]),
-            within_10pct: frac(hits_per_bound[1]),
-            within_1pct: frac(hits_per_bound[2]),
         }
     }
 
@@ -176,16 +162,5 @@ mod tests {
         };
         assert!(xgb.dominates(&llm));
         assert!(!llm.dominates(&xgb));
-    }
-
-    #[test]
-    fn from_oracle_hits_averages_each_bound() {
-        let b50 = [true, true, false, true];
-        let b10 = [true, false, false, false];
-        let b01 = [false, false, false, false];
-        let r = NeedleReport::from_oracle_hits([&b50, &b10, &b01]);
-        assert_eq!(r.within_50pct, 0.75);
-        assert_eq!(r.within_10pct, 0.25);
-        assert_eq!(r.within_1pct, 0.0);
     }
 }

@@ -56,7 +56,7 @@ impl SeedDomain {
 ///
 /// Stable across releases: the mapping is pure FNV-1a over the little-endian
 /// bytes of `(root, discriminant, a, b)`.
-pub fn derive_seed(root: u64, domain: SeedDomain) -> u64 {
+fn derive_seed(root: u64, domain: SeedDomain) -> u64 {
     let (d, a, b) = domain.tag();
     [root, d, a, b]
         .iter()

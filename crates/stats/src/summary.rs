@@ -4,10 +4,8 @@
 //! "via the Central Limit Theorem as the mean of MARE and MSRE gradually
 //! converge to the model's expected true capability", reporting a mean and
 //! standard deviation for each metric. [`Welford`] provides a numerically
-//! stable one-pass accumulator for those aggregates; [`Summary`] is its
-//! frozen result and [`CltInterval`] a normal-approximation confidence
-//! interval on the mean, following the "adding error bars to evals"
-//! methodology the paper cites.
+//! stable one-pass accumulator for those aggregates, and [`Summary`] is
+//! its frozen result.
 
 /// One-pass numerically stable mean/variance accumulator (Welford's method).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -87,7 +85,7 @@ impl Welford {
     }
 
     /// Sample variance (Bessel-corrected); `None` with fewer than 2 samples.
-    pub fn variance(&self) -> Option<f64> {
+    fn variance(&self) -> Option<f64> {
         (self.n > 1).then(|| self.m2 / (self.n - 1) as f64)
     }
 
@@ -137,24 +135,6 @@ impl Summary {
         w.extend(xs);
         w.finish()
     }
-
-    /// Standard error of the mean, `std_dev / sqrt(n)`.
-    pub fn std_error(&self) -> f64 {
-        self.std_dev / (self.n as f64).sqrt()
-    }
-
-    /// CLT normal-approximation confidence interval on the mean.
-    ///
-    /// `z` is the standard-normal quantile (1.96 for 95%).
-    pub fn clt_interval(&self, z: f64) -> CltInterval {
-        let half = z * self.std_error();
-        CltInterval {
-            mean: self.mean,
-            lo: self.mean - half,
-            hi: self.mean + half,
-            n: self.n,
-        }
-    }
 }
 
 impl std::fmt::Display for Summary {
@@ -164,26 +144,6 @@ impl std::fmt::Display for Summary {
             "mean={:.4} std={:.4} min={:.4} max={:.4} (n={})",
             self.mean, self.std_dev, self.min, self.max, self.n
         )
-    }
-}
-
-/// Normal-approximation confidence interval for a mean.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CltInterval {
-    /// Point estimate (sample mean).
-    pub mean: f64,
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound.
-    pub hi: f64,
-    /// Sample count behind the estimate.
-    pub n: u64,
-}
-
-impl CltInterval {
-    /// Whether the interval contains `x`.
-    pub fn contains(&self, x: f64) -> bool {
-        self.lo <= x && x <= self.hi
     }
 }
 
@@ -248,16 +208,6 @@ mod tests {
         let mut e = Welford::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn clt_interval_shrinks_with_n() {
-        let narrow: Vec<f64> = (0..1000).map(|i| (i % 10) as f64).collect();
-        let wide = &narrow[..10];
-        let si_narrow = Summary::of(&narrow).clt_interval(1.96);
-        let si_wide = Summary::of(wide).clt_interval(1.96);
-        assert!(si_narrow.hi - si_narrow.lo < si_wide.hi - si_wide.lo);
-        assert!(si_narrow.contains(si_narrow.mean));
     }
 
     #[test]

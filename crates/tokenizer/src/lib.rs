@@ -18,5 +18,5 @@
 pub mod tokenizer;
 pub mod vocab;
 
-pub use tokenizer::{TokenSpan, Tokenizer};
+pub use tokenizer::Tokenizer;
 pub use vocab::{TokenId, Vocab, BOS, EOS, ROLE_ASSISTANT, ROLE_SYSTEM, ROLE_USER};

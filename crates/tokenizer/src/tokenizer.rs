@@ -9,7 +9,7 @@ use crate::vocab::{byte_token, TokenId, Vocab};
 
 /// One encoded token with its source byte range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TokenSpan {
+pub(crate) struct TokenSpan {
     /// Token id.
     pub id: TokenId,
     /// Start byte offset in the source text.
@@ -92,7 +92,7 @@ impl Tokenizer {
     /// byte already fell back), one byte is consumed as its byte token.
     /// Tokens are whole UTF-8 strings, so none starts with a continuation
     /// byte, and one that starts on a char boundary also ends on one.
-    pub fn encode_spans(&self, text: &str) -> Vec<TokenSpan> {
+    fn encode_spans(&self, text: &str) -> Vec<TokenSpan> {
         let bytes = text.as_bytes();
         let mut out = Vec::with_capacity(bytes.len() / 3 + 1);
         let mut pos = 0;

@@ -177,8 +177,8 @@ impl InductionTransformer {
     }
 
     /// Full forward pass; returns the final position's S2 (copied-output)
-    /// vector. Exposed for inspection in tests and the mechanism demo.
-    pub fn forward_output_vector(&self, context: &[TokenId]) -> Vec<f32> {
+    /// vector, which `logits` unembeds.
+    fn forward_output_vector(&self, context: &[TokenId]) -> Vec<f32> {
         let t = context.len();
         assert!(t > 0, "transformer forward needs at least one token");
         let d_sig = self.cfg.d_sig;

@@ -104,7 +104,7 @@ pub struct TuneEntry {
     /// The winner's surrogate-measured runtime in seconds.
     pub surrogate_runtime: f64,
     /// Whether the winning configuration's real-kernel output matched the
-    /// reference nest (deterministic: a checksum comparison).
+    /// reference nest (deterministic: max |Δ| ÷ max(‖ref‖_F, 1) < 1e-9).
     pub validated: bool,
 }
 

@@ -14,8 +14,9 @@
 //!    existing [`InferenceService`] serving layer) vs random search, each
 //!    at the same budget against the same deterministic objective;
 //! 3. validates the winning configuration on the real
-//!    [`lmpeel_kernel`] syr2k nest (checksum against the untransformed
-//!    reference; wall-clock medians are reported but never cached);
+//!    [`lmpeel_kernel`] syr2k nest (max |Δ| ÷ max(‖ref‖_F, 1) against
+//!    the untransformed reference must stay below 1e-9; wall-clock
+//!    medians are reported but never cached);
 //! 4. durably commits the result and republishes the cache file in its
 //!    canonical byte-stable form ([`TuneCache::publish`]).
 //!
@@ -135,9 +136,11 @@ pub struct StrategyOutcome {
 /// median is for the caller's report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
-    /// Whether the configured nest matched the reference nest.
+    /// Whether the configured nest matched the reference nest:
+    /// `max_rel_diff < 1e-9`.
     pub checksum_ok: bool,
-    /// `max |diff| / frobenius(reference)` between the two results.
+    /// `max |diff| / max(frobenius(reference), 1)` between the two
+    /// results.
     pub max_rel_diff: f64,
     /// Median wall-clock of the configured nest, in seconds.
     pub wallclock_median: f64,
@@ -450,7 +453,8 @@ impl TuneService {
 }
 
 /// Run the winning configuration on the real syr2k nest at `size`,
-/// checking its result against the untransformed reference.
+/// checking its result against the untransformed reference: max |Δ| ÷
+/// max(‖ref‖_F, 1) must stay below 1e-9.
 fn validate_on_kernel(size: ArraySize, cfg: Syr2kConfig) -> ValidationReport {
     let (m, n) = size.dims();
     let problem = Syr2kProblem::new(m, n);

@@ -67,7 +67,8 @@ pub struct TuneWireResponse {
     pub config_index: u64,
     /// The winner's surrogate runtime in seconds.
     pub surrogate_runtime: f64,
-    /// Whether the real-kernel validation checksum matched.
+    /// Whether the real-kernel output matched the reference nest
+    /// (max |Δ| ÷ max(‖ref‖_F, 1) < 1e-9).
     pub validated: bool,
     /// Objective measurements taken to answer (0 on a hit).
     pub fresh_measurements: u64,
