@@ -150,7 +150,9 @@ fn decode<M: LanguageModel>(
             t.vocab().token_id("\n").expect("newline"),
             t.special(EOS),
         ])
-        .trace_min_prob(1e-4)
+        // Only the text is returned: a floor above 1 records no
+        // alternatives and makes each step draw-only, with the same tokens.
+        .trace_min_prob(2.0)
         .seed(seed)
         .build()
         .expect("valid llambo spec");

@@ -78,27 +78,30 @@ impl Gbdt {
         let n_sub = ((n as f64 * params.subsample).round() as usize).clamp(1, n);
         let n_col = ((n_features as f64 * params.colsample).round() as usize).clamp(1, n_features);
 
+        // Per-tree subsamples, reshuffled from the full sets each round.
+        let mut sub_rows = Vec::new();
+        let mut sub_feats = Vec::new();
+
         for _ in 0..params.n_estimators {
             for i in 0..n {
                 residual[i] = targets[i] - pred[i];
             }
-            let rows: Vec<usize> = if n_sub < n {
-                let mut shuffled = all_rows.clone();
-                let _ = shuffled.partial_shuffle(&mut rng, n_sub);
-                shuffled[..n_sub].to_vec()
+            let rows: &[usize] = if n_sub < n {
+                sub_rows.clone_from(&all_rows);
+                let _ = sub_rows.partial_shuffle(&mut rng, n_sub);
+                &sub_rows[..n_sub]
             } else {
-                all_rows.clone()
+                &all_rows
             };
-            let feats: Vec<usize> = if n_col < n_features {
-                let mut shuffled = all_feats.clone();
-                let _ = shuffled.partial_shuffle(&mut rng, n_col);
-                let mut f = shuffled[..n_col].to_vec();
-                f.sort_unstable();
-                f
+            let feats: &[usize] = if n_col < n_features {
+                sub_feats.clone_from(&all_feats);
+                let _ = sub_feats.partial_shuffle(&mut rng, n_col);
+                sub_feats[..n_col].sort_unstable();
+                &sub_feats[..n_col]
             } else {
-                all_feats.clone()
+                &all_feats
             };
-            let tree = Tree::fit(&data, &residual, &rows, &feats, params.tree);
+            let tree = Tree::fit(&data, &residual, rows, feats, params.tree);
             for (i, row) in features.iter().enumerate() {
                 pred[i] += params.learning_rate * tree.predict_row(row);
             }

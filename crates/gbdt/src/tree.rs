@@ -5,7 +5,7 @@
 //! histograms of the targets and pick the split maximizing the variance
 //! -reduction gain `sum_L²/n_L + sum_R²/n_R − sum²/n`.
 
-use crate::data::DMatrix;
+use crate::data::{DMatrix, MAX_BINS};
 
 /// Tree growth constraints.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,122 +74,18 @@ impl Tree {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
         assert!(targets.len() >= data.n_rows(), "targets shorter than data");
         assert!(!features.is_empty(), "need at least one candidate feature");
-        let mut tree = Tree { nodes: Vec::new() };
-        let mut rows_buf: Vec<usize> = rows.to_vec();
-        tree.grow(data, targets, &mut rows_buf, features, params, 0);
-        tree
-    }
-
-    /// Recursively grow; `rows` is reordered in place (partitioned).
-    /// Returns the index of the created node.
-    fn grow(
-        &mut self,
-        data: &DMatrix,
-        targets: &[f64],
-        rows: &mut [usize],
-        features: &[usize],
-        params: TreeParams,
-        depth: usize,
-    ) -> usize {
-        let sum: f64 = rows.iter().map(|&r| targets[r]).sum();
-        let n = rows.len();
-        let mean = sum / n as f64;
-        let make_leaf = |tree: &mut Tree| {
-            tree.nodes.push(Node::Leaf { value: mean });
-            tree.nodes.len() - 1
+        let mut grower = Grower {
+            data,
+            targets,
+            features,
+            params,
+            nodes: Vec::new(),
+            spill: Vec::with_capacity(rows.len()),
         };
-
-        if depth >= params.max_depth || n < 2 * params.min_samples_leaf {
-            return make_leaf(self);
+        grower.grow(&mut rows.to_vec(), 0);
+        Tree {
+            nodes: grower.nodes,
         }
-
-        let best = Self::find_best_split(data, targets, rows, features, params, sum);
-        let Some(best) = best else {
-            return make_leaf(self);
-        };
-        if best.gain < params.min_gain {
-            return make_leaf(self);
-        }
-
-        // Partition rows around the winning bin.
-        let mid = partition(rows, |&r| data.bin(r, best.feature) <= best.bin);
-        debug_assert!(mid > 0 && mid < rows.len(), "degenerate partition");
-
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean }); // placeholder
-        let (left_rows, right_rows) = rows.split_at_mut(mid);
-        let left = self.grow(data, targets, left_rows, features, params, depth + 1);
-        let right = self.grow(data, targets, right_rows, features, params, depth + 1);
-        self.nodes[node_idx] = Node::Split {
-            feature: best.feature,
-            threshold: data.threshold(best.feature, best.bin),
-            gain: best.gain,
-            left,
-            right,
-        };
-        node_idx
-    }
-
-    fn find_best_split(
-        data: &DMatrix,
-        targets: &[f64],
-        rows: &[usize],
-        features: &[usize],
-        params: TreeParams,
-        total_sum: f64,
-    ) -> Option<BestSplit> {
-        let n = rows.len() as f64;
-        let parent_score = total_sum * total_sum / n;
-        features
-            .iter()
-            .filter_map(|&f| {
-                let n_bins = data.n_bins(f);
-                if n_bins < 2 {
-                    return None;
-                }
-                let mut sums = vec![0.0f64; n_bins];
-                let mut counts = vec![0usize; n_bins];
-                for &r in rows {
-                    let b = data.bin(r, f);
-                    sums[b] += targets[r];
-                    counts[b] += 1;
-                }
-                let total_count: usize = rows.len();
-                let mut best: Option<BestSplit> = None;
-                let mut left_sum = 0.0;
-                let mut left_count = 0usize;
-                for b in 0..n_bins - 1 {
-                    left_sum += sums[b];
-                    left_count += counts[b];
-                    let right_count = total_count - left_count;
-                    if left_count < params.min_samples_leaf
-                        || right_count < params.min_samples_leaf
-                        || left_count == 0
-                        || right_count == 0
-                    {
-                        continue;
-                    }
-                    let right_sum = total_sum - left_sum;
-                    let gain = left_sum * left_sum / left_count as f64
-                        + right_sum * right_sum / right_count as f64
-                        - parent_score;
-                    if best.as_ref().is_none_or(|s| gain > s.gain) {
-                        best = Some(BestSplit {
-                            feature: f,
-                            bin: b,
-                            gain,
-                        });
-                    }
-                }
-                best
-            })
-            .max_by(|a, b| {
-                a.gain
-                    .partial_cmp(&b.gain)
-                    .unwrap()
-                    // deterministic tie-break on feature index
-                    .then(b.feature.cmp(&a.feature))
-            })
     }
 
     /// Predict one feature row.
@@ -237,36 +133,143 @@ impl Tree {
             }
         }
     }
+}
 
-    /// Maximum depth of the fitted tree.
-    pub fn depth(&self) -> usize {
-        fn depth_of(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + depth_of(nodes, *left).max(depth_of(nodes, *right))
-                }
-            }
+/// One tree fit in progress: its fixed inputs, the nodes grown so far and
+/// the partition scratch that every node reuses.
+struct Grower<'a> {
+    data: &'a DMatrix,
+    targets: &'a [f64],
+    features: &'a [usize],
+    params: TreeParams,
+    nodes: Vec<Node>,
+    spill: Vec<usize>,
+}
+
+impl Grower<'_> {
+    /// Recursively grow; `rows` is reordered in place (partitioned).
+    /// Returns the index of the created node.
+    fn grow(&mut self, rows: &mut [usize], depth: usize) -> usize {
+        let sum: f64 = rows.iter().map(|&r| self.targets[r]).sum();
+        let n = rows.len();
+        let mean = sum / n as f64;
+        let make_leaf = |nodes: &mut Vec<Node>| {
+            nodes.push(Node::Leaf { value: mean });
+            nodes.len() - 1
+        };
+
+        let params = self.params;
+        if depth >= params.max_depth || n < 2 * params.min_samples_leaf {
+            return make_leaf(&mut self.nodes);
         }
-        depth_of(&self.nodes, 0)
+
+        let best = self.find_best_split(rows, sum);
+        let Some(best) = best else {
+            return make_leaf(&mut self.nodes);
+        };
+        if best.gain < params.min_gain {
+            return make_leaf(&mut self.nodes);
+        }
+
+        // Partition rows around the winning bin.
+        let data = self.data;
+        let mid = partition(rows, &mut self.spill, |&r| {
+            data.bin(r, best.feature) <= best.bin
+        });
+        debug_assert!(mid > 0 && mid < rows.len(), "degenerate partition");
+
+        let node_idx = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: mean }); // placeholder
+        let (left_rows, right_rows) = rows.split_at_mut(mid);
+        let left = self.grow(left_rows, depth + 1);
+        let right = self.grow(right_rows, depth + 1);
+        self.nodes[node_idx] = Node::Split {
+            feature: best.feature,
+            threshold: data.threshold(best.feature, best.bin),
+            gain: best.gain,
+            left,
+            right,
+        };
+        node_idx
+    }
+
+    fn find_best_split(&self, rows: &[usize], total_sum: f64) -> Option<BestSplit> {
+        let (data, targets, params) = (self.data, self.targets, self.params);
+        let n = rows.len() as f64;
+        let parent_score = total_sum * total_sum / n;
+        // Per-bin histograms, cleared per feature (`DMatrix` caps bins at
+        // `MAX_BINS`).
+        let mut sums = [0.0f64; MAX_BINS];
+        let mut counts = [0usize; MAX_BINS];
+        self.features
+            .iter()
+            .filter_map(|&f| {
+                let n_bins = data.n_bins(f);
+                if n_bins < 2 {
+                    return None;
+                }
+                sums[..n_bins].fill(0.0);
+                counts[..n_bins].fill(0);
+                for &r in rows {
+                    let b = data.bin(r, f);
+                    sums[b] += targets[r];
+                    counts[b] += 1;
+                }
+                let total_count: usize = rows.len();
+                let mut best: Option<BestSplit> = None;
+                let mut left_sum = 0.0;
+                let mut left_count = 0usize;
+                for b in 0..n_bins - 1 {
+                    left_sum += sums[b];
+                    left_count += counts[b];
+                    let right_count = total_count - left_count;
+                    if left_count < params.min_samples_leaf
+                        || right_count < params.min_samples_leaf
+                        || left_count == 0
+                        || right_count == 0
+                    {
+                        continue;
+                    }
+                    let right_sum = total_sum - left_sum;
+                    let gain = left_sum * left_sum / left_count as f64
+                        + right_sum * right_sum / right_count as f64
+                        - parent_score;
+                    if best.as_ref().is_none_or(|s| gain > s.gain) {
+                        best = Some(BestSplit {
+                            feature: f,
+                            bin: b,
+                            gain,
+                        });
+                    }
+                }
+                best
+            })
+            .max_by(|a, b| {
+                a.gain
+                    .partial_cmp(&b.gain)
+                    .unwrap()
+                    // deterministic tie-break on feature index
+                    .then(b.feature.cmp(&a.feature))
+            })
     }
 }
 
-/// Stable partition in place: rows satisfying the predicate first.
+/// Stable partition in place: rows satisfying the predicate first, each
+/// side in its original order. The rest wait in `spill` (cleared first).
 /// Returns the number of satisfying rows.
-fn partition<F: Fn(&usize) -> bool>(rows: &mut [usize], pred: F) -> usize {
-    let mut left: Vec<usize> = Vec::with_capacity(rows.len());
-    let mut right: Vec<usize> = Vec::with_capacity(rows.len());
-    for &r in rows.iter() {
+fn partition<F: Fn(&usize) -> bool>(rows: &mut [usize], spill: &mut Vec<usize>, pred: F) -> usize {
+    spill.clear();
+    let mut mid = 0;
+    for i in 0..rows.len() {
+        let r = rows[i];
         if pred(&r) {
-            left.push(r);
+            rows[mid] = r;
+            mid += 1;
         } else {
-            right.push(r);
+            spill.push(r);
         }
     }
-    let mid = left.len();
-    rows[..mid].copy_from_slice(&left);
-    rows[mid..].copy_from_slice(&right);
+    rows[mid..].copy_from_slice(spill);
     mid
 }
 
@@ -279,6 +282,18 @@ mod tests {
         let all_rows: Vec<usize> = (0..rows.len()).collect();
         let feats: Vec<usize> = (0..rows[0].len()).collect();
         Tree::fit(&data, y, &all_rows, &feats, params)
+    }
+
+    fn depth(t: &Tree) -> usize {
+        fn depth_of(nodes: &[Node], i: usize) -> usize {
+            match &nodes[i] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => {
+                    1 + depth_of(nodes, *left).max(depth_of(nodes, *right))
+                }
+            }
+        }
+        depth_of(&t.nodes, 0)
     }
 
     fn leaf_count(t: &Tree) -> usize {
@@ -300,7 +315,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(t.depth(), 1);
+        assert_eq!(depth(&t), 1);
         assert_eq!(leaf_count(&t), 2);
         assert!((t.predict_row(&[3.0]) - 1.0).abs() < 1e-12);
         assert!((t.predict_row(&[15.0]) - 5.0).abs() < 1e-12);
@@ -425,7 +440,7 @@ mod tests {
     #[test]
     fn partition_is_stable_and_correct() {
         let mut rows = vec![5, 2, 8, 1, 9, 4];
-        let mid = partition(&mut rows, |&r| r < 5);
+        let mid = partition(&mut rows, &mut Vec::new(), |&r| r < 5);
         assert_eq!(mid, 3);
         assert_eq!(&rows[..3], &[2, 1, 4], "stable order preserved");
         assert_eq!(&rows[3..], &[5, 8, 9]);

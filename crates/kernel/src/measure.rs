@@ -36,9 +36,9 @@ impl Default for MeasureSpec {
 
 /// Result of measuring one workload.
 ///
-/// The statistics are total: they return `None` on an empty sample set
-/// instead of `INFINITY`/panicking, so a `Measurement` deserialized or
-/// constructed outside [`measure`] can never poison downstream math.
+/// The median is total: it returns `None` on an empty sample set instead
+/// of `INFINITY`/panicking, so a `Measurement` constructed outside
+/// [`measure`] can never poison downstream math.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     samples: Vec<f64>,
@@ -48,21 +48,6 @@ impl Measurement {
     /// Wrap raw timing samples (seconds, execution order).
     fn from_samples(samples: Vec<f64>) -> Self {
         Self { samples }
-    }
-
-    /// All timed samples, in execution order (seconds).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Fastest sample; `None` when there are no samples.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Slowest sample; `None` when there are no samples.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
     }
 
     /// Median sample — the headline number (robust to OS jitter); `None`
@@ -79,14 +64,6 @@ impl Measurement {
         } else {
             0.5 * (s[mid - 1] + s[mid])
         })
-    }
-
-    /// Arithmetic mean sample; `None` when there are no samples.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
     }
 }
 
@@ -122,18 +99,16 @@ mod tests {
     #[test]
     fn collects_requested_samples() {
         let (m, out) = measure(spec(2, 5), || 41 + 1);
-        assert_eq!(m.samples().len(), 5);
+        assert_eq!(m.samples.len(), 5);
         assert_eq!(out, 42);
-        assert!(m.samples().iter().all(|&s| s >= 0.0));
+        assert!(m.samples.iter().all(|&s| s >= 0.0));
     }
 
     #[test]
     fn statistics_are_consistent() {
         let m = Measurement::from_samples(vec![3.0, 1.0, 2.0]);
-        assert_eq!(m.min(), Some(1.0));
-        assert_eq!(m.max(), Some(3.0));
+        assert_eq!(m.samples, [3.0, 1.0, 2.0], "execution order kept");
         assert_eq!(m.median(), Some(2.0));
-        assert_eq!(m.mean(), Some(2.0));
     }
 
     #[test]
@@ -145,10 +120,7 @@ mod tests {
     #[test]
     fn empty_measurement_statistics_are_total() {
         let m = Measurement::from_samples(vec![]);
-        assert_eq!(m.min(), None);
-        assert_eq!(m.max(), None);
         assert_eq!(m.median(), None);
-        assert_eq!(m.mean(), None);
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //! by construction, and so is a constrained one whose mask admits every
 //! token.
 //!
-//! A step sorts the logits once: the finite logits are ranked into a
-//! reusable `Ranking`, and the sampler's draw and the trace's raw
-//! softmax both read that one order.
+//! A step that records a trace sorts the logits once: the finite logits
+//! are ranked into a reusable `Ranking`, and the sampler's draw and the
+//! trace's raw softmax both read that one order. A step whose
+//! `trace_min_prob` is above 1 can record nothing, so it is draw-only: it
+//! skips the raw softmax and ranks only the head of the order that its
+//! draw can reach.
 
 use crate::error::{LmError, MAX_TOKEN_BUDGET};
 use crate::model::LanguageModel;
@@ -50,7 +53,9 @@ pub struct GenerateSpec {
     /// the trace's steps).
     pub(crate) stop_tokens: Vec<TokenId>,
     /// Minimum probability for an alternative to be recorded in the trace
-    /// (the "nonzero logit" cutoff of §III-C).
+    /// (the "nonzero logit" cutoff of §III-C). Above 1 no alternative can
+    /// be recorded: every step's `alternatives` is empty and the step skips
+    /// the raw softmax and the full sort (a draw-only step).
     pub(crate) trace_min_prob: f32,
     /// Sampling seed (the paper evaluates each prompt with three seeds).
     pub(crate) seed: u64,
@@ -174,7 +179,10 @@ impl GenerateSpecBuilder {
         self
     }
 
-    /// Set the trace-recording probability floor.
+    /// Set the trace-recording probability floor. A floor above 1 records
+    /// no alternatives, and each step then skips the raw softmax and ranks
+    /// only the logits its draw can reach; the drawn tokens and their
+    /// probabilities are bitwise those of any lower floor.
     pub fn trace_min_prob(mut self, p: f32) -> Self {
         self.spec.trace_min_prob = p;
         self
@@ -232,8 +240,10 @@ pub(crate) struct StepScratch {
 ///
 /// The finite logits are ranked once per step, and that one order is
 /// shared: the sampler's draw and the trace's raw softmax both read it
-/// (`ranking` is the caller's reusable buffer). A stop token ends the step
-/// before the trace half runs.
+/// (`ranking` is the caller's reusable buffer). A `trace_min_prob` above 1
+/// makes the step draw-only: no raw-softmax probability can reach the
+/// floor, so the trace half is skipped and the draw ranks only the head it
+/// can reach. A stop token ends the step before the trace half runs.
 pub(crate) fn decode_step_from(
     session: &mut dyn DecodeSession,
     logits: &[f32],
@@ -241,14 +251,18 @@ pub(crate) fn decode_step_from(
     rng: &mut ChaCha8Rng,
     ranking: &mut Ranking,
 ) -> Result<Option<GenStep>, LmError> {
-    if !ranking.rank(logits) {
+    let trace = spec.trace_min_prob <= 1.0;
+    let Some((chosen, chosen_prob)) = spec.sampler.draw(ranking, logits, rng, trace) else {
         return Err(LmError::EmptyVocab);
-    }
-    let (chosen, chosen_prob) = spec.sampler.draw(ranking, logits, rng);
+    };
     if spec.stop_tokens.contains(&chosen) {
         return Ok(None);
     }
-    let alternatives = ranking.alternatives(logits, spec.trace_min_prob);
+    let alternatives = if trace {
+        ranking.alternatives(logits, spec.trace_min_prob)
+    } else {
+        Vec::new()
+    };
     session.append(chosen);
     Ok(Some(GenStep {
         chosen,

@@ -1,7 +1,9 @@
 //! Temperature / top-k / top-p sampling over logit vectors.
 //!
 //! Every distribution here is computed over one `Ranking` of the finite
-//! logits, so a decode step sorts once for both its draw and its trace.
+//! logits. A step that records a trace sorts every finite logit once, for
+//! both its draw and its trace; a draw-only step sorts only the head of the
+//! ranking its draw can reach (see [`Ranking::rank_head`]).
 
 use crate::trace::TokenAlt;
 use lmpeel_tokenizer::TokenId;
@@ -55,31 +57,48 @@ impl Sampler {
         ranking.pairs(kept).collect()
     }
 
-    /// Draw one token from this sampler's distribution over a ranking of
-    /// `logits` (see [`Ranking::rank`], which must have returned `true`).
-    /// Returns the chosen token and its filtered, renormalized probability.
-    /// Every policy draws exactly one `u` from `rng`, greedy included (its
-    /// one-point distribution takes any draw), so the RNG stream does not
-    /// depend on the policy.
+    /// Draw one token from this sampler's distribution over the finite
+    /// `logits`; `None` when none is finite. Returns the chosen token and
+    /// its filtered, renormalized probability. Every policy draws exactly
+    /// one `u` from `rng`, greedy included (its one-point distribution takes
+    /// any draw), so the RNG stream does not depend on the policy.
+    ///
+    /// With `trace`, `ranking` is left holding every finite logit for
+    /// [`Ranking::alternatives`]. Without it the step is draw-only: greedy
+    /// finds the top logit without sorting, and a sampling draw ranks only
+    /// the head it can reach, falling back to the full ranking when its
+    /// filters keep all of a head that is short of the finite set. Either
+    /// way the token, its probability and the RNG position are bitwise
+    /// those of the full ranking.
     pub(crate) fn draw(
         &self,
         ranking: &mut Ranking,
         logits: &[f32],
         rng: &mut ChaCha8Rng,
-    ) -> (TokenId, f32) {
+        trace: bool,
+    ) -> Option<(TokenId, f32)> {
+        let any_finite = if trace {
+            ranking.rank(logits)
+        } else {
+            ranking.rank_top(logits)
+        };
+        if !any_finite {
+            return None;
+        }
         let u: f32 = rng.random();
         if self.temperature <= 0.0 {
-            return (ranking.id(0), 1.0);
+            return Some((ranking.id(0), 1.0));
+        }
+        if !trace {
+            let finite = ranking.rank_head(self, logits);
+            let kept = ranking.softmax(self, logits);
+            if kept < ranking.keys.len() || ranking.keys.len() == finite {
+                return Some(ranking.pick(kept, u));
+            }
+            ranking.rank(logits);
         }
         let kept = ranking.softmax(self, logits);
-        let mut cum = 0.0;
-        for (t, p) in ranking.pairs(kept) {
-            cum += p;
-            if u <= cum {
-                return (t, p);
-            }
-        }
-        (ranking.id(kept - 1), ranking.probs[kept - 1])
+        Some(ranking.pick(kept, u))
     }
 }
 
@@ -101,9 +120,11 @@ const RAW: Sampler = Sampler {
 /// [`Ranking::softmax`] over them.
 ///
 /// The order depends only on the logits, so one ranking serves every
-/// temperature and filter: a decode step ranks once and both the draw and
-/// the trace's raw softmax read it. The buffers keep their capacity, so a
-/// generation that reuses one `Ranking` allocates nothing per step here.
+/// temperature and filter: a tracing decode step ranks once and both the
+/// draw and the trace's raw softmax read it, while a draw-only step may
+/// hold just the head of the order ([`Ranking::rank_head`]). The buffers
+/// keep their capacity, so a generation that reuses one `Ranking`
+/// allocates nothing per step here.
 #[derive(Debug, Default)]
 pub(crate) struct Ranking {
     /// One total-order key per finite logit, ascending: the complemented
@@ -130,6 +151,52 @@ impl Ranking {
         !self.keys.is_empty()
     }
 
+    /// Rank only the top logit (the first key of the full ranking): all a
+    /// greedy draw reads, and the max a head ranking needs. Returns `false`
+    /// when no logit is finite.
+    fn rank_top(&mut self, logits: &[f32]) -> bool {
+        self.keys.clear();
+        self.keys.extend(
+            logits
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.is_finite())
+                .map(|(id, &l)| key(id as TokenId, l))
+                .min(),
+        );
+        !self.keys.is_empty()
+    }
+
+    /// Replace a [`Ranking::rank_top`] ranking with the head of the full
+    /// ranking that sampler `s` can draw from, and return how many logits
+    /// are finite.
+    ///
+    /// A finite logit `l` is kept when its softmax exponent
+    /// `(l − max) / T`, computed exactly as [`Ranking::softmax`] computes
+    /// it, is at least [`HEAD_EXPONENT`]. The exponent falls along the
+    /// ranking, so the head is a prefix of it. Every term left out is below
+    /// exp(−17) ≈ 4.1e-8, under 2⁻²⁴ ≈ 5.96e-8. The softmax sums in rank
+    /// order and its first term is exp(0) = 1, so the running sum is ≥ 1 and
+    /// half its ulp is ≥ 2⁻²⁴: each term past the head leaves the sum
+    /// bitwise unchanged. The head's probabilities are therefore bitwise
+    /// the full ranking's, and so is any top-k/top-p cut that falls inside
+    /// the head, the renormalization after it and the draw over it.
+    fn rank_head(&mut self, s: &Sampler, logits: &[f32]) -> usize {
+        let max = logits[self.id(0) as usize];
+        let mut finite = 0;
+        self.keys.clear();
+        for (id, &l) in logits.iter().enumerate() {
+            if l.is_finite() {
+                finite += 1;
+                if (l - max) / s.temperature >= HEAD_EXPONENT {
+                    self.keys.push(key(id as TokenId, l));
+                }
+            }
+        }
+        self.keys.sort_unstable();
+        finite
+    }
+
     /// Token id at position `rank` of the ranking.
     fn id(&self, rank: usize) -> TokenId {
         self.keys[rank] as TokenId
@@ -141,6 +208,19 @@ impl Ranking {
             .iter()
             .zip(&self.probs[..kept])
             .map(|(&k, &p)| (k as TokenId, p))
+    }
+
+    /// The cumulative pick of draw `u` over the first `kept` ranked tokens:
+    /// the first whose running sum reaches `u`, else the last.
+    fn pick(&self, kept: usize, u: f32) -> (TokenId, f32) {
+        let mut cum = 0.0;
+        for (t, p) in self.pairs(kept) {
+            cum += p;
+            if u <= cum {
+                return (t, p);
+            }
+        }
+        (self.id(kept - 1), self.probs[kept - 1])
     }
 
     /// The trace half of a step: the raw softmax's tokens with probability
@@ -198,6 +278,10 @@ impl Ranking {
     }
 }
 
+/// The smallest softmax exponent a head ranking keeps; see
+/// [`Ranking::rank_head`].
+const HEAD_EXPONENT: f32 = -17.0;
+
 /// The ranking key of logit `l` at token `id`. `-0.0` is folded into `+0.0`
 /// first: the two compare equal, so the id alone must break their tie.
 fn key(id: TokenId, l: f32) -> u64 {
@@ -217,11 +301,10 @@ mod tests {
     use super::*;
     use lmpeel_stats::{seeded_rng, SeedDomain};
 
-    /// One draw through the decode step's path: rank, then draw.
+    /// One draw through a tracing decode step's path.
     pub(super) fn sample(s: &Sampler, logits: &[f32], rng: &mut ChaCha8Rng) -> (TokenId, f32) {
-        let mut ranking = Ranking::default();
-        assert!(ranking.rank(logits), "no finite logit");
-        s.draw(&mut ranking, logits, rng)
+        s.draw(&mut Ranking::default(), logits, rng, true)
+            .expect("a finite logit")
     }
 
     fn logits_of(pairs: &[(usize, f32)], n: usize) -> Vec<f32> {
@@ -335,6 +418,50 @@ mod tests {
         let expect = (2.0f32.exp() / (2.0f32.exp() + 1.0)) as f64;
         let got = hits as f64 / n as f64;
         assert!((got - expect).abs() < 0.03, "freq {got} vs prob {expect}");
+    }
+
+    #[test]
+    fn draw_only_ranks_only_the_reachable_head() {
+        // Logits 0, -1, ..., -99 at T = 0.6: the exponent -l / 0.6 is at
+        // least -17 for 0 ..= -10 alone, and top-p 0.9 cuts after two.
+        let l: Vec<f32> = (0..100).map(|i| -(i as f32)).collect();
+        let mut rng = seeded_rng(3, SeedDomain::Sampling(0));
+        let mut ranking = Ranking::default();
+        Sampler::paper().draw(&mut ranking, &l, &mut rng, false);
+        assert_eq!(ranking.keys.len(), 11);
+        // Without top-k/top-p nothing truncates inside the head, so the
+        // draw falls back to ranking every finite logit.
+        let unfiltered = Sampler {
+            top_p: 1.0,
+            ..Sampler::paper()
+        };
+        unfiltered.draw(&mut ranking, &l, &mut rng, false);
+        assert_eq!(ranking.keys.len(), 100);
+    }
+
+    #[test]
+    fn draw_only_fallback_keeps_the_tail_in_the_renormalization() {
+        // Unfiltered at T = 1: a head of logits 0 and `a`, then a tail just
+        // past it (exponent -17.2, terms ~3e-8). The tail cannot move the
+        // softmax sum, but the renormalization sums the probabilities,
+        // which may total just under 1, where it can. Only the fallback to
+        // the full ranking keeps such a draw bitwise the tracing one.
+        let s = Sampler {
+            temperature: 1.0,
+            top_k: 0,
+            top_p: 1.0,
+        };
+        let bits = |d: Option<(TokenId, f32)>| d.map(|(t, p)| (t, p.to_bits()));
+        for i in 0..200 {
+            let a = -(i as f32) * 0.05;
+            let mut l = vec![0.0, a];
+            l.extend([-17.2f32; 4]);
+            let mut want_rng = seeded_rng(i, SeedDomain::Sampling(0));
+            let mut got_rng = want_rng.clone();
+            let want = s.draw(&mut Ranking::default(), &l, &mut want_rng, true);
+            let got = s.draw(&mut Ranking::default(), &l, &mut got_rng, false);
+            assert_eq!(bits(got), bits(want), "a = {a}");
+        }
     }
 
     #[test]
@@ -558,19 +685,19 @@ mod oracle {
         ) {
             let s = sampler(kind, temperature, top_k, top_p);
             let raw = distribution(&RAW, &logits);
-            let mut ranking = Ranking::default();
-            prop_assert_eq!(ranking.rank(&logits), !raw.is_empty(), "EmptyVocab iff none finite");
             prop_assert_eq!(bits(s.distribution(&logits)), bits(distribution(&s, &logits)));
             prop_assert_eq!(bits(RAW.distribution(&logits)), bits(raw.clone()));
-            if raw.is_empty() {
-                return Ok(());
-            }
 
             let mut want_rng =
                 lmpeel_stats::seeded_rng(seed, lmpeel_stats::SeedDomain::Sampling(7));
             let mut got_rng = want_rng.clone();
+            let mut ranking = Ranking::default();
+            let drawn = s.draw(&mut ranking, &logits, &mut got_rng, true);
+            prop_assert_eq!(drawn.is_none(), raw.is_empty(), "EmptyVocab iff none finite");
+            let Some((got, got_p)) = drawn else {
+                return Ok(());
+            };
             let (want, want_p) = sample(&s, &logits, &mut want_rng);
-            let (got, got_p) = s.draw(&mut ranking, &logits, &mut got_rng);
             prop_assert_eq!((got, got_p.to_bits()), (want, want_p.to_bits()));
             prop_assert_eq!(got_rng.random::<u64>(), want_rng.random::<u64>());
 
@@ -578,6 +705,39 @@ mod oracle {
             let got_alts = ranking.alternatives(&logits, min_prob);
             prop_assert_eq!(got_alts.capacity(), got_alts.len(), "exact-length trace");
             prop_assert_eq!(bits(got_alts.iter().map(|a| (a.id, a.prob))), want_alts);
+        }
+
+        // A draw-only step (head ranking, fallback to the full one) draws
+        // bitwise the former `sample`'s token and probability and leaves
+        // the RNG at the same point. The spreads give heads that hold every
+        // finite logit and heads far shorter than it; `top_k = 0` with
+        // `top_p = 1` keeps a whole short head, so the fallback runs.
+        #[test]
+        fn draw_only_step_is_bitwise_the_sorting_sampler(
+            logits in prop_oneof![
+                2 => arb_logits(),
+                1 => proptest::collection::vec(-60.0f32..8.0, 1..200),
+                1 => proptest::collection::vec(-1.0f32..1.0, 1..40),
+            ],
+            kind in 0usize..4,
+            temperature in 0.05f32..3.0,
+            top_k in 0usize..6,
+            top_p in 0.05f32..1.0,
+            seed in 0u64..1024,
+        ) {
+            let s = sampler(kind, temperature, top_k, top_p);
+            let mut want_rng =
+                lmpeel_stats::seeded_rng(seed, lmpeel_stats::SeedDomain::Sampling(7));
+            let mut got_rng = want_rng.clone();
+            let drawn = s.draw(&mut Ranking::default(), &logits, &mut got_rng, false);
+            let none_finite = !logits.iter().any(|l| l.is_finite());
+            prop_assert_eq!(drawn.is_none(), none_finite, "EmptyVocab iff none finite");
+            let Some((got, got_p)) = drawn else {
+                return Ok(());
+            };
+            let (want, want_p) = sample(&s, &logits, &mut want_rng);
+            prop_assert_eq!((got, got_p.to_bits()), (want, want_p.to_bits()));
+            prop_assert_eq!(got_rng.random::<u64>(), want_rng.random::<u64>());
         }
     }
 }

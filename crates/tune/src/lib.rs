@@ -223,7 +223,10 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
                         .sampler(Sampler::paper())
                         .max_tokens(16)
                         .stop_tokens(stop.clone())
-                        .trace_min_prob(1e-4)
+                        // Only the decoded text is read, so record no
+                        // alternatives: a floor above 1 makes each decode
+                        // step draw-only, with the same tokens.
+                        .trace_min_prob(2.0)
                         .seed(step_seed ^ (i as u64 + 1))
                         .build()
                         .expect("valid surrogate request");
@@ -568,46 +571,60 @@ mod tests {
     fn crashed_tune_resumes_to_byte_identical_cache() {
         let (uninterrupted_cache, crashed_cache, steps) =
             (tmp("gold-cache"), tmp("crash-cache"), tmp("crash-steps"));
-        for p in [&uninterrupted_cache, &crashed_cache, &steps] {
-            let _ = std::fs::remove_file(p);
-        }
-        let req = small_request();
+        let _ = std::fs::remove_file(&uninterrupted_cache);
+        // Budget 10 per arm: random commits 1–10; GBDT 11–20, fitted from
+        // its 9th measurement (commit 19); LLM 21–30, scored from its 5th
+        // (commit 25).
+        let req = TuneRequest {
+            budget: 10,
+            ..small_request()
+        };
 
         // Reference: one uninterrupted, unjournaled run.
         let (service, _) = TuneService::open(&uninterrupted_cache).unwrap();
-        service.tune(&req, None).unwrap();
+        let report = service.tune(&req, None).unwrap();
+        let evaluations: Vec<_> = report.ablation.iter().map(|a| a.evaluations).collect();
+        assert_eq!(evaluations, [10, 10, 10], "no arm stops early");
         let golden = std::fs::read(&uninterrupted_cache).unwrap();
 
-        // Crash the journaled run at a mid-search commit boundary.
-        let (service, _) = TuneService::open(&crashed_cache).unwrap();
-        let fp = service.request_fingerprint(&req);
-        {
-            let (mut journal, _) = RunJournal::open(&steps, fp).unwrap();
-            journal.crash_after(CrashAfter {
-                commits: 7,
-                mode: CrashMode::Error,
-            });
-            let err = service.tune(&req, Some(&mut journal)).unwrap_err();
-            assert!(matches!(err, TuneError::Search(_)), "got: {err}");
-        }
-        assert_eq!(
-            service.cache.lock().len(),
-            0,
-            "nothing committed before the crash"
-        );
+        // Crash the journaled run at a commit boundary inside each arm,
+        // past the fitted and the LLM-scored steps' starts.
+        for commits in [5, 19, 27] {
+            for p in [&crashed_cache, &steps] {
+                let _ = std::fs::remove_file(p);
+            }
+            let (service, _) = TuneService::open(&crashed_cache).unwrap();
+            let fp = service.request_fingerprint(&req);
+            {
+                let (mut journal, _) = RunJournal::open(&steps, fp).unwrap();
+                journal.crash_after(CrashAfter {
+                    commits,
+                    mode: CrashMode::Error,
+                });
+                let err = service.tune(&req, Some(&mut journal)).unwrap_err();
+                assert!(matches!(err, TuneError::Search(_)), "got: {err}");
+            }
+            assert_eq!(
+                service.cache.lock().len(),
+                0,
+                "nothing committed before the crash"
+            );
 
-        // Resume against the same journal: replays the prefix, finishes,
-        // and the published cache matches the uninterrupted run exactly.
-        let (mut journal, rc) = RunJournal::open(&steps, fp).unwrap();
-        assert_eq!(rc.records, 7);
-        let report = service.tune(&req, Some(&mut journal)).unwrap();
-        assert!(!report.cache_hit);
-        assert_eq!(report.replayed_measurements, 7);
-        assert_eq!(
-            std::fs::read(&crashed_cache).unwrap(),
-            golden,
-            "resumed cache file is byte-identical to the uninterrupted one"
-        );
+            // Resume against the same journal: replays the prefix,
+            // finishes, and the published cache matches the uninterrupted
+            // run exactly.
+            let (mut journal, rc) = RunJournal::open(&steps, fp).unwrap();
+            assert_eq!(rc.records, commits as usize);
+            let report = service.tune(&req, Some(&mut journal)).unwrap();
+            assert!(!report.cache_hit);
+            assert_eq!(report.replayed_measurements, commits as usize);
+            assert_eq!(
+                std::fs::read(&crashed_cache).unwrap(),
+                golden,
+                "resumed cache file is byte-identical to the uninterrupted one \
+                 (crash after {commits} commits)"
+            );
+        }
         for p in [&uninterrupted_cache, &crashed_cache, &steps] {
             std::fs::remove_file(p).unwrap();
         }

@@ -179,3 +179,25 @@ fn all_generations_yield_an_extractable_value() {
         s.records.len()
     );
 }
+
+#[test]
+fn draw_only_grid_draws_the_recorded_grid() {
+    // A trace floor above 1 records no alternatives, so every decode step
+    // is draw-only: it ranks only the head its draw can reach. Each
+    // generation must still draw the recorded grid's tokens with bitwise
+    // the same probabilities, over all 285 prompt × seed cells.
+    let plan = ExperimentPlan {
+        trace_min_prob: 2.0,
+        ..ExperimentPlan::paper()
+    };
+    let draw_only = run_plan(&DatasetBundle::paper(), &plan, InductionLm::paper);
+    let s = suite();
+    assert_eq!(draw_only.len(), s.records.len());
+    for (got, want) in draw_only.iter().zip(&s.records) {
+        let mut want = want.trace.clone();
+        for step in &mut want.steps {
+            step.alternatives = Vec::new();
+        }
+        assert_eq!(got.trace, want, "{} replica {}", got.key, got.replica);
+    }
+}
