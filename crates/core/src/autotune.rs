@@ -8,10 +8,11 @@
 //! in experiments, the real journaled kernel in the tune service:
 //!
 //! * [`RandomSearch`] — the no-model baseline;
-//! * [`pool_search`] — the Bayesian-optimization-style loop every
-//!   surrogate shares: a few random evaluations, then rank a random
-//!   candidate pool with the surrogate and evaluate the most promising
-//!   candidate;
+//! * [`PoolSearch`] — the Bayesian-optimization-style loop every
+//!   surrogate shares, as a stepper: a few random evaluations, then rank
+//!   a random candidate pool with the surrogate and evaluate the most
+//!   promising candidate. The caller scores each proposed pool, so an
+//!   asynchronous scorer can overlap other work;
 //! * [`GbdtSearch`] — that loop with the boosted-tree surrogate, refit on
 //!   the observations at every step.
 //!
@@ -19,13 +20,14 @@
 //! autotuning: observations become in-context examples, each candidate is
 //! scored by a generated runtime prediction) is the same loop with another
 //! scorer; it is `lmpeel_tune::ServiceLlmSearch`, which decodes through
-//! the serving layer.
+//! the serving layer. The tune service steps the GBDT and LLM loops in
+//! lock-step, fitting trees while the service decodes.
 
 use lmpeel_configspace::{ArraySize, Config, ConfigSpace};
 use lmpeel_gbdt::{Gbdt, GbdtParams};
 use lmpeel_perfdata::PerfDataset;
 use lmpeel_stats::{seeded_rng, SeedDomain};
-use rand::RngExt;
+use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 
 /// Why an [`Objective`] could not produce a measurement: a journal commit
@@ -161,51 +163,140 @@ impl Tuner for RandomSearch {
     }
 }
 
-/// The surrogate-search loop every model-guided [`Tuner`] shares: measure
-/// `init_random` distinct random configurations, then repeatedly sample a
-/// pool of `pool` configurations, drop the ones already measured, score
-/// the rest once with `score(evaluated, candidates)` (one score per
-/// candidate, lower is better) and measure the lowest-scoring candidate,
-/// the first one on ties. Stops at `budget` measurements, or early when a
-/// pool holds nothing new.
-pub fn pool_search<R: RngExt + ?Sized>(
-    objective: &mut dyn Objective,
+/// A pool to score: the measurements so far and the pool's unseen
+/// candidates ([`PoolSearch::propose`]).
+pub type Proposal<'a> = (&'a [(Config, f64)], &'a [Config]);
+
+/// The surrogate-search loop every model-guided [`Tuner`] shares, as a
+/// stepper: [`start`](Self::start) measures `init_random` distinct random
+/// configurations; then each step [`propose`](Self::propose)s a pool of
+/// `pool` sampled configurations minus the ones already measured, the
+/// caller scores it (one score per candidate, lower is better),
+/// [`pick`](Self::pick) takes the lowest-scoring candidate (the first one
+/// on ties) and [`observe`](Self::observe) records its measured runtime.
+/// Stops at `budget` measurements, or early when a pool holds nothing new.
+///
+/// Scoring between `propose` and `pick` is the caller's, so a scorer that
+/// runs elsewhere (the tune's LLM arm decodes on its service's scheduler
+/// thread) can overlap other work; [`step`](Self::step) and
+/// [`run`](Self::run) are the sequential drivers.
+pub struct PoolSearch {
+    space: ConfigSpace,
+    rng: ChaCha8Rng,
     budget: usize,
-    rng: &mut R,
-    init_random: usize,
     pool: usize,
-    mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
-) -> Result<TuningTrajectory, ObjectiveError> {
-    // Clone the space once so measuring (which needs `&mut objective`)
-    // does not fight the space borrow.
-    let space = objective.space().clone();
-    let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
-    let mut seen = HashSet::new();
-    for c in space.sample_distinct(init_random.min(budget), rng) {
-        seen.insert(space.index_of(&c));
-        let r = objective.measure(&c)?;
-        evaluated.push((c, r));
-    }
-    while evaluated.len() < budget {
-        let mut candidates = space.sample_distinct(pool, rng);
-        candidates.retain(|c| !seen.contains(&space.index_of(c)));
-        if candidates.is_empty() {
-            break;
+    evaluated: Vec<(Config, f64)>,
+    seen: HashSet<u64>,
+    candidates: Vec<Config>,
+    done: bool,
+}
+
+impl PoolSearch {
+    /// Begin a search of `objective`'s space: draw and measure the
+    /// `init_random.min(budget)` random configurations from `rng`, which
+    /// then draws every pool.
+    pub fn start(
+        objective: &mut dyn Objective,
+        budget: usize,
+        init_random: usize,
+        pool: usize,
+        mut rng: ChaCha8Rng,
+    ) -> Result<Self, ObjectiveError> {
+        // Clone the space once so measuring (which needs `&mut objective`)
+        // does not fight the space borrow.
+        let space = objective.space().clone();
+        let mut evaluated = Vec::with_capacity(budget);
+        let mut seen = HashSet::new();
+        for c in space.sample_distinct(init_random.min(budget), &mut rng) {
+            seen.insert(space.index_of(&c));
+            let r = objective.measure(&c)?;
+            evaluated.push((c, r));
         }
-        let scores = score(&evaluated, &candidates);
-        assert_eq!(scores.len(), candidates.len(), "one score per candidate");
+        Ok(Self {
+            space,
+            rng,
+            budget,
+            pool,
+            evaluated,
+            seen,
+            candidates: Vec::new(),
+            done: false,
+        })
+    }
+
+    /// Draw the next pool: the measurements so far and the pool's unseen
+    /// candidates, to be scored and handed to [`pick`](Self::pick).
+    /// `None` once the search is done.
+    pub fn propose(&mut self) -> Option<Proposal<'_>> {
+        if self.done || self.evaluated.len() >= self.budget {
+            return None;
+        }
+        let mut candidates = self.space.sample_distinct(self.pool, &mut self.rng);
+        candidates.retain(|c| !self.seen.contains(&self.space.index_of(c)));
+        if candidates.is_empty() {
+            self.done = true;
+            return None;
+        }
+        self.candidates = candidates;
+        Some((&self.evaluated, &self.candidates))
+    }
+
+    /// The proposed candidate with the lowest of `scores` (one per
+    /// candidate, in pool order), to be measured and observed.
+    pub fn pick(&mut self, scores: &[f64]) -> Config {
+        assert_eq!(
+            scores.len(),
+            self.candidates.len(),
+            "one score per candidate"
+        );
         let best = scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .map(|(i, _)| i)
             .expect("pool checked non-empty");
-        let c = candidates.swap_remove(best);
-        seen.insert(space.index_of(&c));
-        let r = objective.measure(&c)?;
-        evaluated.push((c, r));
+        std::mem::take(&mut self.candidates).swap_remove(best)
     }
-    Ok(TuningTrajectory { evaluated })
+
+    /// Record the picked configuration's measured runtime.
+    pub fn observe(&mut self, config: Config, runtime: f64) {
+        self.seen.insert(self.space.index_of(&config));
+        self.evaluated.push((config, runtime));
+    }
+
+    /// One whole step on this thread: propose, `score`, pick, measure
+    /// and observe. `false` once the search is done.
+    pub fn step(
+        &mut self,
+        objective: &mut dyn Objective,
+        mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
+    ) -> Result<bool, ObjectiveError> {
+        let Some((evaluated, candidates)) = self.propose() else {
+            return Ok(false);
+        };
+        let scores = score(evaluated, candidates);
+        let c = self.pick(&scores);
+        let r = objective.measure(&c)?;
+        self.observe(c, r);
+        Ok(true)
+    }
+
+    /// [`step`](Self::step) until the search is done.
+    pub fn run(
+        mut self,
+        objective: &mut dyn Objective,
+        mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
+    ) -> Result<TuningTrajectory, ObjectiveError> {
+        while self.step(objective, &mut score)? {}
+        Ok(self.into_trajectory())
+    }
+
+    /// Every measurement so far, in order.
+    pub fn into_trajectory(self) -> TuningTrajectory {
+        TuningTrajectory {
+            evaluated: self.evaluated,
+        }
+    }
 }
 
 /// Boosted-tree surrogate search: seed with random evaluations, then
@@ -228,6 +319,42 @@ impl Default for GbdtSearch {
     }
 }
 
+impl GbdtSearch {
+    /// Begin this search against `objective`: its [`PoolSearch`], with
+    /// the initial random configurations measured.
+    pub fn start(
+        &self,
+        objective: &mut dyn Objective,
+        budget: usize,
+        seed: u64,
+    ) -> Result<PoolSearch, ObjectiveError> {
+        let rng = seeded_rng(seed, SeedDomain::Custom(0x6BD7));
+        PoolSearch::start(objective, budget, self.init_random, self.pool, rng)
+    }
+
+    /// Score a pool: fit the surrogate on the measurements so far and
+    /// predict each candidate's runtime.
+    pub fn score(
+        space: &ConfigSpace,
+        seed: u64,
+        evaluated: &[(Config, f64)],
+        candidates: &[Config],
+    ) -> Vec<f64> {
+        let params = GbdtParams {
+            n_estimators: 120,
+            learning_rate: 0.1,
+            ..Default::default()
+        };
+        let xs: Vec<Vec<f64>> = evaluated.iter().map(|(c, _)| space.featurize(c)).collect();
+        let ys: Vec<f64> = evaluated.iter().map(|&(_, r)| r).collect();
+        let model = Gbdt::fit(&xs, &ys, params, seed);
+        candidates
+            .iter()
+            .map(|c| model.predict_row(&space.featurize(c)))
+            .collect()
+    }
+}
+
 impl Tuner for GbdtSearch {
     fn name(&self) -> String {
         format!(
@@ -243,28 +370,10 @@ impl Tuner for GbdtSearch {
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
         let space = objective.space().clone();
-        let mut rng = seeded_rng(seed, SeedDomain::Custom(0x6BD7));
-        let params = GbdtParams {
-            n_estimators: 120,
-            learning_rate: 0.1,
-            ..Default::default()
-        };
-        pool_search(
-            objective,
-            budget,
-            &mut rng,
-            self.init_random,
-            self.pool,
-            |evaluated, candidates| {
-                let xs: Vec<Vec<f64>> = evaluated.iter().map(|(c, _)| space.featurize(c)).collect();
-                let ys: Vec<f64> = evaluated.iter().map(|&(_, r)| r).collect();
-                let model = Gbdt::fit(&xs, &ys, params, seed);
-                candidates
-                    .iter()
-                    .map(|c| model.predict_row(&space.featurize(c)))
-                    .collect()
-            },
-        )
+        self.start(objective, budget, seed)?
+            .run(objective, |evaluated, candidates| {
+                Self::score(&space, seed, evaluated, candidates)
+            })
     }
 }
 
@@ -396,23 +505,18 @@ mod tests {
             &[1, 2, 3, 4, 5, 6, 7, 8],
         )]);
         let mut objective = Ladder(space.clone());
-        let mut rng = seeded_rng(3, SeedDomain::Custom(0x6BD7));
+        let rng = seeded_rng(3, SeedDomain::Custom(0x6BD7));
         let mut pools: Vec<(usize, Vec<u64>)> = Vec::new();
         // Budget past the space's size: the loop must stop on its own.
-        let t = pool_search(
-            &mut objective,
-            20,
-            &mut rng,
-            2,
-            4,
-            |evaluated, candidates| {
+        let t = PoolSearch::start(&mut objective, 20, 2, 4, rng)
+            .unwrap()
+            .run(&mut objective, |evaluated, candidates| {
                 let ix: Vec<u64> = candidates.iter().map(|c| space.index_of(c)).collect();
                 pools.push((evaluated.len(), ix.clone()));
                 // Reverse the index so the loop must pick the pool's maximum.
                 ix.iter().map(|&i| -(i as f64)).collect()
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         let got: Vec<u64> = t.evaluated.iter().map(|(c, _)| space.index_of(c)).collect();
         assert!(got.len() <= 8);
         let uniq: HashSet<_> = got.iter().collect();

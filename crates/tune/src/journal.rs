@@ -1,7 +1,7 @@
 //! The per-run step journal: crash-safe resumable searches.
 //!
 //! A tune run is a sequence of objective measurements driven by
-//! deterministic search strategies. [`JournaledObjective`] wraps any
+//! deterministic search strategies. [`StepMeasurer`] wraps any
 //! [`Objective`] in a write-ahead [`RunJournal`] of [`StepRecord`]s keyed
 //! by `(strategy ordinal, step counter)`: each measurement is durably
 //! committed before the search continues, and on resume the committed
@@ -10,7 +10,8 @@
 //! function of its seed and the measurements it has seen, a resumed
 //! search walks the exact same configurations and the tune completes as
 //! if it had never been killed, down to the bytes of the published cache
-//! file.
+//! file. Replay is keyed, not ordered, so a journal resumes whatever order
+//! the arms' steps were committed in.
 //!
 //! The journal is bound to its run by [`run_fingerprint`] — kernel, size,
 //! hardware, budget, seed and codec all participate, so a journal from a
@@ -22,6 +23,7 @@ use lmpeel_core::autotune::{Objective, ObjectiveError};
 use lmpeel_core::journal::size_ordinal;
 use lmpeel_recover::wire::{self, Reader};
 use lmpeel_recover::{fnv1a64, JournalError, JournalRecord, RunJournal};
+use std::collections::BTreeMap;
 
 /// Version of the [`StepRecord`] encoding; folded into the run
 /// fingerprint so an old-codec journal is refused instead of misparsed.
@@ -117,33 +119,42 @@ impl std::fmt::Display for ReplayDiverged {
 
 impl std::error::Error for ReplayDiverged {}
 
-/// An [`Objective`] wrapper that journals every measurement and answers
-/// already-committed steps from the journal. One wrapper per strategy;
-/// the step counter starts at zero for each.
-pub struct JournaledObjective<'a> {
+/// Measures configurations for every arm of one tune, through an optional
+/// write-ahead step journal. Each call names its arm's strategy ordinal,
+/// and a step counter per ordinal keys the measurement, so the arms may
+/// take their steps in any interleaving: replay looks each step up by
+/// `(strategy_ord, step)`, never by commit order. With a journal, each
+/// fresh measurement is committed before it is returned and a committed
+/// step is answered from the journal without touching the objective.
+pub struct StepMeasurer<'a> {
     inner: &'a mut dyn Objective,
-    journal: &'a mut RunJournal<StepRecord>,
-    strategy_ord: u8,
-    step: u64,
+    journal: Option<&'a mut RunJournal<StepRecord>>,
+    next_step: BTreeMap<u8, u64>,
     replayed: usize,
     fresh: usize,
 }
 
-impl<'a> JournaledObjective<'a> {
-    /// Wrap `inner` so strategy `strategy_ord`'s measurements flow
-    /// through `journal`.
+impl<'a> StepMeasurer<'a> {
+    /// Measure on `inner`, journaling through `journal` when there is one.
     pub fn new(
         inner: &'a mut dyn Objective,
-        journal: &'a mut RunJournal<StepRecord>,
-        strategy_ord: u8,
+        journal: Option<&'a mut RunJournal<StepRecord>>,
     ) -> Self {
         Self {
             inner,
             journal,
-            strategy_ord,
-            step: 0,
+            next_step: BTreeMap::new(),
             replayed: 0,
             fresh: 0,
+        }
+    }
+
+    /// Strategy `strategy_ord`'s view of the objective: every measurement
+    /// through it is that arm's next step.
+    pub fn arm(&mut self, strategy_ord: u8) -> JournaledObjective<'_, 'a> {
+        JournaledObjective {
+            measurer: self,
+            strategy_ord,
         }
     }
 
@@ -152,26 +163,17 @@ impl<'a> JournaledObjective<'a> {
         self.replayed
     }
 
-    /// Measurements taken fresh (and committed).
+    /// Measurements taken fresh (and committed, when journaled).
     pub fn fresh(&self) -> usize {
         self.fresh
     }
-}
 
-impl Objective for JournaledObjective<'_> {
-    fn space(&self) -> &ConfigSpace {
-        self.inner.space()
-    }
-
-    fn size(&self) -> ArraySize {
-        self.inner.size()
-    }
-
-    fn measure(&mut self, config: &Config) -> Result<f64, ObjectiveError> {
-        let key = (self.strategy_ord, self.step);
+    fn measure(&mut self, strategy_ord: u8, config: &Config) -> Result<f64, ObjectiveError> {
+        let step = self.next_step.entry(strategy_ord).or_insert(0);
+        let key = (strategy_ord, *step);
+        *step += 1;
         let config_index = self.inner.space().index_of(config);
-        self.step += 1;
-        if let Some(rec) = self.journal.get(&key) {
+        if let Some(rec) = self.journal.as_deref().and_then(|j| j.get(&key)) {
             if rec.config_index != config_index {
                 return Err(Box::new(ReplayDiverged {
                     strategy_ord: key.0,
@@ -184,16 +186,39 @@ impl Objective for JournaledObjective<'_> {
             return Ok(rec.runtime);
         }
         let runtime = self.inner.measure(config)?;
-        self.journal
-            .commit(&StepRecord {
-                strategy_ord: key.0,
-                step: key.1,
-                config_index,
-                runtime,
-            })
-            .map_err(|e: JournalError| -> ObjectiveError { Box::new(e) })?;
+        if let Some(journal) = self.journal.as_deref_mut() {
+            journal
+                .commit(&StepRecord {
+                    strategy_ord: key.0,
+                    step: key.1,
+                    config_index,
+                    runtime,
+                })
+                .map_err(|e: JournalError| -> ObjectiveError { Box::new(e) })?;
+        }
         self.fresh += 1;
         Ok(runtime)
+    }
+}
+
+/// One arm's [`Objective`]: measures through its [`StepMeasurer`] under
+/// the arm's strategy ordinal ([`StepMeasurer::arm`]).
+pub struct JournaledObjective<'m, 'a> {
+    measurer: &'m mut StepMeasurer<'a>,
+    strategy_ord: u8,
+}
+
+impl Objective for JournaledObjective<'_, '_> {
+    fn space(&self) -> &ConfigSpace {
+        self.measurer.inner.space()
+    }
+
+    fn size(&self) -> ArraySize {
+        self.measurer.inner.size()
+    }
+
+    fn measure(&mut self, config: &Config) -> Result<f64, ObjectiveError> {
+        self.measurer.measure(self.strategy_ord, config)
     }
 }
 
@@ -236,8 +261,8 @@ mod tests {
         let first = {
             let (mut journal, _) = RunJournal::open(&path, fp()).unwrap();
             let mut inner = DatasetObjective::new(d);
-            let mut obj = JournaledObjective::new(&mut inner, &mut journal, 0);
-            let t = RandomSearch.run(&mut obj, 12, 5).unwrap();
+            let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+            let t = RandomSearch.run(&mut obj.arm(0), 12, 5).unwrap();
             assert_eq!(obj.fresh(), 12);
             assert_eq!(obj.replayed(), 0);
             t
@@ -247,8 +272,8 @@ mod tests {
         let (mut journal, rc) = RunJournal::open(&path, fp()).unwrap();
         assert_eq!(rc.records, 12);
         let mut inner = DatasetObjective::new(d);
-        let mut obj = JournaledObjective::new(&mut inner, &mut journal, 0);
-        let second = RandomSearch.run(&mut obj, 12, 5).unwrap();
+        let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+        let second = RandomSearch.run(&mut obj.arm(0), 12, 5).unwrap();
         assert_eq!(obj.fresh(), 0);
         assert_eq!(obj.replayed(), 12);
         assert_eq!(first, second);
@@ -267,8 +292,8 @@ mod tests {
                 mode: CrashMode::Error,
             });
             let mut inner = DatasetObjective::new(d);
-            let mut obj = JournaledObjective::new(&mut inner, &mut journal, 0);
-            let err = RandomSearch.run(&mut obj, 12, 5).unwrap_err();
+            let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+            let err = RandomSearch.run(&mut obj.arm(0), 12, 5).unwrap_err();
             assert!(
                 err.downcast_ref::<JournalError>()
                     .is_some_and(|e| matches!(e, JournalError::InjectedCrash)),
@@ -278,8 +303,8 @@ mod tests {
         let (mut journal, rc) = RunJournal::open(&path, fp()).unwrap();
         assert_eq!(rc.records, 5, "exactly the pre-crash commits survive");
         let mut inner = DatasetObjective::new(d);
-        let mut obj = JournaledObjective::new(&mut inner, &mut journal, 0);
-        let resumed = RandomSearch.run(&mut obj, 12, 5).unwrap();
+        let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+        let resumed = RandomSearch.run(&mut obj.arm(0), 12, 5).unwrap();
         assert_eq!(obj.replayed(), 5);
         assert_eq!(obj.fresh(), 7);
         // And matches an uninterrupted run exactly.
@@ -296,15 +321,15 @@ mod tests {
         {
             let (mut journal, _) = RunJournal::open(&path, fp()).unwrap();
             let mut inner = DatasetObjective::new(d);
-            let mut obj = JournaledObjective::new(&mut inner, &mut journal, 0);
-            RandomSearch.run(&mut obj, 4, 5).unwrap();
+            let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+            RandomSearch.run(&mut obj.arm(0), 4, 5).unwrap();
         }
         // A different seed walks different configurations; replaying the
         // journal into it must error rather than mix trajectories.
         let (mut journal, _) = RunJournal::open(&path, fp()).unwrap();
         let mut inner = DatasetObjective::new(d);
-        let mut obj = JournaledObjective::new(&mut inner, &mut journal, 0);
-        let err = RandomSearch.run(&mut obj, 4, 6).unwrap_err();
+        let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+        let err = RandomSearch.run(&mut obj.arm(0), 4, 6).unwrap_err();
         assert!(err.downcast_ref::<ReplayDiverged>().is_some(), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -315,12 +340,46 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let d = sm();
         let (mut journal, _) = RunJournal::open(&path, fp()).unwrap();
+        let mut inner = DatasetObjective::new(d);
+        let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
         for ord in 0..3u8 {
-            let mut inner = DatasetObjective::new(d);
-            let mut obj = JournaledObjective::new(&mut inner, &mut journal, ord);
-            RandomSearch.run(&mut obj, 4, 5).unwrap();
+            RandomSearch.run(&mut obj.arm(ord), 4, 5).unwrap();
         }
+        assert_eq!(obj.fresh(), 12);
         assert_eq!(journal.len(), 12, "3 strategies x 4 steps, no collisions");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn replay_does_not_depend_on_commit_order() {
+        let path = tmp("order");
+        let _ = std::fs::remove_file(&path);
+        let d = sm();
+        let arm_configs = |ord: u8| -> Vec<Config> {
+            (0..4)
+                .map(|i| d.space().config_at(100 * ord as u64 + i))
+                .collect()
+        };
+        // Commit two arms' steps alternately...
+        {
+            let (mut journal, _) = RunJournal::open(&path, fp()).unwrap();
+            let mut inner = DatasetObjective::new(d);
+            let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+            for (a, b) in arm_configs(1).iter().zip(&arm_configs(2)) {
+                obj.arm(1).measure(a).unwrap();
+                obj.arm(2).measure(b).unwrap();
+            }
+        }
+        // ...and replay them one arm after the other, in reverse arm order.
+        let (mut journal, _) = RunJournal::open(&path, fp()).unwrap();
+        let mut inner = DatasetObjective::new(d);
+        let mut obj = StepMeasurer::new(&mut inner, Some(&mut journal));
+        for ord in [2, 1] {
+            for c in arm_configs(ord) {
+                assert_eq!(obj.arm(ord).measure(&c).unwrap(), d.runtime_of(&c));
+            }
+        }
+        assert_eq!((obj.replayed(), obj.fresh()), (8, 0));
         std::fs::remove_file(&path).unwrap();
     }
 }

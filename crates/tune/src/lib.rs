@@ -12,19 +12,25 @@
 //! 2. otherwise runs the surrogate-guided search as a reportable
 //!    ablation — GBDT surrogate vs LLM surrogate (scored through the
 //!    existing [`InferenceService`] serving layer) vs random search, each
-//!    at the same budget against the same deterministic objective;
+//!    at the same budget against the same deterministic objective. The
+//!    GBDT and LLM arms run in lock-step on the calling thread: each LLM
+//!    step submits its candidate pool, takes one GBDT step while the
+//!    service's scheduler thread decodes, then collects the scores. Each
+//!    arm keeps its own RNG, so its trajectory is the one it walks alone;
 //! 3. validates the winning configuration on the real
 //!    [`lmpeel_kernel`] syr2k nest (max |Δ| ÷ max(‖ref‖_F, 1) against
-//!    the untransformed reference must stay below 1e-9; wall-clock
-//!    medians are reported but never cached);
+//!    the untransformed reference must stay below 1e-9; the reference
+//!    nest runs during the search, in an LLM step the finished GBDT arm
+//!    leaves idle; wall-clock medians are reported but never cached);
 //! 4. durably commits the result and republishes the cache file in its
 //!    canonical byte-stable form ([`TuneCache::publish`]).
 //!
 //! Every search step can be write-ahead journaled
-//! ([`journal::JournaledObjective`]): a tune killed at an arbitrary
-//! commit boundary resumes by replaying the committed prefix and produces
-//! a byte-identical cache file. The service is also exposed over the TCP
-//! front-end as a framed extension request ([`wire`]).
+//! ([`journal::StepMeasurer`]): a tune killed at an arbitrary commit
+//! boundary resumes by replaying the committed steps, whatever order the
+//! arms committed them in, and produces a byte-identical cache file. The
+//! service is also exposed over the TCP front-end as a framed extension
+//! request ([`wire`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,25 +40,25 @@ pub mod journal;
 pub mod wire;
 
 pub use cache::{machine_fingerprint, TuneCache, TuneEntry, TuneKey, CACHE_CODEC_VERSION};
-pub use journal::{run_fingerprint, JournaledObjective, StepRecord};
+pub use journal::{run_fingerprint, JournaledObjective, StepMeasurer, StepRecord};
 pub use wire::{TuneWireRequest, TuneWireResponse, TUNE_EXT_KIND};
 
-use lmpeel_configspace::{ArraySize, Config, Syr2kConfig};
+use lmpeel_configspace::{ArraySize, Config, ConfigSpace, Syr2kConfig};
 use lmpeel_core::autotune::{
-    pool_search, DatasetObjective, GbdtSearch, Objective, ObjectiveError, RandomSearch, Tuner,
+    DatasetObjective, GbdtSearch, Objective, ObjectiveError, PoolSearch, RandomSearch, Tuner,
     TuningTrajectory,
 };
 use lmpeel_core::extract::extract_value;
 use lmpeel_core::journal::size_ordinal;
 use lmpeel_core::prompt::PromptBuilder;
-use lmpeel_kernel::{measure, MeasureSpec, Syr2kProblem};
+use lmpeel_kernel::{measure, Matrix, MeasureSpec, Syr2kProblem};
 use lmpeel_lm::{InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{CostModel, MachineModel, PerfDataset};
 use lmpeel_recover::{JournalError, Recovery, RunJournal};
 use lmpeel_serve::sync::RankedMutex;
-use lmpeel_serve::{shards_from_env, GenerateRequest, InferenceService};
+use lmpeel_serve::{shards_from_env, GenerateRequest, InferenceService, ResponseHandle};
 use lmpeel_stats::{seeded_rng, SeedDomain};
-use lmpeel_tokenizer::EOS;
+use lmpeel_tokenizer::{TokenId, EOS};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -131,6 +137,20 @@ pub struct StrategyOutcome {
     pub evaluations: usize,
 }
 
+impl StrategyOutcome {
+    /// Summarize strategy `ord`'s trajectory over `space`.
+    fn of(ord: u8, strategy: String, trajectory: &TuningTrajectory, space: &ConfigSpace) -> Self {
+        let (best_config, best_runtime) = trajectory.best();
+        Self {
+            ord,
+            strategy,
+            best_runtime,
+            best_index: space.index_of(best_config),
+            evaluations: trajectory.evaluated.len(),
+        }
+    }
+}
+
 /// What validating the winner on the real kernel nest observed. Only
 /// `checksum_ok` (deterministic) flows into the cache; the wall-clock
 /// median is for the caller's report.
@@ -169,8 +189,9 @@ pub struct TuneReport {
 /// the same admission/batching path as the experiments. Its prefix cache
 /// is off: each candidate's prompt ends with its own query line, so no
 /// prompt in a pool is a prefix of another and a snapshot would never be
-/// forked. The search itself is [`pool_search`]; this type only supplies
-/// the scorer.
+/// forked. The search itself is a [`PoolSearch`]; this type only supplies
+/// the scorer, whose submit and collect halves the tune service calls
+/// apart to work while the pool decodes.
 pub struct ServiceLlmSearch<M> {
     /// The surrogate model served behind the [`InferenceService`].
     pub model: Arc<M>,
@@ -180,6 +201,42 @@ pub struct ServiceLlmSearch<M> {
     pub pool: usize,
     /// Most recent observations used as in-context examples.
     pub max_icl: usize,
+}
+
+impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
+    /// Begin the search against `objective`, with the initial random
+    /// configurations measured.
+    fn start(
+        &self,
+        objective: &mut dyn Objective,
+        budget: usize,
+        seed: u64,
+    ) -> Result<PoolSearch, ObjectiveError> {
+        let rng = seeded_rng(seed, SeedDomain::Custom(0x7E5E));
+        PoolSearch::start(objective, budget, self.init_random, self.pool, rng)
+    }
+
+    /// The search's scorer, around an ephemeral service of its own with
+    /// the prefix cache off.
+    fn scorer(&self, space: &ConfigSpace, size: ArraySize, seed: u64) -> ServiceScorer<M> {
+        let service = InferenceService::builder()
+            .model("tune", self.model.clone())
+            .shards(shards_from_env())
+            .prefix_cache_capacity(0)
+            .queue_capacity(self.pool.max(1))
+            .max_batch(self.pool.max(1))
+            .build();
+        let t = self.model.tokenizer();
+        ServiceScorer {
+            model: self.model.clone(),
+            builder: PromptBuilder::new(space.clone(), size),
+            service,
+            stop: vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)],
+            max_icl: self.max_icl,
+            seed,
+            step: 0,
+        }
+    }
 }
 
 impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
@@ -193,66 +250,77 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
         budget: usize,
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
-        let builder = PromptBuilder::new(objective.space().clone(), objective.size());
-        // Ephemeral service around the surrogate, without a prefix cache:
-        // the pool's prompts differ in their last line, so none would hit.
-        let service = InferenceService::builder()
-            .model("tune", self.model.clone())
-            .shards(shards_from_env())
-            .prefix_cache_capacity(0)
-            .queue_capacity(self.pool.max(1))
-            .max_batch(self.pool.max(1))
-            .build();
+        let mut scorer = self.scorer(objective.space(), objective.size(), seed);
+        self.start(objective, budget, seed)?
+            .run(objective, |evaluated, candidates| {
+                let handles = scorer.submit(evaluated, candidates);
+                scorer.collect_scores(handles)
+            })
+    }
+}
+
+/// [`ServiceLlmSearch`]'s scorer in two halves: [`submit`](Self::submit)
+/// queues one generation per candidate and returns at once, and
+/// [`collect_scores`](Self::collect_scores) waits for them and reads each
+/// prediction. Dropping the handles instead cancels the pool's requests.
+struct ServiceScorer<M> {
+    model: Arc<M>,
+    builder: PromptBuilder,
+    service: InferenceService,
+    stop: Vec<TokenId>,
+    max_icl: usize,
+    seed: u64,
+    step: u64,
+}
+
+impl<M: LanguageModel> ServiceScorer<M> {
+    /// Submit the pool: one request per candidate, each prompted with the
+    /// last `max_icl` observations and seeded from the step counter.
+    fn submit(
+        &mut self,
+        evaluated: &[(Config, f64)],
+        candidates: &[Config],
+    ) -> Vec<ResponseHandle> {
+        self.step += 1;
+        let step_seed = self.seed ^ self.step;
+        let examples = &evaluated[evaluated.len().saturating_sub(self.max_icl)..];
         let t = self.model.tokenizer();
-        let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
-        let mut rng = seeded_rng(seed, SeedDomain::Custom(0x7E5E));
-        let mut step = 0u64;
-        // Score a pool by submitting one generation per candidate, each
-        // prompted with the last `max_icl` observations; a response with
-        // no value scores `INFINITY`.
-        let score = |evaluated: &[(Config, f64)], candidates: &[Config]| {
-            step += 1;
-            let step_seed = seed ^ step;
-            let examples = &evaluated[evaluated.len().saturating_sub(self.max_icl)..];
-            let handles: Vec<_> = candidates
-                .iter()
-                .enumerate()
-                .map(|(i, cand)| {
-                    let ids = builder.discriminative(examples, cand).to_tokens(t);
-                    let request = GenerateRequest::builder("tune", ids)
-                        .sampler(Sampler::paper())
-                        .max_tokens(16)
-                        .stop_tokens(stop.clone())
-                        // Only the decoded text is read, so record no
-                        // alternatives: a floor above 1 makes each decode
-                        // step draw-only, with the same tokens.
-                        .trace_min_prob(2.0)
-                        .seed(step_seed ^ (i as u64 + 1))
-                        .build()
-                        .expect("valid surrogate request");
-                    service
-                        .submit(request)
-                        .expect("service accepts while running")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let trace = h.wait().expect("surrogate decode").trace;
-                    extract_value(&trace.decode(t))
-                        .map(|(v, _)| v)
-                        .unwrap_or(f64::INFINITY)
-                })
-                .collect()
-        };
-        pool_search(
-            objective,
-            budget,
-            &mut rng,
-            self.init_random,
-            self.pool,
-            score,
-        )
+        candidates
+            .iter()
+            .enumerate()
+            .map(|(i, cand)| {
+                let ids = self.builder.discriminative(examples, cand).to_tokens(t);
+                let request = GenerateRequest::builder("tune", ids)
+                    .sampler(Sampler::paper())
+                    .max_tokens(16)
+                    .stop_tokens(self.stop.clone())
+                    // Only the decoded text is read, so record no
+                    // alternatives: a floor above 1 makes each decode
+                    // step draw-only, with the same tokens.
+                    .trace_min_prob(2.0)
+                    .seed(step_seed ^ (i as u64 + 1))
+                    .build()
+                    .expect("valid surrogate request");
+                self.service
+                    .submit(request)
+                    .expect("service accepts while running")
+            })
+            .collect()
+    }
+
+    /// Wait for a submitted pool: each candidate's predicted runtime, in
+    /// pool order; a response with no value scores `INFINITY`.
+    fn collect_scores(&self, handles: Vec<ResponseHandle>) -> Vec<f64> {
+        let t = self.model.tokenizer();
+        handles
+            .into_iter()
+            .map(|h| {
+                let trace = h.wait().expect("surrogate decode").trace;
+                extract_value(&trace.decode(t))
+                    .map(|(v, _)| v)
+                    .unwrap_or(f64::INFINITY)
+            })
+            .collect()
     }
 }
 
@@ -318,6 +386,15 @@ impl TuneService {
         )
     }
 
+    /// The analytic objective a miss at `size` searches.
+    fn dataset(&self, size: ArraySize) -> PerfDataset {
+        let model = CostModel {
+            machine: self.machine,
+            ..CostModel::paper()
+        };
+        PerfDataset::generate(&model, size)
+    }
+
     /// Answer a tune request: from the cache when possible, otherwise by
     /// running the full ablation, validating the winner on the real
     /// kernel nest, committing and republishing the cache.
@@ -328,7 +405,7 @@ impl TuneService {
     pub fn tune(
         &self,
         request: &TuneRequest,
-        mut step_journal: Option<&mut RunJournal<StepRecord>>,
+        step_journal: Option<&mut RunJournal<StepRecord>>,
     ) -> Result<TuneReport, TuneError> {
         if request.kernel != KERNEL_SYR2K {
             return Err(TuneError::UnsupportedKernel(request.kernel.clone()));
@@ -351,59 +428,24 @@ impl TuneService {
         // Cache miss: run the ablation against the deterministic
         // analytic objective (the surrogate-search phase measures the
         // cost model, exactly as the paper's search experiments do; the
-        // real nest runs once, below, to validate the winner).
-        let dataset = PerfDataset::generate(
-            &CostModel {
-                machine: self.machine,
-                ..CostModel::paper()
-            },
-            request.size,
-        );
-        let strategies: [(u8, Box<dyn Tuner>); 3] = [
-            (STRATEGY_RANDOM, Box::new(RandomSearch)),
-            (STRATEGY_GBDT, Box::new(GbdtSearch::default())),
-            (
-                STRATEGY_LLM,
-                Box::new(ServiceLlmSearch {
-                    model: Arc::new(InductionLm::paper(0)),
-                    init_random: 4,
-                    pool: 4,
-                    max_icl: 8,
-                }),
-            ),
+        // real nests run only to validate the winner: the reference
+        // during the search, the configured nest below).
+        let dataset = self.dataset(request.size);
+        let gbdt = GbdtSearch::default();
+        let llm = llm_arm();
+        let (m, n) = request.size.dims();
+        let problem = Syr2kProblem::new(m, n);
+        let space = dataset.space();
+        let mut inner = DatasetObjective::new(&dataset);
+        let mut steps = StepMeasurer::new(&mut inner, step_journal);
+        let ([random, by_gbdt, by_llm], reference) =
+            search_arms(&mut steps, space, &gbdt, &llm, request, &problem)
+                .map_err(TuneError::Search)?;
+        let ablation = vec![
+            StrategyOutcome::of(STRATEGY_RANDOM, RandomSearch.name(), &random, space),
+            StrategyOutcome::of(STRATEGY_GBDT, gbdt.name(), &by_gbdt, space),
+            StrategyOutcome::of(STRATEGY_LLM, llm.name(), &by_llm, space),
         ];
-        let mut ablation = Vec::with_capacity(strategies.len());
-        let mut fresh = 0;
-        let mut replayed = 0;
-        for (ord, tuner) in &strategies {
-            let mut inner = DatasetObjective::new(&dataset);
-            let trajectory = match step_journal.as_deref_mut() {
-                Some(journal) => {
-                    let mut obj = JournaledObjective::new(&mut inner, journal, *ord);
-                    let t = tuner
-                        .run(&mut obj, request.budget, request.seed)
-                        .map_err(TuneError::Search)?;
-                    fresh += obj.fresh();
-                    replayed += obj.replayed();
-                    t
-                }
-                None => {
-                    let t = tuner
-                        .run(&mut inner, request.budget, request.seed)
-                        .map_err(TuneError::Search)?;
-                    fresh += t.evaluated.len();
-                    t
-                }
-            };
-            let (best_config, best_runtime) = trajectory.best();
-            ablation.push(StrategyOutcome {
-                ord: *ord,
-                strategy: tuner.name(),
-                best_runtime,
-                best_index: dataset.space().index_of(best_config),
-                evaluations: trajectory.evaluated.len(),
-            });
-        }
 
         // Winner: lowest surrogate runtime; ties go to the earlier
         // ordinal (stable, so resume cannot flip it).
@@ -419,9 +461,9 @@ impl TuneService {
             .clone();
 
         // Validate the winning configuration on the real kernel nest.
-        let config = dataset.space().config_at(winner.best_index);
-        let cfg = Syr2kConfig::from_config(dataset.space(), &config);
-        let validation = validate_on_kernel(request.size, cfg);
+        let config = space.config_at(winner.best_index);
+        let cfg = Syr2kConfig::from_config(space, &config);
+        let validation = validate_on_kernel(&problem, &reference, cfg);
 
         let entry = TuneEntry {
             kernel: request.kernel.clone(),
@@ -447,21 +489,75 @@ impl TuneService {
         Ok(TuneReport {
             entry,
             cache_hit: false,
-            fresh_measurements: fresh,
-            replayed_measurements: replayed,
+            fresh_measurements: steps.fresh(),
+            replayed_measurements: steps.replayed(),
             ablation,
             validation: Some(validation),
         })
     }
 }
 
-/// Run the winning configuration on the real syr2k nest at `size`,
-/// checking its result against the untransformed reference: max |Δ| ÷
-/// max(‖ref‖_F, 1) must stay below 1e-9.
-fn validate_on_kernel(size: ArraySize, cfg: Syr2kConfig) -> ValidationReport {
-    let (m, n) = size.dims();
-    let problem = Syr2kProblem::new(m, n);
-    let reference = problem.run_reference();
+/// The ablation's LLM arm: the paper's induction LM, four random
+/// evaluations, a four-candidate pool, eight in-context examples.
+fn llm_arm() -> ServiceLlmSearch<InductionLm> {
+    ServiceLlmSearch {
+        model: Arc::new(InductionLm::paper(0)),
+        init_random: 4,
+        pool: 4,
+        max_icl: 8,
+    }
+}
+
+/// Run the three arms, each measuring through `steps` under its strategy
+/// ordinal: random search, then the GBDT and LLM arms in lock-step on
+/// this thread. Each LLM step submits its pool to the service and, while
+/// the service's scheduler thread decodes it, takes one GBDT step (fit,
+/// predict, measure) or, once that arm is done, runs the validation's
+/// reference nest, which does not depend on the winner. Each arm keeps
+/// its own RNG and step seeds, so every trajectory is the one it walks
+/// alone. Returns the random, GBDT and LLM trajectories and the
+/// reference result.
+fn search_arms(
+    steps: &mut StepMeasurer<'_>,
+    space: &ConfigSpace,
+    gbdt: &GbdtSearch,
+    llm: &ServiceLlmSearch<InductionLm>,
+    request: &TuneRequest,
+    problem: &Syr2kProblem,
+) -> Result<([TuningTrajectory; 3], Matrix), ObjectiveError> {
+    let (budget, seed) = (request.budget, request.seed);
+    let random = RandomSearch.run(&mut steps.arm(STRATEGY_RANDOM), budget, seed)?;
+    let gbdt_score = |evaluated: &[(Config, f64)], candidates: &[Config]| {
+        GbdtSearch::score(space, seed, evaluated, candidates)
+    };
+    let mut gbdt_search = gbdt.start(&mut steps.arm(STRATEGY_GBDT), budget, seed)?;
+    let mut scorer = llm.scorer(space, request.size, seed);
+    let mut llm_search = llm.start(&mut steps.arm(STRATEGY_LLM), budget, seed)?;
+    let mut reference = None;
+    while let Some((evaluated, candidates)) = llm_search.propose() {
+        // An error below drops `handles`, which cancels the pool's
+        // requests before the service shuts down.
+        let handles = scorer.submit(evaluated, candidates);
+        if !gbdt_search.step(&mut steps.arm(STRATEGY_GBDT), gbdt_score)? && reference.is_none() {
+            reference = Some(problem.run_reference());
+        }
+        let config = llm_search.pick(&scorer.collect_scores(handles));
+        let runtime = steps.arm(STRATEGY_LLM).measure(&config)?;
+        llm_search.observe(config, runtime);
+    }
+    let gbdt = gbdt_search.run(&mut steps.arm(STRATEGY_GBDT), gbdt_score)?;
+    let reference = reference.unwrap_or_else(|| problem.run_reference());
+    Ok(([random, gbdt, llm_search.into_trajectory()], reference))
+}
+
+/// Run the winning configuration on the real syr2k nest and check its
+/// result against the untransformed `reference`: max |Δ| ÷ max(‖ref‖_F,
+/// 1) must stay below 1e-9.
+fn validate_on_kernel(
+    problem: &Syr2kProblem,
+    reference: &Matrix,
+    cfg: Syr2kConfig,
+) -> ValidationReport {
     let spec = MeasureSpec::new(1, 3).expect("nonzero repeats");
     let (timing, result) = measure(spec, || problem.run_configured(cfg));
     let max_rel_diff = reference.max_abs_diff(&result) / reference.frobenius().max(1.0);
@@ -475,7 +571,7 @@ fn validate_on_kernel(size: ArraySize, cfg: Syr2kConfig) -> ValidationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmpeel_recover::{CrashAfter, CrashMode};
+    use lmpeel_recover::{CrashAfter, CrashMode, JournalRecord};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("lmpeel-tune-svc-{}-{name}", std::process::id()))
@@ -567,67 +663,196 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The ablation's strategies, each to be run alone.
+    fn arms() -> [(u8, Box<dyn Tuner>); 3] {
+        [
+            (STRATEGY_RANDOM, Box::new(RandomSearch)),
+            (STRATEGY_GBDT, Box::new(GbdtSearch::default())),
+            (STRATEGY_LLM, Box::new(llm_arm())),
+        ]
+    }
+
+    /// The newest record in the step journal at `path`. Commits append
+    /// frames (`len: u32 | fnv1a64: u64 | payload`) in commit order, so
+    /// the file's tail is the last committed step.
+    fn last_committed(path: &Path) -> StepRecord {
+        let bytes = std::fs::read(path).unwrap();
+        let mut payload = Vec::new();
+        StepRecord {
+            strategy_ord: 0,
+            step: 0,
+            config_index: 0,
+            runtime: 0.0,
+        }
+        .encode(&mut payload);
+        let frame = &bytes[bytes.len() - payload.len() - 12..];
+        let mut r = lmpeel_recover::wire::Reader::new(frame);
+        assert_eq!(r.u32(), Some(payload.len() as u32), "a whole last frame");
+        r.u64().unwrap();
+        StepRecord::decode(&frame[12..]).unwrap()
+    }
+
+    /// Crash a journaled tune of `req` on `cache` after `commits` commits
+    /// through `steps`, check the crash committed nothing to the cache,
+    /// resume, and return the resumed cache file's bytes.
+    fn crash_then_resume(
+        req: &TuneRequest,
+        cache: &Path,
+        steps: &Path,
+        commits: u32,
+        crash: impl FnOnce(&TuneService, &mut RunJournal<StepRecord>),
+    ) -> Vec<u8> {
+        for p in [cache, steps] {
+            let _ = std::fs::remove_file(p);
+        }
+        let (service, _) = TuneService::open(cache).unwrap();
+        let fp = service.request_fingerprint(req);
+        {
+            let (mut journal, _) = RunJournal::open(steps, fp).unwrap();
+            journal.crash_after(CrashAfter {
+                commits,
+                mode: CrashMode::Error,
+            });
+            crash(&service, &mut journal);
+        }
+        assert_eq!(
+            service.cache.lock().len(),
+            0,
+            "nothing committed before the crash"
+        );
+        let (mut journal, rc) = RunJournal::open(steps, fp).unwrap();
+        assert_eq!(rc.records, commits as usize);
+        let report = service.tune(req, Some(&mut journal)).unwrap();
+        assert!(!report.cache_hit);
+        assert_eq!(report.replayed_measurements, commits as usize);
+        assert_eq!(report.fresh_measurements, 3 * req.budget - commits as usize);
+        std::fs::read(cache).unwrap()
+    }
+
+    /// The cache file of one uninterrupted, unjournaled run of `req`.
+    fn golden_cache(req: &TuneRequest, name: &str) -> Vec<u8> {
+        let path = tmp(name);
+        let _ = std::fs::remove_file(&path);
+        let (service, _) = TuneService::open(&path).unwrap();
+        let report = service.tune(req, None).unwrap();
+        let evaluations: Vec<_> = report.ablation.iter().map(|a| a.evaluations).collect();
+        assert_eq!(evaluations, [req.budget; 3], "no arm stops early");
+        let golden = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        golden
+    }
+
     #[test]
     fn crashed_tune_resumes_to_byte_identical_cache() {
-        let (uninterrupted_cache, crashed_cache, steps) =
-            (tmp("gold-cache"), tmp("crash-cache"), tmp("crash-steps"));
-        let _ = std::fs::remove_file(&uninterrupted_cache);
-        // Budget 10 per arm: random commits 1–10; GBDT 11–20, fitted from
-        // its 9th measurement (commit 19); LLM 21–30, scored from its 5th
-        // (commit 25).
+        let (cache, steps) = (tmp("crash-cache"), tmp("crash-steps"));
+        // Budget 10 per arm. Commits land as: random 1–10; GBDT init
+        // 11–18; LLM init 19–22; then each LLM step submits its pool and
+        // a fitted GBDT step commits while it decodes: GBDT 23, LLM 24,
+        // GBDT 25, LLM 26; the LLM's last four scored steps 27–30.
         let req = TuneRequest {
             budget: 10,
             ..small_request()
         };
-
-        // Reference: one uninterrupted, unjournaled run.
-        let (service, _) = TuneService::open(&uninterrupted_cache).unwrap();
-        let report = service.tune(&req, None).unwrap();
-        let evaluations: Vec<_> = report.ablation.iter().map(|a| a.evaluations).collect();
-        assert_eq!(evaluations, [10, 10, 10], "no arm stops early");
-        let golden = std::fs::read(&uninterrupted_cache).unwrap();
-
-        // Crash the journaled run at a commit boundary inside each arm,
-        // past the fitted and the LLM-scored steps' starts.
-        for commits in [5, 19, 27] {
-            for p in [&crashed_cache, &steps] {
-                let _ = std::fs::remove_file(p);
-            }
-            let (service, _) = TuneService::open(&crashed_cache).unwrap();
-            let fp = service.request_fingerprint(&req);
-            {
-                let (mut journal, _) = RunJournal::open(&steps, fp).unwrap();
-                journal.crash_after(CrashAfter {
-                    commits,
-                    mode: CrashMode::Error,
-                });
-                let err = service.tune(&req, Some(&mut journal)).unwrap_err();
+        let golden = golden_cache(&req, "crash-golden");
+        // (commits before the crash, the last committed step's arm and
+        // step, its phase). The crash fires at the next commit: at 24 it
+        // is the fitted GBDT step taken while the LLM's pool is in flight,
+        // at 29 the tune's last commit.
+        let points = [
+            (5, STRATEGY_RANDOM, 4, "random"),
+            (14, STRATEGY_GBDT, 3, "init"),
+            (20, STRATEGY_LLM, 1, "init"),
+            (23, STRATEGY_GBDT, 8, "scored"),
+            (24, STRATEGY_LLM, 4, "scored"),
+            (29, STRATEGY_LLM, 8, "scored"),
+        ];
+        let init = |ord| match ord {
+            STRATEGY_GBDT => GbdtSearch::default().init_random,
+            STRATEGY_LLM => llm_arm().init_random,
+            _ => usize::MAX,
+        };
+        for (commits, ord, step, phase) in points {
+            let resumed = crash_then_resume(&req, &cache, &steps, commits, |service, journal| {
+                let err = service.tune(&req, Some(journal)).unwrap_err();
                 assert!(matches!(err, TuneError::Search(_)), "got: {err}");
-            }
+                let last = last_committed(&steps);
+                assert_eq!((last.strategy_ord, last.step), (ord, step), "{commits}");
+                let got = match (last.strategy_ord, (last.step as usize) < init(ord)) {
+                    (STRATEGY_RANDOM, _) => "random",
+                    (_, true) => "init",
+                    (_, false) => "scored",
+                };
+                assert_eq!(got, phase, "crash after {commits} commits");
+            });
             assert_eq!(
-                service.cache.lock().len(),
-                0,
-                "nothing committed before the crash"
-            );
-
-            // Resume against the same journal: replays the prefix,
-            // finishes, and the published cache matches the uninterrupted
-            // run exactly.
-            let (mut journal, rc) = RunJournal::open(&steps, fp).unwrap();
-            assert_eq!(rc.records, commits as usize);
-            let report = service.tune(&req, Some(&mut journal)).unwrap();
-            assert!(!report.cache_hit);
-            assert_eq!(report.replayed_measurements, commits as usize);
-            assert_eq!(
-                std::fs::read(&crashed_cache).unwrap(),
-                golden,
+                resumed, golden,
                 "resumed cache file is byte-identical to the uninterrupted one \
                  (crash after {commits} commits)"
             );
         }
-        for p in [&uninterrupted_cache, &crashed_cache, &steps] {
+        for p in [&cache, &steps] {
             std::fs::remove_file(p).unwrap();
         }
+    }
+
+    /// A journal committed one arm after another (random, then GBDT, then
+    /// LLM, each run alone) resumes through the interleaved tune to the
+    /// same cache bytes: replay is keyed by `(strategy_ord, step)`, not by
+    /// commit order.
+    #[test]
+    fn a_journal_committed_arm_by_arm_resumes_to_byte_identical_cache() {
+        let (cache, steps) = (tmp("order-cache"), tmp("order-steps"));
+        let req = TuneRequest {
+            budget: 10,
+            ..small_request()
+        };
+        let golden = golden_cache(&req, "order-golden");
+        // Crash inside the GBDT arm and inside the LLM's scored steps.
+        for commits in [15, 27] {
+            let resumed = crash_then_resume(&req, &cache, &steps, commits, |service, journal| {
+                let dataset = service.dataset(req.size);
+                let mut inner = DatasetObjective::new(&dataset);
+                let mut measurer = StepMeasurer::new(&mut inner, Some(journal));
+                let crashed = arms().iter().try_for_each(|(ord, tuner)| {
+                    tuner
+                        .run(&mut measurer.arm(*ord), req.budget, req.seed)
+                        .map(drop)
+                });
+                assert!(crashed.is_err());
+            });
+            assert_eq!(resumed, golden, "crash after {commits} commits");
+        }
+        for p in [&cache, &steps] {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    /// Interleaving changes no arm: at SM and budget 40, each strategy's
+    /// outcome in the tune equals that of the strategy run alone.
+    #[test]
+    fn interleaved_arms_match_the_arms_run_alone() {
+        let path = tmp("arms");
+        for seed in [1, 7, 12] {
+            let _ = std::fs::remove_file(&path);
+            let (service, _) = TuneService::open(&path).unwrap();
+            let req = TuneRequest {
+                kernel: KERNEL_SYR2K.into(),
+                size: ArraySize::SM,
+                budget: 40,
+                seed,
+            };
+            let report = service.tune(&req, None).unwrap();
+            let dataset = service.dataset(req.size);
+            let alone: Vec<StrategyOutcome> = arms()
+                .iter()
+                .map(|(ord, tuner)| {
+                    let t = tuner.run_dataset(&dataset, req.budget, seed);
+                    StrategyOutcome::of(*ord, tuner.name(), &t, dataset.space())
+                })
+                .collect();
+            assert_eq!(report.ablation, alone, "seed {seed}");
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Pins every step of the shared pool loop under the LLM scorer: the
