@@ -284,12 +284,10 @@ where
                 .count()
         });
     // A fully journaled grid needs no service (and an empty queue would be
-    // rejected by the builder). `LMPEEL_SHARDS` picks the shard count;
-    // traces do not depend on it.
+    // rejected by the builder).
     let service = (pending > 0).then(|| {
         InferenceService::builder()
             .model("default", base_model.clone())
-            .shards(shards_from_env())
             // Room for the remaining grid: submission never blocks, the
             // scheduler drains at its own pace.
             .queue_capacity(pending)

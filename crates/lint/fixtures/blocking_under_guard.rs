@@ -24,6 +24,14 @@ impl Ledger {
         flush_disk(path, &g.to_le_bytes());
     }
 
+    /// Violation: a number-hook decode while the guard is held.
+    pub fn decode_under_guard(&self, model: &Arc<InductionLm>, prompt: &[TokenId]) -> u64 {
+        let g = self.stats.lock();
+        let spec = GenerateSpec::paper(*g);
+        let trace = generate_with_number_hook(model, prompt, &spec, |_| None);
+        *g + trace.map_or(0, |t| t.steps.len() as u64)
+    }
+
     /// Attested: in this fixture the lock *is* the commit serializer.
     pub fn commit_attested(&self, file: &mut std::fs::File, bytes: &[u8]) {
         use std::io::Write;

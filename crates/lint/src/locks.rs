@@ -70,6 +70,7 @@ const SUBSTRATE_CALLS: &[&str] = &[
     "generate",
     "generate_session",
     "generate_constrained",
+    "generate_with_number_hook",
     "submit",
 ];
 

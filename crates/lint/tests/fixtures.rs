@@ -214,12 +214,16 @@ fn blocking_under_guard_direct_transitive_attested_and_clean() {
         .iter()
         .filter(|d| d.rule == Rule::BlockingUnderLock)
         .collect();
-    // The direct recv and the transitive flush_disk→fs::write; the
-    // attested write_all and the copy-then-send pattern are clean.
-    assert_eq!(lml8.len(), 2, "{lml8:?}");
+    // The direct recv, the number-hook decode and the transitive
+    // flush_disk→fs::write; the attested write_all and the copy-then-send
+    // pattern are clean.
+    assert_eq!(lml8.len(), 3, "{lml8:?}");
     assert!(lml8.iter().any(|d| d
         .message
         .contains("`.recv(..)` while holding lock `stats` (guard `g`)")));
+    assert!(lml8.iter().any(|d| d.message.contains(
+        "substrate/service call `generate_with_number_hook(..)` while holding lock `stats` (guard `g`)"
+    )));
     assert!(lml8.iter().any(|d| {
         d.message
             .contains("call to `flush_disk(..)` reaches `fs::write(..)`")

@@ -11,11 +11,10 @@
 //! warns about.
 
 use crate::error::LmError;
-use crate::generate::{decode_step_from, GenerateSpec, StepScratch};
+use crate::generate::{Decode, GenerateSpec};
 use crate::induction::prior::{value_state, ValueState};
 use crate::model::LanguageModel;
 use crate::trace::GenerationTrace;
-use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::{TokenId, Tokenizer};
 use std::sync::Arc;
 
@@ -97,11 +96,11 @@ impl LogitConstraint for ValueGrammar {
 
 /// The decoding loop with a [`LogitConstraint`] applied at every step.
 /// Identical trace semantics to [`crate::generate::generate`], over the
-/// constrained distribution: each step masks the session's logits and
-/// hands them to the same sampling half every other decode loop uses.
-/// Drives an incremental [`DecodeSession`](crate::DecodeSession) and
-/// reuses one set of step buffers, so the constraint's mask is the only
-/// extra per-step full-vocabulary pass.
+/// constrained distribution: each step masks the session's logits into a
+/// buffer of its own and steps the same decode core every other loop
+/// drives on them. Drives an incremental
+/// [`DecodeSession`](crate::DecodeSession) and reuses that one buffer, so
+/// the constraint's mask is the only extra per-step full-vocabulary pass.
 pub fn generate_constrained<M, C>(
     model: &Arc<M>,
     prompt: &[TokenId],
@@ -112,32 +111,18 @@ where
     M: LanguageModel + ?Sized,
     C: LogitConstraint,
 {
-    spec.validate()?;
-    let mut rng = seeded_rng(spec.seed, SeedDomain::Sampling(prompt.len() as u64));
+    let mut decode = Decode::new(spec.clone(), prompt.len())?;
     let mut session = Arc::clone(model).session();
     session.extend(prompt);
-    let mut steps = Vec::new();
-    let mut stopped_naturally = false;
-    let mut scratch = StepScratch::default();
     let tokenizer = model.tokenizer();
-
-    for _ in 0..spec.max_tokens {
-        let StepScratch { logits, ranking } = &mut scratch;
-        session.logits_into(logits);
-        constraint.mask(session.tokens(), tokenizer, logits);
-        match decode_step_from(&mut *session, logits, spec, &mut rng, ranking)? {
-            Some(step) => steps.push(step),
-            None => {
-                stopped_naturally = true;
-                break;
-            }
+    let mut masked = Vec::new();
+    loop {
+        session.logits_into(&mut masked);
+        constraint.mask(session.tokens(), tokenizer, &mut masked);
+        if !decode.step(&mut *session, Some(&masked))? {
+            return Ok(decode.into_trace());
         }
     }
-    Ok(GenerationTrace {
-        prompt_len: prompt.len(),
-        steps,
-        stopped_naturally,
-    })
 }
 
 #[cfg(test)]

@@ -7,18 +7,21 @@
 //! recomputing the whole context. Models without a native session fall back
 //! to [`crate::session::FallbackSession`] and behave exactly as before.
 //!
-//! Every decode loop shares one sampling half, `decode_step_from` — the
-//! only code that turns next-token logits into a [`GenStep`]:
-//! [`generate_session`] runs a decode to completion; [`GenerationStepper`]
-//! exposes the same loop one token at a time so the serve crate's
-//! scheduler can interleave many in-flight generations (its
-//! [`GenerationStepper::step_precomputed`] takes the logits the
-//! scheduler's fused round computed for a whole group);
+//! A generation's decode state lives in one core, `Decode`: the spec, the
+//! sampling RNG keyed by `(seed, prompt length)`, the recorded steps, the
+//! stop and finished flags and the reused step buffers. Its `step` is the
+//! only code that turns next-token logits into a [`GenStep`], and its
+//! `into_trace` the only code that builds a [`GenerationTrace`]. Four
+//! drivers run it: [`generate_session`] steps it to completion;
+//! [`GenerationStepper`] owns a session beside it and advances one token
+//! per [`GenerationStepper::step`], so the serve crate's scheduler can
+//! interleave many in-flight generations and hand each lane the logits its
+//! fused round computed for a whole group;
 //! [`generate_with_number_hook`] splices provider values between steps;
-//! and [`crate::constrain::generate_constrained`] masks the logits before
-//! handing them over. Every loop keys its RNG by `(seed, prompt length)`,
-//! so a stepped or fused generation is byte-identical to a sequential one
-//! by construction, and so is a constrained one whose mask admits every
+//! and [`crate::constrain::generate_constrained`] masks the logits into a
+//! buffer of its own and steps on those. A stepped, fused or hooked
+//! generation is therefore byte-identical to a sequential one by
+//! construction, and so is a constrained one whose mask admits every
 //! token.
 //!
 //! A step that records a trace sorts the logits once: the finite logits
@@ -201,74 +204,135 @@ impl GenerateSpecBuilder {
     }
 }
 
-/// One decode step over a session: record the raw distribution, sample,
-/// honor stop tokens, append. Returns `Ok(Some(step))` when a token was
-/// generated, `Ok(None)` when a stop token ended generation.
-///
-/// The trace records the *raw* softmax (temperature 1, no top-k/p) above
-/// the `trace_min_prob` floor — the paper logs "all generated nonzero logit
-/// values" before any sampling processors, and its central-decode analysis
-/// (§IV-C) only comes out wrong-side-up if the rare off-magnitude
-/// alternatives that sharpening and nucleus pruning would remove are kept
-/// in the haystack.
-fn decode_step(
-    session: &mut dyn DecodeSession,
-    spec: &GenerateSpec,
-    rng: &mut ChaCha8Rng,
-    scratch: &mut StepScratch,
-) -> Result<Option<GenStep>, LmError> {
-    session.logits_into(&mut scratch.logits);
-    decode_step_from(session, &scratch.logits, spec, rng, &mut scratch.ranking)
+/// One generation's decode state, the core every decode loop drives: the
+/// spec, the sampling RNG keyed by `(seed, prompt length)`, the recorded
+/// steps, the stop and finished flags, and the vocab-wide buffers (the
+/// session's logits and the step's [`Ranking`]) reused across tokens. The
+/// session stays with the driver and is lent to each call.
+pub(crate) struct Decode {
+    spec: GenerateSpec,
+    rng: ChaCha8Rng,
+    prompt_len: usize,
+    steps: Vec<GenStep>,
+    stopped_naturally: bool,
+    finished: bool,
+    logits: Vec<f32>,
+    ranking: Ranking,
 }
 
-/// The vocab-wide buffers one generation reuses across its decode steps:
-/// the session's logits and the step's [`Ranking`].
-#[derive(Debug, Default)]
-pub(crate) struct StepScratch {
-    pub(crate) logits: Vec<f32>,
-    pub(crate) ranking: Ranking,
-}
-
-/// The sampling half of [`decode_step`], over logits the caller already
-/// computed: the serve scheduler's fused round computes them for a whole
-/// group in one forward pass, and [`crate::constrain::generate_constrained`]
-/// masks them first. `logits` is what the step samples from and records,
-/// so it must be the session's current next-token logits (masked or not).
-/// Splitting here keeps every decode loop byte-identical by construction:
-/// everything that consumes RNG state or mutates the session lives in this
-/// one function.
-///
-/// The finite logits are ranked once per step, and that one order is
-/// shared: the sampler's draw and the trace's raw softmax both read it
-/// (`ranking` is the caller's reusable buffer). A `trace_min_prob` above 1
-/// makes the step draw-only: no raw-softmax probability can reach the
-/// floor, so the trace half is skipped and the draw ranks only the head it
-/// can reach. A stop token ends the step before the trace half runs.
-pub(crate) fn decode_step_from(
-    session: &mut dyn DecodeSession,
-    logits: &[f32],
-    spec: &GenerateSpec,
-    rng: &mut ChaCha8Rng,
-    ranking: &mut Ranking,
-) -> Result<Option<GenStep>, LmError> {
-    let trace = spec.trace_min_prob <= 1.0;
-    let Some((chosen, chosen_prob)) = spec.sampler.draw(ranking, logits, rng, trace) else {
-        return Err(LmError::EmptyVocab);
-    };
-    if spec.stop_tokens.contains(&chosen) {
-        return Ok(None);
+impl Decode {
+    /// Validate `spec` and key the sampling RNG by `(spec.seed,
+    /// prompt_len)`, so a malformed spec fails before any decode work.
+    pub(crate) fn new(spec: GenerateSpec, prompt_len: usize) -> Result<Self, LmError> {
+        spec.validate()?;
+        Ok(Self {
+            rng: seeded_rng(spec.seed, SeedDomain::Sampling(prompt_len as u64)),
+            spec,
+            prompt_len,
+            steps: Vec::new(),
+            stopped_naturally: false,
+            finished: false,
+            logits: Vec::new(),
+            ranking: Ranking::default(),
+        })
     }
-    let alternatives = if trace {
-        ranking.alternatives(logits, spec.trace_min_prob)
-    } else {
-        Vec::new()
-    };
-    session.append(chosen);
-    Ok(Some(GenStep {
-        chosen,
-        chosen_prob,
-        alternatives,
-    }))
+
+    /// Advance one token: sample from `logits`, or from the session's own
+    /// next-token logits when `None`, honor the stop set, record and
+    /// append. Returns `Ok(true)` while the generation can still advance
+    /// and `Ok(false)` once it finished (stop token or `max_tokens`); a
+    /// finished core never steps again.
+    ///
+    /// `Some(logits)` must be what the step should sample from: the
+    /// session's current next-token logits, bitwise (a fused
+    /// [`crate::session::BatchDriver::logits_batch`] lane by contract), or
+    /// a constraint's mask of them. Everything downstream of the logits is
+    /// this one function, so every driver's trace is byte-identical by
+    /// construction.
+    ///
+    /// The trace records the *raw* softmax (temperature 1, no top-k/p)
+    /// above the `trace_min_prob` floor — the paper logs "all generated
+    /// nonzero logit values" before any sampling processors, and its
+    /// central-decode analysis (§IV-C) only comes out wrong-side-up if the
+    /// rare off-magnitude alternatives that sharpening and nucleus pruning
+    /// would remove are kept in the haystack. A `trace_min_prob` above 1
+    /// skips that record (a draw-only step, see the module docs), and a
+    /// stop token ends the step before it.
+    ///
+    /// An error ([`LmError::EmptyVocab`]) is reported before the RNG is
+    /// drawn or anything is recorded or appended, so it leaves the core as
+    /// it was: the next call retries the same token, and a retry that
+    /// succeeds records exactly what an error-free run would have.
+    pub(crate) fn step(
+        &mut self,
+        session: &mut dyn DecodeSession,
+        logits: Option<&[f32]>,
+    ) -> Result<bool, LmError> {
+        if self.finished {
+            return Ok(false);
+        }
+        let logits = match logits {
+            Some(logits) => logits,
+            None => {
+                session.logits_into(&mut self.logits);
+                &self.logits
+            }
+        };
+        let spec = &self.spec;
+        let trace = spec.trace_min_prob <= 1.0;
+        let drawn = spec
+            .sampler
+            .draw(&mut self.ranking, logits, &mut self.rng, trace);
+        let Some((chosen, chosen_prob)) = drawn else {
+            return Err(LmError::EmptyVocab);
+        };
+        if spec.stop_tokens.contains(&chosen) {
+            self.stopped_naturally = true;
+            self.finished = true;
+            return Ok(false);
+        }
+        let alternatives = if trace {
+            self.ranking.alternatives(logits, spec.trace_min_prob)
+        } else {
+            Vec::new()
+        };
+        session.append(chosen);
+        self.steps.push(GenStep {
+            chosen,
+            chosen_prob,
+            alternatives,
+        });
+        self.finished = self.steps.len() >= spec.max_tokens;
+        Ok(!self.finished)
+    }
+
+    /// Record `tokens` as certain steps (one single-possibility
+    /// alternative each, like a tool-call result) and append them to the
+    /// session, stopping at `max_tokens`. Draws nothing from the RNG.
+    fn splice(&mut self, session: &mut dyn DecodeSession, tokens: &[TokenId]) {
+        for &id in tokens {
+            if self.finished {
+                break;
+            }
+            self.steps.push(GenStep {
+                chosen: id,
+                chosen_prob: 1.0,
+                alternatives: vec![TokenAlt { id, prob: 1.0 }],
+            });
+            session.append(id);
+            self.finished = self.steps.len() >= self.spec.max_tokens;
+        }
+    }
+
+    /// The trace recorded so far: the whole generation once finished, the
+    /// partial one (with `stopped_naturally == false`) after an abort.
+    pub(crate) fn into_trace(self) -> GenerationTrace {
+        GenerationTrace {
+            prompt_len: self.prompt_len,
+            steps: self.steps,
+            stopped_naturally: self.stopped_naturally,
+        }
+    }
 }
 
 /// Run the decoding loop: sample up to `max_tokens` tokens, recording the
@@ -300,28 +364,9 @@ pub fn generate_session(
     session: &mut dyn DecodeSession,
     spec: &GenerateSpec,
 ) -> Result<GenerationTrace, LmError> {
-    spec.validate()?;
-    let prompt_len = session.len();
-    let mut rng = seeded_rng(spec.seed, SeedDomain::Sampling(prompt_len as u64));
-    let mut steps = Vec::new();
-    let mut stopped_naturally = false;
-    let mut scratch = StepScratch::default();
-
-    for _ in 0..spec.max_tokens {
-        match decode_step(session, spec, &mut rng, &mut scratch)? {
-            Some(step) => steps.push(step),
-            None => {
-                stopped_naturally = true;
-                break;
-            }
-        }
-    }
-
-    Ok(GenerationTrace {
-        prompt_len,
-        steps,
-        stopped_naturally,
-    })
+    let mut decode = Decode::new(spec.clone(), session.len())?;
+    while decode.step(session, None)? {}
+    Ok(decode.into_trace())
 }
 
 /// The decoding loop as an explicit state machine: one sampled token per
@@ -330,22 +375,13 @@ pub fn generate_session(
 /// This is what lets a scheduler interleave many generations — it can hold
 /// a `Vec<GenerationStepper>`, advance each in-flight request one token per
 /// scheduling round, admit new requests between rounds, and retire finished
-/// ones immediately. Stepping shares `decode_step` and the RNG keying with
-/// [`generate_session`], so for any interleaving the finished trace is
-/// byte-identical to running `generate_session` on the same session and
-/// spec.
+/// ones immediately. A stepper is the decode core [`generate_session`]
+/// runs plus the session it owns, so for any interleaving the finished
+/// trace is byte-identical to running `generate_session` on the same
+/// session and spec.
 pub struct GenerationStepper {
     session: Box<dyn DecodeSession>,
-    spec: GenerateSpec,
-    rng: ChaCha8Rng,
-    prompt_len: usize,
-    steps: Vec<GenStep>,
-    stopped_naturally: bool,
-    finished: bool,
-    errored: bool,
-    /// Step buffers reused across tokens (no per-token allocation beyond
-    /// the recorded trace).
-    scratch: StepScratch,
+    decode: Decode,
 }
 
 impl GenerationStepper {
@@ -353,86 +389,28 @@ impl GenerationStepper {
     /// prompt). Validates the spec up front so a malformed request fails at
     /// admission, not mid-decode.
     pub fn new(session: Box<dyn DecodeSession>, spec: GenerateSpec) -> Result<Self, LmError> {
-        spec.validate()?;
-        let prompt_len = session.len();
-        let rng = seeded_rng(spec.seed, SeedDomain::Sampling(prompt_len as u64));
-        Ok(Self {
-            session,
-            spec,
-            rng,
-            prompt_len,
-            steps: Vec::new(),
-            stopped_naturally: false,
-            finished: false,
-            errored: false,
-            scratch: StepScratch::default(),
-        })
+        let decode = Decode::new(spec, session.len())?;
+        Ok(Self { session, decode })
     }
 
     /// Advance one token. Returns `Ok(true)` while the generation can still
-    /// make progress, `Ok(false)` once it finished (stop token or budget).
-    /// After an error or completion, further calls return `Ok(false)`.
-    pub fn step(&mut self) -> Result<bool, LmError> {
-        if self.finished {
-            return Ok(false);
-        }
-        let result = decode_step(
-            self.session.as_mut(),
-            &self.spec,
-            &mut self.rng,
-            &mut self.scratch,
-        );
-        self.settle(result)
-    }
-
-    /// Advance one token using logits the caller already computed for this
-    /// session — the batched-decode entry point. `logits` **must** be
-    /// bitwise what [`DecodeSession::logits`] would return right now (a
-    /// fused [`crate::session::BatchDriver::logits_batch`] lane satisfies
-    /// this by contract); everything downstream of the logits — trace
-    /// recording, RNG consumption, stop handling, the append — is the very
-    /// code [`step`] runs, so a precomputed step is byte-identical to a
-    /// single-lane one.
+    /// make progress, `Ok(false)` once it finished (stop token, budget or
+    /// [`abort`]); a finished stepper stays finished.
     ///
-    /// [`step`]: GenerationStepper::step
-    pub fn step_precomputed(&mut self, logits: &[f32]) -> Result<bool, LmError> {
-        if self.finished {
-            return Ok(false);
-        }
-        let result = decode_step_from(
-            self.session.as_mut(),
-            logits,
-            &self.spec,
-            &mut self.rng,
-            &mut self.scratch.ranking,
-        );
-        self.settle(result)
-    }
-
-    /// Shared bookkeeping tail of [`step`] / [`step_precomputed`].
+    /// With `None` the session computes its own logits. `Some(logits)` is
+    /// the batched-decode entry point: the logits **must** be bitwise what
+    /// [`DecodeSession::logits`] would return right now, which a fused
+    /// [`crate::session::BatchDriver::logits_batch`] lane satisfies by
+    /// contract. Either way the step after the logits is the same code, so
+    /// a precomputed step is byte-identical to a self-computed one.
     ///
-    /// [`step`]: GenerationStepper::step
-    /// [`step_precomputed`]: GenerationStepper::step_precomputed
-    fn settle(&mut self, result: Result<Option<GenStep>, LmError>) -> Result<bool, LmError> {
-        match result {
-            Ok(Some(step)) => {
-                self.steps.push(step);
-                if self.steps.len() >= self.spec.max_tokens {
-                    self.finished = true;
-                }
-                Ok(!self.finished)
-            }
-            Ok(None) => {
-                self.stopped_naturally = true;
-                self.finished = true;
-                Ok(false)
-            }
-            Err(e) => {
-                self.finished = true;
-                self.errored = true;
-                Err(e)
-            }
-        }
+    /// An error leaves the stepper as it was (nothing drawn, recorded or
+    /// appended), so stepping again retries the failed token; a retry that
+    /// succeeds gives exactly the trace an error-free run would have.
+    ///
+    /// [`abort`]: GenerationStepper::abort
+    pub fn step(&mut self, logits: Option<&[f32]>) -> Result<bool, LmError> {
+        self.decode.step(self.session.as_mut(), logits)
     }
 
     /// Read-only view of the underlying session, for batched-decode
@@ -448,31 +426,9 @@ impl GenerationStepper {
         self.session.batch_driver()
     }
 
-    /// Re-arm a stepper frozen by a decode error so the next [`step`] call
-    /// retries the failed token. Returns `true` iff the stepper was in the
-    /// errored state (freshly constructed, finished, or aborted steppers
-    /// are untouched and return `false`).
-    ///
-    /// The retried step is deterministic: `decode_step` reports an error
-    /// *before* consuming RNG state or appending to the session, so a
-    /// retry that succeeds produces the exact trace an error-free run
-    /// would have — the basis of the serve layer's transient-error retry
-    /// budget.
-    ///
-    /// [`step`]: GenerationStepper::step
-    pub fn retry(&mut self) -> bool {
-        if self.errored {
-            self.errored = false;
-            self.finished = false;
-            true
-        } else {
-            false
-        }
-    }
-
     /// True once the generation cannot advance further.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.decode.finished
     }
 
     /// Abandon the generation: mark it finished so further [`step`] calls
@@ -485,21 +441,12 @@ impl GenerationStepper {
     /// [`step`]: GenerationStepper::step
     /// [`into_trace`]: GenerationStepper::into_trace
     pub fn abort(&mut self) {
-        self.finished = true;
-    }
-
-    /// Prompt length captured at construction.
-    pub fn prompt_len(&self) -> usize {
-        self.prompt_len
+        self.decode.finished = true;
     }
 
     /// Consume the stepper into the finished trace.
     pub fn into_trace(self) -> GenerationTrace {
-        GenerationTrace {
-            prompt_len: self.prompt_len,
-            steps: self.steps,
-            stopped_naturally: self.stopped_naturally,
-        }
+        self.decode.into_trace()
     }
 }
 
@@ -527,48 +474,24 @@ where
     F: FnMut(&[TokenId]) -> Option<String>,
 {
     use crate::induction::prior::{value_state, ValueState};
-    spec.validate()?;
-    let mut rng = seeded_rng(spec.seed, SeedDomain::Sampling(prompt.len() as u64));
+    let mut decode = Decode::new(spec.clone(), prompt.len())?;
     let mut session = Arc::clone(model).session();
     session.extend(prompt);
-    let mut steps = Vec::new();
-    let mut stopped_naturally = false;
-    let mut scratch = StepScratch::default();
     let tokenizer = model.tokenizer();
 
-    while steps.len() < spec.max_tokens {
+    while !decode.finished {
         // Numeric hook: at a value onset, let the supporting model fill in
         // the number.
         if value_state(session.tokens(), tokenizer) == Some(ValueState::Start) {
             if let Some(text) = number_provider(session.tokens()) {
-                for id in tokenizer.encode(&text) {
-                    if steps.len() >= spec.max_tokens {
-                        break;
-                    }
-                    steps.push(GenStep {
-                        chosen: id,
-                        chosen_prob: 1.0,
-                        alternatives: vec![TokenAlt { id, prob: 1.0 }],
-                    });
-                    session.append(id);
-                }
+                decode.splice(&mut *session, &tokenizer.encode(&text));
                 // The number is complete; only scaffold remains.
                 continue;
             }
         }
-        match decode_step(&mut *session, spec, &mut rng, &mut scratch)? {
-            Some(step) => steps.push(step),
-            None => {
-                stopped_naturally = true;
-                break;
-            }
-        }
+        decode.step(&mut *session, None)?;
     }
-    Ok(GenerationTrace {
-        prompt_len: prompt.len(),
-        steps,
-        stopped_naturally,
-    })
+    Ok(decode.into_trace())
 }
 
 #[cfg(test)]
@@ -831,10 +754,24 @@ mod tests {
 
             let mut fresh = m.clone().session();
             fresh.extend(&prompt);
-            let mut stepper = GenerationStepper::new(fresh, spec).unwrap();
-            while stepper.step().unwrap() {}
+            let mut stepper = GenerationStepper::new(fresh, spec.clone()).unwrap();
+            while stepper.step(None).unwrap() {}
             assert!(stepper.is_finished());
             assert_eq!(stepper.into_trace(), sequential);
+
+            // Handed its session's own logits every step, a stepper
+            // records the same trace.
+            let mut fresh = m.clone().session();
+            fresh.extend(&prompt);
+            let mut fed = GenerationStepper::new(fresh, spec).unwrap();
+            let mut logits = Vec::new();
+            loop {
+                fed.session().logits_into(&mut logits);
+                if !fed.step(Some(&logits)).unwrap() {
+                    break;
+                }
+            }
+            assert_eq!(fed.into_trace(), sequential, "seed {seed}");
         }
     }
 
@@ -853,13 +790,19 @@ mod tests {
         let mut s = m.clone().session();
         s.extend(&prompt);
         let mut stepper = GenerationStepper::new(s, spec).unwrap();
-        assert_eq!(stepper.prompt_len(), 1);
-        assert!(stepper.step().unwrap(), "first step generates 'b'");
-        assert_eq!(stepper.steps.len(), 1);
-        assert!(!stepper.step().unwrap(), "second step hits the stop token");
+        assert!(stepper.step(None).unwrap(), "first step generates 'b'");
+        assert_eq!(stepper.decode.steps.len(), 1);
+        assert!(
+            !stepper.step(None).unwrap(),
+            "second step hits the stop token"
+        );
         assert!(stepper.is_finished());
-        assert!(!stepper.step().unwrap(), "finished steppers stay finished");
+        assert!(
+            !stepper.step(None).unwrap(),
+            "finished steppers stay finished"
+        );
         let trace = stepper.into_trace();
+        assert_eq!(trace.prompt_len, 1);
         assert_eq!(trace.decode(&m.tokenizer), "b");
         assert!(trace.stopped_naturally);
     }
@@ -1044,10 +987,13 @@ mod tests {
         let mut s = m.clone().session();
         s.extend(&prompt);
         let mut stepper = GenerationStepper::new(s, spec).unwrap();
-        assert!(stepper.step().unwrap());
+        assert!(stepper.step(None).unwrap());
         stepper.abort();
         assert!(stepper.is_finished());
-        assert!(!stepper.step().unwrap(), "aborted steppers never advance");
+        assert!(
+            !stepper.step(None).unwrap(),
+            "aborted steppers never advance"
+        );
         let trace = stepper.into_trace();
         assert_eq!(trace.decode(&m.tokenizer), "b", "partial trace survives");
         assert!(!trace.stopped_naturally);
@@ -1116,16 +1062,19 @@ mod tests {
         });
         let mut s = flaky.clone().session();
         s.extend(&prompt);
-        let mut stepper = GenerationStepper::new(s, spec.clone()).unwrap();
+        let mut stepper = GenerationStepper::new(s, spec).unwrap();
         let mut errors = 0;
         loop {
-            match stepper.step() {
+            match stepper.step(None) {
                 Ok(true) => {}
                 Ok(false) => break,
                 Err(LmError::EmptyVocab) => {
                     errors += 1;
-                    assert!(stepper.is_finished(), "errors freeze the stepper");
-                    assert!(stepper.retry(), "an errored stepper re-arms");
+                    // Nothing was recorded or appended: the next step is
+                    // the retry.
+                    assert!(!stepper.is_finished(), "an error finishes nothing");
+                    assert_eq!(stepper.decode.steps.len(), 2);
+                    assert_eq!(stepper.session().len(), prompt.len() + 2);
                 }
                 Err(e) => panic!("unexpected error {e}"),
             }
@@ -1136,14 +1085,6 @@ mod tests {
             want,
             "a retried run is byte-identical to an error-free one"
         );
-
-        // retry() is a no-op on steppers that did not error.
-        let mut s = cycle_model().session();
-        s.extend(&prompt);
-        let mut fresh = GenerationStepper::new(s, spec).unwrap();
-        assert!(!fresh.retry(), "fresh steppers are not retryable");
-        fresh.abort();
-        assert!(!fresh.retry(), "aborted steppers are not retryable");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every distribution here is computed over one `Ranking` of the finite
 //! logits. A step that records a trace sorts every finite logit once, for
 //! both its draw and its trace; a draw-only step sorts only the head of the
-//! ranking its draw can reach (see [`Ranking::rank_head`]).
+//! ranking its draw can reach (see `Ranking::rank_head`).
 
 use crate::trace::TokenAlt;
 use lmpeel_tokenizer::TokenId;

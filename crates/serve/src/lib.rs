@@ -68,7 +68,7 @@ pub use request::{
 pub use service::{
     InferenceService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder, ShardedService,
 };
-pub use shard::{shards_from_env, ShardRouter, DEFAULT_PREFIX_WINDOW};
+pub use shard::{ShardRouter, DEFAULT_PREFIX_WINDOW};
 pub use trie::TrieStats;
 
 /// One-line import for service consumers: the service, its builder and
@@ -86,7 +86,7 @@ pub mod prelude {
         InferenceService, ResponseHandle, SchedulerPanicked, ServeStats, ServiceBuilder,
         ShardedService,
     };
-    pub use crate::shard::{shards_from_env, ShardRouter};
+    pub use crate::shard::ShardRouter;
 }
 
 #[cfg(test)]

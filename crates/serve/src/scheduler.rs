@@ -60,16 +60,19 @@
 //! resumes), another panic re-opens it with an exponentially longer,
 //! deterministically jittered cooldown. Transient decode errors can also
 //! be absorbed before they surface: each request carries a `retry_budget`
-//! of in-place step retries (deterministic — a failed step consumes no
-//! RNG state). Cancellation ([`crate::ResponseHandle::cancel`] or a
-//! dropped handle) and [`crate::Deadline`]s are checked once per
-//! scheduling round, retiring the request and freeing its batch slot
-//! without disturbing its neighbours.
+//! of in-place step retries. A failed step draws no RNG state and records
+//! and appends nothing, so it leaves the lane's stepper as it was; while
+//! budget remains the error only spends one retry, and the lane's next
+//! round steps the same token again. Cancellation
+//! ([`crate::ResponseHandle::cancel`] or a dropped handle) and
+//! [`crate::Deadline`]s are checked once per scheduling round, retiring
+//! the request and freeing its batch slot without disturbing its
+//! neighbours.
 
 use crate::request::{Deadline, GenerateRequest, GenerateResponse, RequestError};
 use crate::service::ServeStats;
 use crate::trie::{PrefixTrie, TrieStats};
-use lmpeel_lm::{DecodeSession, GenerationStepper, LanguageModel, LmError};
+use lmpeel_lm::{DecodeSession, GenerationStepper, LanguageModel};
 use lmpeel_recover::{fnv1a64, splitmix64};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -268,43 +271,23 @@ impl Inflight {
         true
     }
 
-    /// One single-lane decode step: the lane computes its own logits.
-    /// Panics from the substrate are caught here and become this
-    /// request's terminal error.
-    fn step_single(&mut self) {
+    /// One decode step: the lane computes its own logits with `None`, or
+    /// consumes the ones a fused batch call computed for it (bitwise what
+    /// it would have computed itself, per the [`lmpeel_lm::BatchDriver`]
+    /// contract). Panics from the substrate are caught here and become
+    /// this request's terminal error.
+    fn step(&mut self, logits: Option<&[f32]>) {
         self.steps_taken += 1;
-        let result = catch_unwind(AssertUnwindSafe(|| self.stepper.step()));
-        self.settle_step(result);
-    }
-
-    /// One decode step consuming logits a fused batch call already
-    /// computed for this lane (bitwise what the lane would have computed
-    /// itself, per the [`lmpeel_lm::BatchDriver`] contract).
-    fn step_with(&mut self, logits: &[f32]) {
-        self.steps_taken += 1;
-        let result = catch_unwind(AssertUnwindSafe(|| self.stepper.step_precomputed(logits)));
-        self.settle_step(result);
-    }
-
-    /// Shared post-step bookkeeping for both step flavours.
-    fn settle_step(
-        &mut self,
-        result: Result<Result<bool, LmError>, Box<dyn std::any::Any + Send>>,
-    ) {
-        match result {
+        match catch_unwind(AssertUnwindSafe(|| self.stepper.step(logits))) {
             Ok(Ok(_)) => {}
-            Ok(Err(e)) => {
-                // A transient decode error: retry in place while budget
-                // remains. The failed step consumed no RNG state, so the
-                // retried token is exactly what an error-free run would
-                // have sampled.
-                if self.retries_left > 0 && self.stepper.retry() {
-                    self.retries_left -= 1;
-                    self.retries_used += 1;
-                } else {
-                    self.error = Some(RequestError::Lm(e));
-                }
+            // A transient decode error leaves the stepper as it was, so
+            // next round's step is the retry, and it samples exactly what
+            // an error-free run would have.
+            Ok(Err(_)) if self.retries_left > 0 => {
+                self.retries_left -= 1;
+                self.retries_used += 1;
             }
+            Ok(Err(e)) => self.error = Some(RequestError::Lm(e)),
             Err(payload) => {
                 self.error = Some(RequestError::Panicked(panic_message(payload.as_ref())));
             }
@@ -521,7 +504,7 @@ impl Scheduler {
                 .filter(|&(_, &s)| s == LaneStep::Single)
                 .map(|(w, _)| w),
             self.cfg.step_threads.min(singles / LANES_PER_STEP_THREAD),
-            Inflight::step_single,
+            |w| w.step(None),
         );
         let mut group = std::mem::take(&mut self.group_scratch);
         for (slot, &fused) in plan.iter().enumerate() {
@@ -579,13 +562,13 @@ impl Scheduler {
         if fused {
             for (&j, logits) in group.iter().zip(&bufs) {
                 if let Some(w) = self.inflight.get_mut(j) {
-                    w.step_with(logits);
+                    w.step(Some(logits));
                 }
             }
         } else {
             for &j in group {
                 if let Some(w) = self.inflight.get_mut(j) {
-                    w.step_single();
+                    w.step(None);
                 }
             }
         }
@@ -826,6 +809,7 @@ mod tests {
     use crate::request::GenerateResponse;
     use lmpeel_lm::{
         generate, BatchDriver, BatchDriverRef, GenerateSpec, GenerationStepper, InductionLm,
+        LmError,
     };
     use lmpeel_tokenizer::TokenId;
     use proptest::prelude::*;

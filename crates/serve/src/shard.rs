@@ -94,22 +94,6 @@ impl ShardRouter {
 /// far beyond this — always colocate.
 pub const DEFAULT_PREFIX_WINDOW: usize = 64;
 
-/// Shard count requested through the environment: `LMPEEL_SHARDS=N` when
-/// `N` is a positive integer, otherwise 1 — unset, empty, `0` and
-/// unparsable values all mean "stay single-shard". Shard count cannot
-/// change any request's bytes, so reading it cannot perturb golden
-/// outputs.
-pub fn shards_from_env() -> usize {
-    parse_shards(std::env::var("LMPEEL_SHARDS").ok().as_deref())
-}
-
-fn parse_shards(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,20 +202,6 @@ mod tests {
         let sharded = ShardedService::builder().shards(3).build();
         assert_eq!(sharded.shard_stats().len(), 3);
         assert_eq!(sharded.router().shards(), 3);
-    }
-
-    #[test]
-    fn shard_count_parsing_falls_back_to_one() {
-        for (value, shards) in [
-            (None, 1),
-            (Some(""), 1),
-            (Some("0"), 1),
-            (Some("garbage"), 1),
-            (Some("4"), 4),
-            (Some(" 4 "), 4),
-        ] {
-            assert_eq!(parse_shards(value), shards, "{value:?}");
-        }
     }
 
     /// `shutdown` drains every shard at once: while shard 0 is held in

@@ -56,7 +56,7 @@ use lmpeel_lm::{InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{CostModel, MachineModel, PerfDataset};
 use lmpeel_recover::{JournalError, Recovery, RunJournal};
 use lmpeel_serve::sync::RankedMutex;
-use lmpeel_serve::{shards_from_env, GenerateRequest, InferenceService, ResponseHandle};
+use lmpeel_serve::{GenerateRequest, InferenceService, ResponseHandle};
 use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::{TokenId, EOS};
 use std::path::Path;
@@ -221,7 +221,6 @@ impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
     fn scorer(&self, space: &ConfigSpace, size: ArraySize, seed: u64) -> ServiceScorer<M> {
         let service = InferenceService::builder()
             .model("tune", self.model.clone())
-            .shards(shards_from_env())
             .prefix_cache_capacity(0)
             .queue_capacity(self.pool.max(1))
             .max_batch(self.pool.max(1))
