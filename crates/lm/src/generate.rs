@@ -462,7 +462,8 @@ impl GenerationStepper {
 /// consulted. If it supplies a value, the formatted digits are spliced into
 /// the stream verbatim (each spliced step records a single-possibility
 /// alternative, like a tool-call result) and the LM resumes for the
-/// surrounding scaffold.
+/// surrounding scaffold. Text that encodes to no tokens counts as a
+/// decline: splicing it would leave the context at the same onset.
 pub fn generate_with_number_hook<M, F>(
     model: &Arc<M>,
     prompt: &[TokenId],
@@ -483,8 +484,9 @@ where
         // Numeric hook: at a value onset, let the supporting model fill in
         // the number.
         if value_state(session.tokens(), tokenizer) == Some(ValueState::Start) {
-            if let Some(text) = number_provider(session.tokens()) {
-                decode.splice(&mut *session, &tokenizer.encode(&text));
+            let value = number_provider(session.tokens()).map(|text| tokenizer.encode(&text));
+            if let Some(value) = value.filter(|ids| !ids.is_empty()) {
+                decode.splice(&mut *session, &value);
                 // The number is complete; only scaffold remains.
                 continue;
             }
@@ -863,6 +865,30 @@ mod tests {
         let plain = generate(&m, &prompt, &spec).unwrap();
         let hooked = generate_with_number_hook(&m, &prompt, &spec, |_| None).unwrap();
         assert_eq!(plain, hooked, "declining provider must be a no-op");
+    }
+
+    #[test]
+    fn number_hook_treats_text_that_encodes_to_nothing_as_a_decline() {
+        let m = cycle_model();
+        let prompt = m.tokenizer.encode("Performance: ");
+        let spec = GenerateSpec {
+            sampler: Sampler::greedy(),
+            max_tokens: 4,
+            stop_tokens: vec![],
+            trace_min_prob: 0.0,
+            seed: 0,
+        };
+        let plain = generate(&m, &prompt, &spec).unwrap();
+        let mut calls = 0;
+        let hooked = generate_with_number_hook(&m, &prompt, &spec, |_| {
+            calls += 1;
+            (calls <= 3).then(String::new)
+        })
+        .unwrap();
+        // Declining lets the LM step off the onset, so the provider is not
+        // asked again: the three empty answers are not spent in a loop.
+        assert_eq!(calls, 1, "provider called {calls} times");
+        assert_eq!(plain, hooked, "an empty value must be a no-op");
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //!   updated per append, so each Jaccard is the *same* integer division the
 //!   batch path performs (bit-identical similarities);
 //! * **suffix matches** — only a position `t` preceded by the last token
-//!   can match the context tail at all, so an occurrence index (token ->
-//!   ascending positions) names every candidate. Appending pushes one
-//!   position; `logits()` walks the last token's earlier occurrences and
-//!   measures each match with the batch path's compare loop, in
+//!   can match the context tail at all, so occurrence links name every
+//!   candidate: `last` holds each token's latest position and `prev` each
+//!   position's previous occurrence of its token. Appending is two stores
+//!   and forking two flat copies. `logits()` walks the last token's `prev`
+//!   chain and measures each match with the batch path's compare loop, in
 //!   O(occurrences x max_match). No per-position match state is kept.
 //!
 //! Votes come from the batch path's own vote walk, fed the candidate
@@ -41,6 +42,9 @@ use crate::session::DecodeSession;
 use lmpeel_tokenizer::TokenId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// The end of an occurrence chain: no earlier position holds the token.
+const NO_POS: u32 = u32::MAX;
 
 /// Incremental state of one `Hyperparameter ...` block.
 #[derive(Debug, Clone)]
@@ -64,6 +68,7 @@ struct BlockState {
 /// equivalence proptests in this module pin the two together). An append
 /// costs O(1), plus O(blocks) when it changes the query's config set; a
 /// logits call walks the last token's occurrences, not the whole context.
+/// A fork copies the token and link vectors flat, plus the block sets.
 #[derive(Debug, Clone)]
 pub struct InductionLmSession {
     model: Arc<InductionLm>,
@@ -71,20 +76,25 @@ pub struct InductionLmSession {
     /// Jitter seed; starts as the model's, swappable via `rekey`.
     seed: u64,
     blocks: Vec<BlockState>,
-    /// token -> ascending positions at which it occurs.
-    occ: BTreeMap<TokenId, Vec<usize>>,
+    /// Per token id, the latest position holding it (`NO_POS` if none).
+    last: Vec<u32>,
+    /// Per position, the previous position holding the same token
+    /// (`NO_POS` if none).
+    prev: Vec<u32>,
 }
 
 impl InductionLmSession {
     /// Empty session over `model`, jitter-keyed by the model's seed.
     pub fn new(model: Arc<InductionLm>) -> Self {
         let seed = model.seed();
+        let last = vec![NO_POS; model.tokenizer.vocab().len()];
         Self {
             model,
             tokens: Vec::new(),
             seed,
             blocks: Vec::new(),
-            occ: BTreeMap::new(),
+            last,
+            prev: Vec::new(),
         }
     }
 
@@ -115,16 +125,16 @@ impl InductionLmSession {
     /// token — exactly the positions whose suffix match is nonzero, in
     /// ascending order.
     fn assemble_votes(&self) -> (BTreeMap<TokenId, f64>, f64) {
-        let earlier = match self.tokens.last() {
-            Some(last) => {
-                let occ = &self.occ[last];
-                &occ[..occ.len() - 1]
-            }
-            None => &[],
-        };
+        // The chain runs newest first; the vote walk sums in ascending order.
+        let mut following = Vec::new();
+        let mut q = self.prev.last().copied().unwrap_or(NO_POS);
+        while q != NO_POS {
+            following.push(q as usize + 1);
+            q = self.prev[q as usize];
+        }
         self.model.induction_votes(
             &self.tokens,
-            earlier.iter().map(|&q| q + 1),
+            following.into_iter().rev(),
             &self.sims(),
             |pos| self.block_of(pos),
         )
@@ -138,7 +148,12 @@ impl DecodeSession for InductionLmSession {
 
     fn append(&mut self, token: TokenId) {
         let p = self.tokens.len();
-        self.occ.entry(token).or_default().push(p);
+        let t = token as usize;
+        if t >= self.last.len() {
+            self.last.resize(t + 1, NO_POS);
+        }
+        self.prev.push(self.last[t]);
+        self.last[t] = u32::try_from(p).expect("context positions fit in u32");
 
         // Segmentation and similarity counts.
         let anchors = self.model.anchor_ids();
@@ -215,6 +230,7 @@ impl DecodeSession for InductionLmSession {
 
 #[cfg(test)]
 mod tests {
+    use super::super::blocks::ContextMap;
     use super::*;
     use crate::model::LanguageModel;
 
@@ -278,6 +294,35 @@ mod tests {
         let mut ids = tok.encode(&prompt(&["0.0022155", "0.0051230"]));
         ids.extend(tok.encode("0.0023117\nHyperparameter"));
         assert_session_matches_batch(&m, &ids);
+    }
+
+    #[test]
+    fn session_votes_are_the_batch_votes_bitwise() {
+        // The logits pass the votes through `f32`, which hides most
+        // reorderings of their `f64` sums, so compare the votes themselves:
+        // the occurrence chain must reach the vote walk in ascending order.
+        let m = Arc::new(InductionLm::paper(0));
+        let ids = m.tokenizer().encode(&prompt(&[
+            "0.0022155",
+            "0.0051230",
+            "0.0031999",
+            "0.0022155",
+            "0.0024890",
+        ]));
+        let bits = |(votes, strength): (BTreeMap<TokenId, f64>, f64)| {
+            let votes: Vec<(TokenId, u64)> =
+                votes.into_iter().map(|(t, w)| (t, w.to_bits())).collect();
+            (votes, strength.to_bits())
+        };
+        let mut s = InductionLmSession::new(Arc::clone(&m));
+        for (i, &t) in ids.iter().enumerate() {
+            s.append(t);
+            let ctx = &ids[..=i];
+            let map = ContextMap::segment(ctx, m.anchor_ids());
+            let sims = map.config_similarities(ctx);
+            let batch = m.induction_votes(ctx, 1..ctx.len(), &sims, |pos| map.block_of(pos));
+            assert_eq!(bits(s.assemble_votes()), bits(batch), "prefix {}", i + 1);
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use blocks::{AnchorIds, ContextMap};
 use lmpeel_recover::{fnv1a64_extend, FNV1A64_OFFSET};
 use lmpeel_stats::rng::hash_to_unit;
 use lmpeel_tokenizer::{TokenId, Tokenizer, EOS};
-use prior::{MagnitudePrior, ValueState};
+use prior::{MagnitudePrior, ValueState, ValueTokens};
 use std::collections::BTreeMap;
 
 /// Tunable parameters of the surrogate. Defaults reproduce the paper's
@@ -200,8 +200,12 @@ pub struct InductionLm {
     newline: TokenId,
     eos: TokenId,
     drift_ids: Vec<(TokenId, f64)>,
+    /// The digit, digit-group and `.` ids the magnitude prior reads.
+    value_tokens: ValueTokens,
     /// `(token, numeric value)` for every 3-digit token, for smearing.
     three_digit: Vec<(TokenId, u32)>,
+    /// The numeric value of each 3-digit token, indexed by token id.
+    three_digit_value: Vec<Option<u32>>,
     num_non_special: usize,
 }
 
@@ -225,16 +229,20 @@ impl InductionLm {
         .iter()
         .filter_map(|&(s, w)| vocab.token_id(s).map(|id| (id, w)))
         .collect();
-        let three_digit = vocab
-            .numeric_ids(3)
-            .into_iter()
-            .map(|id| {
+        let value_tokens = ValueTokens::resolve(&tokenizer);
+        let three_digit: Vec<(TokenId, u32)> = value_tokens.numeric[2]
+            .iter()
+            .map(|&id| {
                 (
                     id,
                     vocab.token_str(id).parse::<u32>().expect("3-digit token"),
                 )
             })
             .collect();
+        let mut three_digit_value = vec![None; vocab.len()];
+        for &(id, v) in &three_digit {
+            three_digit_value[id as usize] = Some(v);
+        }
         let num_non_special = vocab.len() - vocab.num_specials();
         Self {
             tokenizer,
@@ -244,7 +252,9 @@ impl InductionLm {
             newline,
             eos,
             drift_ids,
+            value_tokens,
             three_digit,
+            three_digit_value,
             num_non_special,
         }
     }
@@ -352,10 +362,8 @@ impl InductionLm {
         let centers: Vec<(u32, f64)> = votes
             .iter()
             .filter_map(|(&id, &w)| {
-                self.three_digit
-                    .iter()
-                    .find(|&&(tid, _)| tid == id)
-                    .map(|&(_, v)| (v, w))
+                let v = (*self.three_digit_value.get(id as usize)?)?;
+                Some((v, w))
             })
             .collect();
         if centers.is_empty() {
@@ -497,10 +505,12 @@ impl InductionLm {
         let state = prior::value_state(context, &self.tokenizer);
         match state {
             Some(s) => {
-                let prior_pairs =
-                    self.cfg
-                        .prior
-                        .next_token_weights(s, &self.tokenizer, self.newline, self.eos);
+                let prior_pairs = self.cfg.prior.next_token_weights(
+                    s,
+                    &self.value_tokens,
+                    self.newline,
+                    self.eos,
+                );
                 let raw_w = strength / (strength + self.cfg.saturation);
                 match s {
                     ValueState::Start | ValueState::AfterInt { .. } => {
@@ -592,8 +602,9 @@ impl InductionLm {
         // To logits with seed-keyed jitter (support never changes). Token
         // `i`'s jitter hashes the 24-byte key `seed ‖ len ‖ i` (little-endian
         // u64s); FNV-1a is sequential, so the `seed ‖ len` prefix is hashed
-        // once and extended per token. Background-only tokens hold exactly
-        // `bg_each` (`0.0 * (1 - bg) + bg_each`), so they share one `ln`.
+        // once and extended per token (see `jitter_hash`). Background-only
+        // tokens hold exactly `bg_each` (`0.0 * (1 - bg) + bg_each`), so
+        // they share one `ln`.
         let prefix = fnv1a64_extend(
             fnv1a64_extend(FNV1A64_OFFSET, &seed.to_le_bytes()),
             &(context.len() as u64).to_le_bytes(),
@@ -605,11 +616,32 @@ impl InductionLm {
                 f32::NEG_INFINITY
             } else {
                 let ln = if prob == bg_each { bg_ln } else { prob.ln() };
-                let u = hash_to_unit(fnv1a64_extend(prefix, &(i as u64).to_le_bytes())) as f32;
+                let u = hash_to_unit(jitter_hash(prefix, i as u64)) as f32;
                 (ln as f32) + self.cfg.jitter_eps * (u - 0.5)
             }
         }));
     }
+}
+
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME⁶`, wrapping: six FNV-1a rounds over zero bytes.
+const FNV_PRIME_POW6: u64 = FNV_PRIME.wrapping_pow(6);
+
+/// `fnv1a64_extend(prefix, &id.to_le_bytes())`, the per-token half of the
+/// jitter key. Below 2¹⁶ the six high bytes of `id` are zero; xor with zero
+/// is the identity and wrapping multiplication is associative, so their six
+/// rounds are one multiply by `FNV_PRIME⁶`.
+#[inline]
+fn jitter_hash(prefix: u64, id: u64) -> u64 {
+    if id >> 16 != 0 {
+        return fnv1a64_extend(prefix, &id.to_le_bytes());
+    }
+    let h = (prefix ^ (id & 0xff)).wrapping_mul(FNV_PRIME);
+    (h ^ (id >> 8))
+        .wrapping_mul(FNV_PRIME)
+        .wrapping_mul(FNV_PRIME_POW6)
 }
 
 #[cfg(test)]
@@ -801,6 +833,23 @@ mod tests {
                         "seed {seed}, len {len}, id {id}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn collapsed_jitter_hash_matches_fnv_at_byte_boundaries() {
+        let keyed = fnv1a64_extend(
+            fnv1a64_extend(FNV1A64_OFFSET, &7u64.to_le_bytes()),
+            &1_234u64.to_le_bytes(),
+        );
+        for prefix in [FNV1A64_OFFSET, keyed, 0, 1, 0xFF, u64::MAX] {
+            for id in [0, 1, 255, 256, 65_535, 65_536, u32::MAX as u64] {
+                assert_eq!(
+                    jitter_hash(prefix, id),
+                    fnv1a64_extend(prefix, &id.to_le_bytes()),
+                    "prefix {prefix:#x}, id {id}"
+                );
             }
         }
     }

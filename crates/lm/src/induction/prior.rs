@@ -15,6 +15,36 @@
 
 use lmpeel_tokenizer::{TokenId, Tokenizer};
 
+/// The vocabulary facts the prior reads, resolved once per model so that no
+/// decode step scans the vocabulary or looks a token up by its string.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueTokens {
+    /// The purely numeric token ids of each digit length, ascending:
+    /// `numeric[n - 1]` holds the `n`-digit ones, for `n` in `1..=3`.
+    pub(crate) numeric: [Vec<TokenId>; 3],
+    /// The ids of the digits `0`–`9`, by digit.
+    digits: [TokenId; 10],
+    /// The id of `.`.
+    period: TokenId,
+}
+
+impl ValueTokens {
+    /// Resolve the value tokens against a tokenizer.
+    ///
+    /// # Panics
+    /// Panics if the vocabulary lacks a digit or `.` token (every
+    /// vocabulary holds them as byte tokens).
+    pub(crate) fn resolve(tokenizer: &Tokenizer) -> Self {
+        let vocab = tokenizer.vocab();
+        let id = |s: &str| vocab.token_id(s).expect("digit and period tokens exist");
+        Self {
+            numeric: [1, 2, 3].map(|len| vocab.numeric_ids(len)),
+            digits: std::array::from_fn(|d| id(&d.to_string())),
+            period: id("."),
+        }
+    }
+}
+
 /// Where inside a `Performance:` value the next token lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueState {
@@ -132,15 +162,13 @@ impl MagnitudePrior {
     /// Prior weights over the next token for a value state, as sparse
     /// `(token, weight)` pairs summing to ~1. `newline`/`eos` receive the
     /// stopping mass when the format is complete.
-    pub fn next_token_weights(
+    pub(crate) fn next_token_weights(
         &self,
         state: ValueState,
-        tokenizer: &Tokenizer,
+        ids: &ValueTokens,
         newline: TokenId,
         eos: TokenId,
     ) -> Vec<(TokenId, f64)> {
-        let vocab = tokenizer.vocab();
-        let digit_id = |d: usize| vocab.token_id(&d.to_string()).expect("digit tokens exist");
         match state {
             ValueState::Start => {
                 // First integer digit d means runtime in [d, d+1) seconds
@@ -152,13 +180,13 @@ impl MagnitudePrior {
                             (self.lo_seconds, 1.0)
                         } else if d == 1 {
                             return (
-                                digit_id(1),
+                                ids.digits[1],
                                 self.log_mass(1.0, 2.0) + self.log_mass(10.0, self.hi_seconds),
                             );
                         } else {
                             (d as f64, d as f64 + 1.0)
                         };
-                        (digit_id(d), self.log_mass(a, b))
+                        (ids.digits[d], self.log_mass(a, b))
                     })
                     .filter(|&(_, w)| w > 0.0)
                     .collect();
@@ -177,11 +205,11 @@ impl MagnitudePrior {
                 } else {
                     0.0
                 };
-                let mut out = vec![(vocab.token_id(".").expect("period token"), 1.0 - more)];
+                let mut out = vec![(ids.period, 1.0 - more)];
                 if more > 0.0 {
                     // spread over plausible second digits uniformly
                     for d in 0..10 {
-                        out.push((digit_id(d), more / 10.0));
+                        out.push((ids.digits[d], more / 10.0));
                     }
                 }
                 out
@@ -195,24 +223,20 @@ impl MagnitudePrior {
                     1 | 2 => {
                         // Exactly-fitting digit groups, uniform: fraction
                         // digits of a log-uniform variable are ~uniform.
-                        let ids = vocab.numeric_ids(remaining);
-                        let w = 1.0 / ids.len() as f64;
-                        ids.into_iter().map(|id| (id, w)).collect()
+                        let group = &ids.numeric[remaining - 1];
+                        let w = 1.0 / group.len() as f64;
+                        group.iter().map(|&id| (id, w)).collect()
                     }
                     _ => {
                         // Prefer 3-digit groups (the Llama grouping), with
                         // small mass on shorter groups (early stop /
                         // format deviation within the number).
                         let mut out: Vec<(TokenId, f64)> = Vec::with_capacity(1110);
-                        let three = vocab.numeric_ids(3);
-                        let w3 = 0.94 / three.len() as f64;
-                        out.extend(three.into_iter().map(|id| (id, w3)));
-                        let two = vocab.numeric_ids(2);
-                        let w2 = 0.04 / two.len() as f64;
-                        out.extend(two.into_iter().map(|id| (id, w2)));
-                        let one = vocab.numeric_ids(1);
-                        let w1 = 0.02 / one.len() as f64;
-                        out.extend(one.into_iter().map(|id| (id, w1)));
+                        for (group, mass) in [(3, 0.94), (2, 0.04), (1, 0.02)] {
+                            let group = &ids.numeric[group - 1];
+                            let w = mass / group.len() as f64;
+                            out.extend(group.iter().map(|&id| (id, w)));
+                        }
                         out
                     }
                 }
@@ -289,7 +313,7 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(ValueState::Start, &t, nl, eos);
+        let w = prior.next_token_weights(ValueState::Start, &ValueTokens::resolve(&t), nl, eos);
         let get = |d: &str| {
             w.iter()
                 .find(|&&(id, _)| t.vocab().token_str(id) == d)
@@ -310,7 +334,12 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(ValueState::AfterInt { int_digits: 1 }, &t, nl, eos);
+        let w = prior.next_token_weights(
+            ValueState::AfterInt { int_digits: 1 },
+            &ValueTokens::resolve(&t),
+            nl,
+            eos,
+        );
         let period = w
             .iter()
             .find(|&&(id, _)| t.vocab().token_str(id) == ".")
@@ -324,7 +353,12 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(ValueState::InFraction { frac_digits: 0 }, &t, nl, eos);
+        let w = prior.next_token_weights(
+            ValueState::InFraction { frac_digits: 0 },
+            &ValueTokens::resolve(&t),
+            nl,
+            eos,
+        );
         assert!(w.len() >= 1000, "3-digit groups dominate: {}", w.len());
         let total: f64 = w.iter().map(|&(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-6);
@@ -335,7 +369,12 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(ValueState::InFraction { frac_digits: 7 }, &t, nl, eos);
+        let w = prior.next_token_weights(
+            ValueState::InFraction { frac_digits: 7 },
+            &ValueTokens::resolve(&t),
+            nl,
+            eos,
+        );
         assert_eq!(w.len(), 2);
         assert!(w[0] == (eos, 0.75) && w[1] == (nl, 0.25));
     }
@@ -345,10 +384,119 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(ValueState::InFraction { frac_digits: 6 }, &t, nl, eos);
+        let w = prior.next_token_weights(
+            ValueState::InFraction { frac_digits: 6 },
+            &ValueTokens::resolve(&t),
+            nl,
+            eos,
+        );
         assert_eq!(w.len(), 10);
         for (id, _) in &w {
             assert_eq!(t.vocab().token_str(*id).len(), 1);
+        }
+    }
+
+    /// The weights as the vocabulary-scanning version computed them, kept
+    /// as an oracle for the resolved ids.
+    fn scanned_weights(
+        prior: &MagnitudePrior,
+        state: ValueState,
+        tokenizer: &Tokenizer,
+        newline: TokenId,
+        eos: TokenId,
+    ) -> Vec<(TokenId, f64)> {
+        let vocab = tokenizer.vocab();
+        let digit_id = |d: usize| vocab.token_id(&d.to_string()).expect("digit tokens exist");
+        match state {
+            ValueState::Start => {
+                let mut out: Vec<(TokenId, f64)> = (0..10)
+                    .map(|d| {
+                        let (a, b) = if d == 0 {
+                            (prior.lo_seconds, 1.0)
+                        } else if d == 1 {
+                            return (
+                                digit_id(1),
+                                prior.log_mass(1.0, 2.0) + prior.log_mass(10.0, prior.hi_seconds),
+                            );
+                        } else {
+                            (d as f64, d as f64 + 1.0)
+                        };
+                        (digit_id(d), prior.log_mass(a, b))
+                    })
+                    .filter(|&(_, w)| w > 0.0)
+                    .collect();
+                let total: f64 = out.iter().map(|&(_, w)| w).sum();
+                for p in &mut out {
+                    p.1 /= total;
+                }
+                out
+            }
+            ValueState::AfterInt { int_digits } => {
+                let more = if int_digits == 1 {
+                    prior.log_mass(10.0, prior.hi_seconds)
+                } else {
+                    0.0
+                };
+                let mut out = vec![(vocab.token_id(".").expect("period token"), 1.0 - more)];
+                if more > 0.0 {
+                    for d in 0..10 {
+                        out.push((digit_id(d), more / 10.0));
+                    }
+                }
+                out
+            }
+            ValueState::InFraction { frac_digits } => {
+                let remaining = prior.target_decimals.saturating_sub(frac_digits);
+                match remaining {
+                    0 => vec![(eos, 0.75), (newline, 0.25)],
+                    1 | 2 => {
+                        let ids = vocab.numeric_ids(remaining);
+                        let w = 1.0 / ids.len() as f64;
+                        ids.into_iter().map(|id| (id, w)).collect()
+                    }
+                    _ => {
+                        let mut out: Vec<(TokenId, f64)> = Vec::with_capacity(1110);
+                        let three = vocab.numeric_ids(3);
+                        let w3 = 0.94 / three.len() as f64;
+                        out.extend(three.into_iter().map(|id| (id, w3)));
+                        let two = vocab.numeric_ids(2);
+                        let w2 = 0.04 / two.len() as f64;
+                        out.extend(two.into_iter().map(|id| (id, w2)));
+                        let one = vocab.numeric_ids(1);
+                        let w1 = 0.02 / one.len() as f64;
+                        out.extend(one.into_iter().map(|id| (id, w1)));
+                        out
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resolved_ids_give_the_scanned_weights_bitwise() {
+        let t = tok();
+        let (nl, eos) = nl_eos(&t);
+        let ids = ValueTokens::resolve(&t);
+        let bits = |w: Vec<(TokenId, f64)>| -> Vec<(TokenId, u64)> {
+            w.into_iter().map(|(id, p)| (id, p.to_bits())).collect()
+        };
+        let mut states = vec![
+            ValueState::Start,
+            ValueState::AfterInt { int_digits: 1 },
+            ValueState::AfterInt { int_digits: 2 },
+        ];
+        states.extend((0..=7).map(|frac_digits| ValueState::InFraction { frac_digits }));
+        for prior in [
+            MagnitudePrior::default(),
+            crate::InductionConfig::default().prior,
+        ] {
+            for &state in &states {
+                assert_eq!(
+                    bits(prior.next_token_weights(state, &ids, nl, eos)),
+                    bits(scanned_weights(&prior, state, &t, nl, eos)),
+                    "{prior:?} at {state:?}"
+                );
+            }
         }
     }
 

@@ -53,7 +53,7 @@ impl Sampler {
         if self.temperature <= 0.0 {
             return vec![(ranking.id(0), 1.0)];
         }
-        let kept = ranking.softmax(self, logits);
+        let (kept, _) = ranking.softmax(self, logits);
         ranking.pairs(kept).collect()
     }
 
@@ -67,9 +67,9 @@ impl Sampler {
     /// [`Ranking::alternatives`]. Without it the step is draw-only: greedy
     /// finds the top logit without sorting, and a sampling draw ranks only
     /// the head it can reach, falling back to the full ranking when its
-    /// filters keep all of a head that is short of the finite set. Either
-    /// way the token, its probability and the RNG position are bitwise
-    /// those of the full ranking.
+    /// filters do not close inside a head that is short of the finite set.
+    /// Either way the token, its probability and the RNG position are
+    /// bitwise those of the full ranking.
     pub(crate) fn draw(
         &self,
         ranking: &mut Ranking,
@@ -91,13 +91,13 @@ impl Sampler {
         }
         if !trace {
             let finite = ranking.rank_head(self, logits);
-            let kept = ranking.softmax(self, logits);
-            if kept < ranking.keys.len() || ranking.keys.len() == finite {
+            let (kept, closed) = ranking.softmax(self, logits);
+            if closed || ranking.keys.len() == finite {
                 return Some(ranking.pick(kept, u));
             }
             ranking.rank(logits);
         }
-        let kept = ranking.softmax(self, logits);
+        let (kept, _) = ranking.softmax(self, logits);
         Some(ranking.pick(kept, u))
     }
 }
@@ -154,16 +154,20 @@ impl Ranking {
     /// Rank only the top logit (the first key of the full ranking): all a
     /// greedy draw reads, and the max a head ranking needs. Returns `false`
     /// when no logit is finite.
+    ///
+    /// The first key is the first index holding the largest finite logit,
+    /// so one scan with a strict `>` finds it: `-0.0` and `+0.0` compare
+    /// equal, as the key folds them, and `NaN` and `-inf` never compare
+    /// greater than the running maximum.
     fn rank_top(&mut self, logits: &[f32]) -> bool {
+        let (mut top, mut max) = (None, f32::NEG_INFINITY);
+        for (id, &l) in logits.iter().enumerate() {
+            if l > max && l < f32::INFINITY {
+                (top, max) = (Some(id), l);
+            }
+        }
         self.keys.clear();
-        self.keys.extend(
-            logits
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.is_finite())
-                .map(|(id, &l)| key(id as TokenId, l))
-                .min(),
-        );
+        self.keys.extend(top.map(|id| key(id as TokenId, max)));
         !self.keys.is_empty()
     }
 
@@ -181,14 +185,23 @@ impl Ranking {
     /// bitwise unchanged. The head's probabilities are therefore bitwise
     /// the full ranking's, and so is any top-k/top-p cut that falls inside
     /// the head, the renormalization after it and the draw over it.
+    ///
+    /// The division runs only for a gap `d = l − max` at or above
+    /// `cut = fl(HEAD_PREFILTER · T)`. That skips no kept logit: rounding is
+    /// monotone and [`HEAD_PREFILTER`] is a float below −17, so
+    /// `fl(d / T) ≥ −17` needs `d / T ≥ HEAD_PREFILTER`, that is
+    /// `d ≥ HEAD_PREFILTER · T`, and `d`, being a float, is then at least
+    /// `fl(HEAD_PREFILTER · T)`.
     fn rank_head(&mut self, s: &Sampler, logits: &[f32]) -> usize {
         let max = logits[self.id(0) as usize];
+        let cut = HEAD_PREFILTER * s.temperature;
         let mut finite = 0;
         self.keys.clear();
         for (id, &l) in logits.iter().enumerate() {
             if l.is_finite() {
                 finite += 1;
-                if (l - max) / s.temperature >= HEAD_EXPONENT {
+                let d = l - max;
+                if d >= cut && d / s.temperature >= HEAD_EXPONENT {
                     self.keys.push(key(id as TokenId, l));
                 }
             }
@@ -227,7 +240,7 @@ impl Ranking {
     /// at least `min_prob`, in rank order. The vector is allocated at its
     /// exact length, since a step's trace outlives the step.
     pub(crate) fn alternatives(&mut self, logits: &[f32], min_prob: f32) -> Vec<TokenAlt> {
-        let n = self.softmax(&RAW, logits);
+        let (n, _) = self.softmax(&RAW, logits);
         let feasible = |&(_, p): &(TokenId, f32)| p >= min_prob;
         let mut alts = Vec::with_capacity(self.pairs(n).filter(feasible).count());
         alts.extend(
@@ -243,7 +256,12 @@ impl Ranking {
     /// survive the filters. Sums run in rank order and the renormalization
     /// runs even when nothing was filtered, so every probability is bitwise
     /// the one a sort-then-softmax over the same logits computes.
-    fn softmax(&mut self, s: &Sampler, logits: &[f32]) -> usize {
+    ///
+    /// Also returns whether a filter closed the cut by its own rule: a
+    /// top-k no longer than the ranking, or a top-p sum that reached its
+    /// bound. Only then does a ranking that extends this one, with the same
+    /// leading probabilities, keep the same tokens.
+    fn softmax(&mut self, s: &Sampler, logits: &[f32]) -> (usize, bool) {
         let max = logits[self.id(0) as usize];
         let mut sum = 0.0f32;
         self.probs.clear();
@@ -257,7 +275,8 @@ impl Ranking {
         }
 
         let mut kept = self.probs.len();
-        if s.top_k > 0 && kept > s.top_k {
+        let mut closed = s.top_k > 0 && kept >= s.top_k;
+        if closed {
             kept = s.top_k;
         }
         if s.top_p < 1.0 {
@@ -266,6 +285,7 @@ impl Ranking {
                 cum += p;
                 if cum >= s.top_p {
                     kept = i + 1;
+                    closed = true;
                     break;
                 }
             }
@@ -274,13 +294,17 @@ impl Ranking {
         for p in &mut self.probs[..kept] {
             *p /= z;
         }
-        kept
+        (kept, closed)
     }
 }
 
 /// The smallest softmax exponent a head ranking keeps; see
 /// [`Ranking::rank_head`].
 const HEAD_EXPONENT: f32 = -17.0;
+
+/// A float just below [`HEAD_EXPONENT`], the bound of the cheap prefilter in
+/// [`Ranking::rank_head`].
+const HEAD_PREFILTER: f32 = -17.0625;
 
 /// The ranking key of logit `l` at token `id`. `-0.0` is folded into `+0.0`
 /// first: the two compare equal, so the id alone must break their tie.
@@ -437,6 +461,29 @@ mod tests {
         };
         unfiltered.draw(&mut ranking, &l, &mut rng, false);
         assert_eq!(ranking.keys.len(), 100);
+    }
+
+    #[test]
+    fn draw_only_keeps_a_head_its_filters_close_on_its_last_token() {
+        // A one-token head (every other exponent is below -17) that top-p
+        // 0.9 closes on, and a three-token head that top-k 3 closes on: the
+        // full ranking keeps the same tokens, so neither falls back.
+        let mut l = vec![-20.0f32; 50];
+        l[7] = 0.0;
+        let mut rng = seeded_rng(4, SeedDomain::Sampling(0));
+        let mut ranking = Ranking::default();
+        let drawn = Sampler::paper().draw(&mut ranking, &l, &mut rng, false);
+        assert_eq!(drawn, Some((7, 1.0)));
+        assert_eq!(ranking.keys.len(), 1);
+        l[3] = -1.0;
+        l[9] = -2.0;
+        let top3 = Sampler {
+            temperature: 1.0,
+            top_k: 3,
+            top_p: 1.0,
+        };
+        top3.draw(&mut ranking, &l, &mut rng, false);
+        assert_eq!(ranking.keys.len(), 3);
     }
 
     #[test]
@@ -711,16 +758,42 @@ mod oracle {
         // bitwise the former `sample`'s token and probability and leaves
         // the RNG at the same point. The spreads give heads that hold every
         // finite logit and heads far shorter than it; `top_k = 0` with
-        // `top_p = 1` keeps a whole short head, so the fallback runs.
+        // `top_p = 1` keeps a whole short head, so the fallback runs. Huge
+        // magnitudes overflow `l − max` and the prefilter's cut, cold
+        // temperatures put the cut near the top logit, and ties at the
+        // maximum (`-0.0` against `+0.0` too) test the top scan's tie rule.
         #[test]
         fn draw_only_step_is_bitwise_the_sorting_sampler(
             logits in prop_oneof![
                 2 => arb_logits(),
                 1 => proptest::collection::vec(-60.0f32..8.0, 1..200),
                 1 => proptest::collection::vec(-1.0f32..1.0, 1..40),
+                1 => proptest::collection::vec(
+                    prop_oneof![
+                        2 => 1e30f32..3e38,
+                        2 => -3e38f32..-1e30,
+                        1 => Just(3e38f32),
+                        1 => Just(-3e38f32),
+                        1 => -8.0f32..8.0,
+                    ],
+                    1..40,
+                ),
+                1 => proptest::collection::vec(
+                    prop_oneof![
+                        2 => Just(0.0f32),
+                        2 => Just(-0.0f32),
+                        1 => (-4i32..0).prop_map(|x| x as f32 * 0.25),
+                        1 => Just(f32::NEG_INFINITY),
+                    ],
+                    1..40,
+                ),
+                1 => proptest::collection::vec(
+                    prop_oneof![3 => Just(1.5f32), 1 => -30.0f32..1.5],
+                    1..60,
+                ),
             ],
             kind in 0usize..4,
-            temperature in 0.05f32..3.0,
+            temperature in prop_oneof![3 => 0.05f32..3.0, 1 => 0.05f32..0.1],
             top_k in 0usize..6,
             top_p in 0.05f32..1.0,
             seed in 0u64..1024,
