@@ -20,8 +20,9 @@
 //! autotuning: observations become in-context examples, each candidate is
 //! scored by a generated runtime prediction) is the same loop with another
 //! scorer; it is `lmpeel_tune::ServiceLlmSearch`, which decodes through
-//! the serving layer. The tune service steps the GBDT and LLM loops in
-//! lock-step, fitting trees while the service decodes.
+//! the serving layer. The tune service walks the GBDT loop on a helper
+//! thread while its own thread steps the LLM loop, so trees are fitted
+//! while the service decodes.
 
 use lmpeel_configspace::{ArraySize, Config, ConfigSpace};
 use lmpeel_gbdt::{Gbdt, GbdtParams};

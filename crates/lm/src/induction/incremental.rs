@@ -37,7 +37,7 @@
 //! inspection). That makes cross-seed prompt-prefix sharing sound: prefill
 //! once, fork per seed, rekey each fork.
 
-use super::InductionLm;
+use super::{InductionLm, LOGIT_SCRATCH};
 use crate::session::DecodeSession;
 use lmpeel_tokenizer::TokenId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -203,15 +203,18 @@ impl DecodeSession for InductionLmSession {
     fn logits_into(&self, out: &mut Vec<f32>) {
         let (votes, strength) = self.assemble_votes();
         let query_start = self.blocks.last().map(|b| b.start);
-        self.model.finish_logits_into(
-            &self.tokens,
-            self.blocks.len(),
-            query_start,
-            &votes,
-            strength,
-            self.seed,
-            out,
-        );
+        LOGIT_SCRATCH.with_borrow_mut(|scratch| {
+            self.model.finish_logits_into(
+                &self.tokens,
+                self.blocks.len(),
+                query_start,
+                &votes,
+                strength,
+                self.seed,
+                scratch,
+                out,
+            )
+        });
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

@@ -46,6 +46,7 @@ use lmpeel_recover::{fnv1a64_extend, FNV1A64_OFFSET};
 use lmpeel_stats::rng::hash_to_unit;
 use lmpeel_tokenizer::{TokenId, Tokenizer, EOS};
 use prior::{MagnitudePrior, ValueState, ValueTokens};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Tunable parameters of the surrogate. Defaults reproduce the paper's
@@ -357,36 +358,50 @@ impl InductionLm {
         (votes, strength)
     }
 
-    /// Numeric smearing of fraction votes over nearby 3-digit groups.
-    fn smear(&self, votes: &BTreeMap<TokenId, f64>) -> Vec<(TokenId, f64)> {
-        let centers: Vec<(u32, f64)> = votes
-            .iter()
-            .filter_map(|(&id, &w)| {
-                let v = (*self.three_digit_value.get(id as usize)?)?;
-                Some((v, w))
-            })
-            .collect();
+    /// Numeric smearing of fraction votes over nearby 3-digit groups,
+    /// written over `s.smeared` (left empty when no vote is a 3-digit
+    /// group). Each center `c` adds `w · exp(−d / τ_c)` to the group at
+    /// distance `d`, and `−d / τ_c` depends only on `c` and the integer
+    /// `d`, so each center's terms come from one row of `exp` values over
+    /// the distances it reaches. The centers loop on the outside and
+    /// accumulate into the output, so each group's sum takes its terms in
+    /// vote order from the same `0.0` as a per-group loop would.
+    fn smear(&self, votes: &BTreeMap<TokenId, f64>, s: &mut SmearScratch) {
+        let SmearScratch {
+            centers,
+            smeared,
+            row,
+        } = s;
+        centers.clear();
+        centers.extend(votes.iter().filter_map(|(&id, &w)| {
+            let v = (*self.three_digit_value.get(id as usize)?)?;
+            Some((v, w))
+        }));
+        smeared.clear();
         if centers.is_empty() {
-            return vec![];
+            return;
         }
-        let mut out = Vec::with_capacity(self.three_digit.len());
-        let mut total = 0.0;
-        for &(id, v) in &self.three_digit {
-            let mut m = 0.0;
-            for &(c, w) in &centers {
-                let d = (v as f64 - c as f64).abs();
-                let tau = self.cfg.smear_tau_rel * c as f64 + self.cfg.smear_tau_min;
-                m += w * (-d / tau).exp();
+        smeared.extend(self.three_digit.iter().map(|&(id, _)| (id, 0.0)));
+        for &(c, w) in centers.iter() {
+            let tau = self.cfg.smear_tau_rel * c as f64 + self.cfg.smear_tau_min;
+            // 3-digit groups lie in 0..=999, so no group is farther from
+            // `c` than `max(c, 999 − c)`.
+            let reach = c.max(999 - c) as usize;
+            row.clear();
+            row.extend((0..=reach).map(|d| (-(d as f64) / tau).exp()));
+            for (m, &(_, v)) in smeared.iter_mut().zip(&self.three_digit) {
+                m.1 += w * row[v.abs_diff(c) as usize];
             }
+        }
+        let mut total = 0.0;
+        for &(_, m) in smeared.iter() {
             total += m;
-            out.push((id, m));
         }
         if total > 0.0 {
-            for p in &mut out {
+            for p in smeared.iter_mut() {
                 p.1 /= total;
             }
         }
-        out
     }
 
     /// Prompt-stable uniform draw in [0,1): hashes the tokens leading up to
@@ -467,23 +482,27 @@ impl InductionLm {
         seed: u64,
     ) -> Vec<f32> {
         let mut out = Vec::new();
-        self.finish_logits_into(
-            context,
-            n_blocks,
-            query_start,
-            votes,
-            strength,
-            seed,
-            &mut out,
-        );
+        LOGIT_SCRATCH.with_borrow_mut(|scratch| {
+            self.finish_logits_into(
+                context,
+                n_blocks,
+                query_start,
+                votes,
+                strength,
+                seed,
+                scratch,
+                &mut out,
+            )
+        });
         out
     }
 
-    /// [`InductionLm::finish_logits`] writing into a caller-owned buffer —
-    /// the allocation-free tail behind [`DecodeSession::logits_into`] on
+    /// [`InductionLm::finish_logits`] writing into a caller-owned buffer,
+    /// with its working vectors in `scratch` ([`LOGIT_SCRATCH`]) — the
+    /// allocation-free tail behind [`DecodeSession::logits_into`] on
     /// [`incremental::InductionLmSession`] (decode on this substrate is
-    /// dominated by this vocab-wide pass, so the per-step `Vec` it used to
-    /// return was measurable at concurrency 1).
+    /// dominated by this vocab-wide pass, so the per-step `Vec`s it used
+    /// to build were measurable at concurrency 1).
     #[allow(clippy::too_many_arguments)]
     fn finish_logits_into(
         &self,
@@ -493,11 +512,18 @@ impl InductionLm {
         votes: &BTreeMap<TokenId, f64>,
         strength: f64,
         seed: u64,
+        scratch: &mut LogitScratch,
         out: &mut Vec<f32>,
     ) {
         let vocab = self.tokenizer.vocab();
         let n = vocab.len();
-        let mut p = vec![0.0f64; n];
+        let LogitScratch {
+            p,
+            prior: prior_pairs,
+            smear,
+        } = scratch;
+        p.clear();
+        p.resize(n, 0.0);
 
         let p_ind = Self::normalized(votes);
         let n_examples = n_blocks.saturating_sub(1);
@@ -505,18 +531,19 @@ impl InductionLm {
         let state = prior::value_state(context, &self.tokenizer);
         match state {
             Some(s) => {
-                let prior_pairs = self.cfg.prior.next_token_weights(
+                self.cfg.prior.next_token_weights(
                     s,
                     &self.value_tokens,
                     self.newline,
                     self.eos,
+                    prior_pairs,
                 );
                 let raw_w = strength / (strength + self.cfg.saturation);
                 match s {
                     ValueState::Start | ValueState::AfterInt { .. } => {
                         let w_ind = raw_w.min(self.cfg.copy_cap_start);
-                        Self::add_weighted(&mut p, &p_ind, w_ind);
-                        Self::add_weighted(&mut p, &prior_pairs, 1.0 - w_ind);
+                        Self::add_weighted(p, &p_ind, w_ind);
+                        Self::add_weighted(p, prior_pairs, 1.0 - w_ind);
                         // Format drift grows with the number of examples;
                         // additionally, some long prompts are outright
                         // "confusing" and reliably derail the response.
@@ -551,28 +578,29 @@ impl InductionLm {
                         let remaining = self.cfg.prior.target_decimals.saturating_sub(frac_digits);
                         if remaining >= 3 {
                             let w_exact = raw_w.min(self.cfg.copy_cap_frac);
-                            let smeared = self.smear(votes);
+                            self.smear(votes, smear);
+                            let smeared = &smear.smeared;
                             let w_smear = if smeared.is_empty() {
                                 0.0
                             } else {
                                 self.cfg.smear_weight * raw_w
                             };
                             let w_prior = (1.0 - w_exact - w_smear).max(0.0);
-                            Self::add_weighted(&mut p, &p_ind, w_exact);
-                            Self::add_weighted(&mut p, &smeared, w_smear);
-                            Self::add_weighted(&mut p, &prior_pairs, w_prior);
+                            Self::add_weighted(p, &p_ind, w_exact);
+                            Self::add_weighted(p, smeared, w_smear);
+                            Self::add_weighted(p, prior_pairs, w_prior);
                         } else if remaining == 0 {
                             // End of the mantissa: what follows is format
                             // scaffold ("\n" in decimal prompts, "e" in
                             // scientific ones), copied as strongly as any
                             // other scaffold token.
                             let w_ind = raw_w.min(self.cfg.copy_cap_start);
-                            Self::add_weighted(&mut p, &p_ind, w_ind);
-                            Self::add_weighted(&mut p, &prior_pairs, 1.0 - w_ind);
+                            Self::add_weighted(p, &p_ind, w_ind);
+                            Self::add_weighted(p, prior_pairs, 1.0 - w_ind);
                         } else {
                             let w_ind = raw_w.min(self.cfg.copy_cap_frac);
-                            Self::add_weighted(&mut p, &p_ind, w_ind);
-                            Self::add_weighted(&mut p, &prior_pairs, 1.0 - w_ind);
+                            Self::add_weighted(p, &p_ind, w_ind);
+                            Self::add_weighted(p, prior_pairs, 1.0 - w_ind);
                         }
                     }
                 }
@@ -581,7 +609,7 @@ impl InductionLm {
                 // Scaffold text: pure induction; an empty vote set falls
                 // back to the background (plus a nudge toward stopping).
                 if strength > 0.0 {
-                    Self::add_weighted(&mut p, &p_ind, 0.97);
+                    Self::add_weighted(p, &p_ind, 0.97);
                     p[self.newline as usize] += 0.02;
                     p[self.eos as usize] += 0.01;
                 } else {
@@ -621,6 +649,37 @@ impl InductionLm {
             }
         }));
     }
+}
+
+thread_local! {
+    /// The working vectors of [`InductionLm::finish_logits_into`], one set
+    /// per thread, so a logits call allocates nothing once its thread has
+    /// made one. Per thread, not per session: the grid holds up to 16
+    /// decoding lanes and 32 prefix-cache sessions at once, and about
+    /// 55 KiB of scratch in each session raised its peak RSS by about 9%.
+    pub(crate) static LOGIT_SCRATCH: RefCell<LogitScratch> = RefCell::default();
+}
+
+/// The working vectors of one [`InductionLm::finish_logits_into`] call.
+/// Every vector is cleared before it is written, so the contents carry
+/// nothing from one call to the next.
+#[derive(Debug, Default)]
+pub(crate) struct LogitScratch {
+    /// One probability per vocab id.
+    p: Vec<f64>,
+    /// The magnitude prior's `(token, weight)` pairs.
+    prior: Vec<(TokenId, f64)>,
+    smear: SmearScratch,
+}
+
+/// [`InductionLm::smear`]'s vectors: the 3-digit vote centers, the
+/// smeared `(token, weight)` pairs and one center's `exp` row (at most
+/// 1,000 distances, 8 KiB).
+#[derive(Debug, Default)]
+struct SmearScratch {
+    centers: Vec<(u32, f64)>,
+    smeared: Vec<(TokenId, f64)>,
+    row: Vec<f64>,
 }
 
 /// The FNV-1a 64-bit prime.
@@ -897,6 +956,91 @@ mod tests {
         let logits = m.logits(&[]);
         assert_eq!(logits.len(), m.tokenizer().vocab().len());
         assert!(logits.iter().any(|v| v.is_finite()));
+    }
+
+    /// The per-group smearing loop the row version replaced, kept as an
+    /// oracle: every group sums its centers' terms in vote order.
+    fn smear_oracle(m: &InductionLm, votes: &BTreeMap<TokenId, f64>) -> Vec<(TokenId, f64)> {
+        let centers: Vec<(u32, f64)> = votes
+            .iter()
+            .filter_map(|(&id, &w)| Some((m.three_digit_value[id as usize]?, w)))
+            .collect();
+        if centers.is_empty() {
+            return vec![];
+        }
+        let mut out = Vec::new();
+        let mut total = 0.0;
+        for &(id, v) in &m.three_digit {
+            let mut w_sum = 0.0;
+            for &(c, w) in &centers {
+                let d = (v as f64 - c as f64).abs();
+                let tau = m.cfg.smear_tau_rel * c as f64 + m.cfg.smear_tau_min;
+                w_sum += w * (-d / tau).exp();
+            }
+            total += w_sum;
+            out.push((id, w_sum));
+        }
+        if total > 0.0 {
+            for p in &mut out {
+                p.1 /= total;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_smear_is_the_per_group_loop_bitwise() {
+        let m = InductionLm::paper(0);
+        let bits = |w: &[(TokenId, f64)]| -> Vec<(TokenId, u64)> {
+            w.iter().map(|&(id, p)| (id, p.to_bits())).collect()
+        };
+        let id_of = |v: u32| m.three_digit.iter().find(|&&(_, x)| x == v).unwrap().0;
+        // Edges, the middle, neighbours, and a vote that is no 3-digit
+        // group (a newline, a one-digit token), which smearing skips.
+        let mut cases: Vec<Vec<(TokenId, f64)>> = vec![
+            vec![],
+            vec![(m.newline, 1.0)],
+            vec![(id_of(0), 1.0)],
+            vec![(id_of(999), 0.25)],
+            vec![(id_of(500), 3.5), (m.newline, 0.5)],
+            vec![(id_of(3), 1e-3), (id_of(997), 0.7)],
+            vec![
+                (id_of(123), 0.1),
+                (id_of(124), 0.2),
+                (id_of(125), 0.3),
+                (id_of(900), 1e-9),
+                (m.value_tokens.numeric[0][4], 0.4),
+            ],
+        ];
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for _ in 0..64 {
+            let n = 1 + next() as usize % 5;
+            let case = (0..n)
+                .map(|_| {
+                    let v = next() as u32 % 1000;
+                    let w = (1 + next() % 1000) as f64 / 997.0;
+                    (id_of(v), w)
+                })
+                .collect();
+            cases.push(case);
+        }
+        // One scratch for every case, as a thread reuses it.
+        let mut scratch = SmearScratch::default();
+        for case in cases {
+            let votes: BTreeMap<TokenId, f64> = case.into_iter().collect();
+            m.smear(&votes, &mut scratch);
+            assert_eq!(
+                bits(&scratch.smeared),
+                bits(&smear_oracle(&m, &votes)),
+                "{votes:?}"
+            );
+        }
     }
 
     #[test]

@@ -160,41 +160,44 @@ impl MagnitudePrior {
     }
 
     /// Prior weights over the next token for a value state, as sparse
-    /// `(token, weight)` pairs summing to ~1. `newline`/`eos` receive the
-    /// stopping mass when the format is complete.
+    /// `(token, weight)` pairs summing to ~1, written over `out` (a
+    /// caller's reused buffer). `newline`/`eos` receive the stopping mass
+    /// when the format is complete.
     pub(crate) fn next_token_weights(
         &self,
         state: ValueState,
         ids: &ValueTokens,
         newline: TokenId,
         eos: TokenId,
-    ) -> Vec<(TokenId, f64)> {
+        out: &mut Vec<(TokenId, f64)>,
+    ) {
+        out.clear();
         match state {
             ValueState::Start => {
                 // First integer digit d means runtime in [d, d+1) seconds
                 // (d = 0 covers everything below one second; d = 1 also
                 // absorbs the >= 10s tail, whose decimal form starts with 1).
-                let mut out: Vec<(TokenId, f64)> = (0..10)
-                    .map(|d| {
-                        let (a, b) = if d == 0 {
-                            (self.lo_seconds, 1.0)
-                        } else if d == 1 {
-                            return (
-                                ids.digits[1],
-                                self.log_mass(1.0, 2.0) + self.log_mass(10.0, self.hi_seconds),
-                            );
-                        } else {
-                            (d as f64, d as f64 + 1.0)
-                        };
-                        (ids.digits[d], self.log_mass(a, b))
-                    })
-                    .filter(|&(_, w)| w > 0.0)
-                    .collect();
+                out.extend(
+                    (0..10)
+                        .map(|d| {
+                            let (a, b) = if d == 0 {
+                                (self.lo_seconds, 1.0)
+                            } else if d == 1 {
+                                return (
+                                    ids.digits[1],
+                                    self.log_mass(1.0, 2.0) + self.log_mass(10.0, self.hi_seconds),
+                                );
+                            } else {
+                                (d as f64, d as f64 + 1.0)
+                            };
+                            (ids.digits[d], self.log_mass(a, b))
+                        })
+                        .filter(|&(_, w)| w > 0.0),
+                );
                 let total: f64 = out.iter().map(|&(_, w)| w).sum();
-                for p in &mut out {
+                for p in out.iter_mut() {
                     p.1 /= total;
                 }
-                out
             }
             ValueState::AfterInt { int_digits } => {
                 // Overwhelmingly the decimal point; a sliver of mass on a
@@ -205,39 +208,36 @@ impl MagnitudePrior {
                 } else {
                     0.0
                 };
-                let mut out = vec![(ids.period, 1.0 - more)];
+                out.push((ids.period, 1.0 - more));
                 if more > 0.0 {
                     // spread over plausible second digits uniformly
                     for d in 0..10 {
                         out.push((ids.digits[d], more / 10.0));
                     }
                 }
-                out
             }
             ValueState::InFraction { frac_digits } => {
                 let remaining = self.target_decimals.saturating_sub(frac_digits);
                 match remaining {
                     // A chat model ends its turn after answering; a line
                     // break (continuing the transcript) is the rarer path.
-                    0 => vec![(eos, 0.75), (newline, 0.25)],
+                    0 => out.extend([(eos, 0.75), (newline, 0.25)]),
                     1 | 2 => {
                         // Exactly-fitting digit groups, uniform: fraction
                         // digits of a log-uniform variable are ~uniform.
                         let group = &ids.numeric[remaining - 1];
                         let w = 1.0 / group.len() as f64;
-                        group.iter().map(|&id| (id, w)).collect()
+                        out.extend(group.iter().map(|&id| (id, w)));
                     }
                     _ => {
                         // Prefer 3-digit groups (the Llama grouping), with
                         // small mass on shorter groups (early stop /
                         // format deviation within the number).
-                        let mut out: Vec<(TokenId, f64)> = Vec::with_capacity(1110);
                         for (group, mass) in [(3, 0.94), (2, 0.04), (1, 0.02)] {
                             let group = &ids.numeric[group - 1];
                             let w = mass / group.len() as f64;
                             out.extend(group.iter().map(|&id| (id, w)));
                         }
-                        out
                     }
                 }
             }
@@ -252,6 +252,20 @@ mod tests {
 
     fn tok() -> Tokenizer {
         Tokenizer::paper()
+    }
+
+    /// The prior's weights for `state`, written over a buffer holding a
+    /// stale pair, so a weight list that is not cleared first shows.
+    fn weights(
+        prior: &MagnitudePrior,
+        state: ValueState,
+        ids: &ValueTokens,
+        newline: TokenId,
+        eos: TokenId,
+    ) -> Vec<(TokenId, f64)> {
+        let mut out = vec![(0, f64::NAN)];
+        prior.next_token_weights(state, ids, newline, eos, &mut out);
+        out
     }
 
     fn nl_eos(t: &Tokenizer) -> (TokenId, TokenId) {
@@ -313,7 +327,13 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(ValueState::Start, &ValueTokens::resolve(&t), nl, eos);
+        let w = weights(
+            &prior,
+            ValueState::Start,
+            &ValueTokens::resolve(&t),
+            nl,
+            eos,
+        );
         let get = |d: &str| {
             w.iter()
                 .find(|&&(id, _)| t.vocab().token_str(id) == d)
@@ -334,7 +354,8 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(
+        let w = weights(
+            &prior,
             ValueState::AfterInt { int_digits: 1 },
             &ValueTokens::resolve(&t),
             nl,
@@ -353,7 +374,8 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(
+        let w = weights(
+            &prior,
             ValueState::InFraction { frac_digits: 0 },
             &ValueTokens::resolve(&t),
             nl,
@@ -369,7 +391,8 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(
+        let w = weights(
+            &prior,
             ValueState::InFraction { frac_digits: 7 },
             &ValueTokens::resolve(&t),
             nl,
@@ -384,7 +407,8 @@ mod tests {
         let t = tok();
         let (nl, eos) = nl_eos(&t);
         let prior = MagnitudePrior::default();
-        let w = prior.next_token_weights(
+        let w = weights(
+            &prior,
             ValueState::InFraction { frac_digits: 6 },
             &ValueTokens::resolve(&t),
             nl,
@@ -492,7 +516,7 @@ mod tests {
         ] {
             for &state in &states {
                 assert_eq!(
-                    bits(prior.next_token_weights(state, &ids, nl, eos)),
+                    bits(weights(&prior, state, &ids, nl, eos)),
                     bits(scanned_weights(&prior, state, &t, nl, eos)),
                     "{prior:?} at {state:?}"
                 );

@@ -119,6 +119,37 @@ impl std::fmt::Display for ReplayDiverged {
 
 impl std::error::Error for ReplayDiverged {}
 
+/// A step's committed runtime differs from the runtime the arm's own walk
+/// measured for the same configuration. The tune's GBDT arm walks on a
+/// helper thread against its own lookup of the dataset; the step the tune
+/// thread then commits, or replays from the journal, must carry the same
+/// runtime bit for bit, or the arm's trajectory would rest on a
+/// measurement the journal does not hold.
+#[derive(Debug)]
+pub struct RuntimeDiverged {
+    /// Strategy ordinal of the diverging step.
+    pub strategy_ord: u8,
+    /// Step counter at which the divergence appeared.
+    pub step: u64,
+    /// The runtime the step measurer committed or replayed.
+    pub committed: f64,
+    /// The runtime the arm's walk measured.
+    pub walked: f64,
+}
+
+impl std::fmt::Display for RuntimeDiverged {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "step runtime diverged at strategy {} step {}: committed {:e} s, \
+             the arm's walk measured {:e} s",
+            self.strategy_ord, self.step, self.committed, self.walked
+        )
+    }
+}
+
+impl std::error::Error for RuntimeDiverged {}
+
 /// Measures configurations for every arm of one tune, through an optional
 /// write-ahead step journal. Each call names its arm's strategy ordinal,
 /// and a step counter per ordinal keys the measurement, so the arms may

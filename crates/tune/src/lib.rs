@@ -12,16 +12,19 @@
 //! 2. otherwise runs the surrogate-guided search as a reportable
 //!    ablation — GBDT surrogate vs LLM surrogate (scored through the
 //!    existing [`InferenceService`] serving layer) vs random search, each
-//!    at the same budget against the same deterministic objective. The
-//!    GBDT and LLM arms run in lock-step on the calling thread: each LLM
-//!    step submits its candidate pool, takes one GBDT step while the
-//!    service's scheduler thread decodes, then collects the scores. Each
-//!    arm keeps its own RNG, so its trajectory is the one it walks alone;
+//!    at the same budget against the same deterministic objective. Random
+//!    search runs first. One helper thread then walks the GBDT arm against
+//!    its own lookup of the dataset and sends each step to the calling
+//!    thread, which runs the LLM arm and commits the GBDT steps in between
+//!    the LLM's, one per LLM step. Each arm keeps its own RNG, so its
+//!    trajectory is the one it walks alone;
 //! 3. validates the winning configuration on the real
 //!    [`lmpeel_kernel`] syr2k nest (max |Δ| ÷ max(‖ref‖_F, 1) against
-//!    the untransformed reference must stay below 1e-9; the reference
-//!    nest runs during the search, in an LLM step the finished GBDT arm
-//!    leaves idle; wall-clock medians are reported but never cached);
+//!    the untransformed reference must stay below 1e-9; wall-clock medians
+//!    are reported but never cached). The helper runs the reference nest
+//!    once its walk is done, then validates the better of the random and
+//!    GBDT winners while the LLM arm still decodes; only an LLM winner
+//!    strictly better than both is validated after the search;
 //! 4. durably commits the result and republishes the cache file in its
 //!    canonical byte-stable form ([`TuneCache::publish`]).
 //!
@@ -43,6 +46,7 @@ pub use cache::{machine_fingerprint, TuneCache, TuneEntry, TuneKey, CACHE_CODEC_
 pub use journal::{run_fingerprint, JournaledObjective, StepMeasurer, StepRecord};
 pub use wire::{TuneWireRequest, TuneWireResponse, TUNE_EXT_KIND};
 
+use journal::RuntimeDiverged;
 use lmpeel_configspace::{ArraySize, Config, ConfigSpace, Syr2kConfig};
 use lmpeel_core::autotune::{
     DatasetObjective, GbdtSearch, Objective, ObjectiveError, PoolSearch, RandomSearch, Tuner,
@@ -60,6 +64,7 @@ use lmpeel_serve::{GenerateRequest, InferenceService, ResponseHandle};
 use lmpeel_stats::{seeded_rng, SeedDomain};
 use lmpeel_tokenizer::{TokenId, EOS};
 use std::path::Path;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// The one kernel the service currently tunes.
@@ -427,8 +432,7 @@ impl TuneService {
         // Cache miss: run the ablation against the deterministic
         // analytic objective (the surrogate-search phase measures the
         // cost model, exactly as the paper's search experiments do; the
-        // real nests run only to validate the winner: the reference
-        // during the search, the configured nest below).
+        // real nests run only to validate the winner).
         let dataset = self.dataset(request.size);
         let gbdt = GbdtSearch::default();
         let llm = llm_arm();
@@ -437,32 +441,24 @@ impl TuneService {
         let space = dataset.space();
         let mut inner = DatasetObjective::new(&dataset);
         let mut steps = StepMeasurer::new(&mut inner, step_journal);
-        let ([random, by_gbdt, by_llm], reference) =
-            search_arms(&mut steps, space, &gbdt, &llm, request, &problem)
+        let ([random, by_gbdt, by_llm], kernel) =
+            search_arms(&mut steps, &dataset, &gbdt, &llm, request, &problem)
                 .map_err(TuneError::Search)?;
         let ablation = vec![
             StrategyOutcome::of(STRATEGY_RANDOM, RandomSearch.name(), &random, space),
             StrategyOutcome::of(STRATEGY_GBDT, gbdt.name(), &by_gbdt, space),
             StrategyOutcome::of(STRATEGY_LLM, llm.name(), &by_llm, space),
         ];
+        let winner = winner(&ablation).clone();
 
-        // Winner: lowest surrogate runtime; ties go to the earlier
-        // ordinal (stable, so resume cannot flip it).
-        let winner = ablation
-            .iter()
-            .min_by(|a, b| {
-                a.best_runtime
-                    .partial_cmp(&b.best_runtime)
-                    .unwrap()
-                    .then(a.ord.cmp(&b.ord))
-            })
-            .expect("at least one strategy")
-            .clone();
-
-        // Validate the winning configuration on the real kernel nest.
-        let config = space.config_at(winner.best_index);
-        let cfg = Syr2kConfig::from_config(space, &config);
-        let validation = validate_on_kernel(&problem, &reference, cfg);
+        // The helper validated the better of the random and GBDT winners;
+        // an LLM winner strictly better than both runs here.
+        let validation = if winner.best_index == kernel.validated_index {
+            kernel.validation
+        } else {
+            let cfg = Syr2kConfig::from_config(space, &space.config_at(winner.best_index));
+            validate_on_kernel(&problem, &kernel.reference, cfg)
+        };
 
         let entry = TuneEntry {
             kernel: request.kernel.clone(),
@@ -507,46 +503,169 @@ fn llm_arm() -> ServiceLlmSearch<InductionLm> {
     }
 }
 
+/// The strategy with the lowest best runtime; ties go to the earlier
+/// ordinal (stable, so resume cannot flip it).
+fn winner(outcomes: &[StrategyOutcome]) -> &StrategyOutcome {
+    outcomes
+        .iter()
+        .min_by(|a, b| {
+            a.best_runtime
+                .partial_cmp(&b.best_runtime)
+                .unwrap()
+                .then(a.ord.cmp(&b.ord))
+        })
+        .expect("at least one strategy")
+}
+
+/// The helper thread's kernel runs: the untransformed reference result,
+/// and the validation of the better of the random and GBDT winners.
+struct KernelRuns {
+    reference: Matrix,
+    /// The config index `validation` ran.
+    validated_index: u64,
+    validation: ValidationReport,
+}
+
+/// The helper's view of the GBDT arm's objective: the dataset lookup,
+/// with every step also sent to the tune thread. A send fails once the
+/// tune thread has dropped its receiver, which ends the walk.
+struct ForwardedSteps<'a> {
+    inner: DatasetObjective<'a>,
+    to_tune: Sender<Option<(Config, f64)>>,
+}
+
+impl Objective for ForwardedSteps<'_> {
+    fn space(&self) -> &ConfigSpace {
+        self.inner.space()
+    }
+
+    fn size(&self) -> ArraySize {
+        self.inner.size()
+    }
+
+    fn measure(&mut self, config: &Config) -> Result<f64, ObjectiveError> {
+        let runtime = self.inner.measure(config)?;
+        self.to_tune.send(Some((config.clone(), runtime)))?;
+        Ok(runtime)
+    }
+}
+
+/// The GBDT arm as the tune thread sees it: the helper's steps, each
+/// committed through the [`StepMeasurer`] when the tune takes it.
+struct GbdtReceipts {
+    from_helper: Receiver<Option<(Config, f64)>>,
+    evaluated: Vec<(Config, f64)>,
+    walked: bool,
+}
+
+impl GbdtReceipts {
+    /// Commit the helper's next GBDT step, waiting for it if the helper
+    /// has not sent it yet. `false` once the walk is done. The committed
+    /// (or replayed) runtime must equal the helper's bit for bit.
+    fn commit_next(&mut self, steps: &mut StepMeasurer<'_>) -> Result<bool, ObjectiveError> {
+        if self.walked {
+            return Ok(false);
+        }
+        let Some((config, walked)) = self.from_helper.recv()? else {
+            self.walked = true;
+            return Ok(false);
+        };
+        let committed = steps.arm(STRATEGY_GBDT).measure(&config)?;
+        if committed.to_bits() != walked.to_bits() {
+            return Err(Box::new(RuntimeDiverged {
+                strategy_ord: STRATEGY_GBDT,
+                step: self.evaluated.len() as u64,
+                committed,
+                walked,
+            }));
+        }
+        self.evaluated.push((config, walked));
+        Ok(true)
+    }
+}
+
 /// Run the three arms, each measuring through `steps` under its strategy
-/// ordinal: random search, then the GBDT and LLM arms in lock-step on
-/// this thread. Each LLM step submits its pool to the service and, while
-/// the service's scheduler thread decodes it, takes one GBDT step (fit,
-/// predict, measure) or, once that arm is done, runs the validation's
-/// reference nest, which does not depend on the winner. Each arm keeps
-/// its own RNG and step seeds, so every trajectory is the one it walks
-/// alone. Returns the random, GBDT and LLM trajectories and the
-/// reference result.
+/// ordinal. Random search runs first. Then one named helper thread walks
+/// the whole GBDT arm against its own lookup of `dataset` (a pure
+/// function of the config, so its runtimes are the ones `steps` commits),
+/// sending each step here; then it runs the reference nest and validates
+/// the better of the random and GBDT winners. Meanwhile this thread runs
+/// the LLM arm and commits the helper's steps at fixed points: the GBDT
+/// init after random, one GBDT step in each LLM step while the pool
+/// decodes, and the rest after the LLM arm. So the commit order, and with
+/// it every crash point, does not depend on the helper's timing. Each arm
+/// keeps its own RNG and step seeds, so every trajectory is the one it
+/// walks alone.
+///
+/// Every return joins the helper. On an error or a panic this thread
+/// drops its receiver, the helper's next send fails, and the helper
+/// returns without running the kernel; a panic on the helper panics here.
 fn search_arms(
     steps: &mut StepMeasurer<'_>,
-    space: &ConfigSpace,
+    dataset: &PerfDataset,
     gbdt: &GbdtSearch,
     llm: &ServiceLlmSearch<InductionLm>,
     request: &TuneRequest,
     problem: &Syr2kProblem,
-) -> Result<([TuningTrajectory; 3], Matrix), ObjectiveError> {
+) -> Result<([TuningTrajectory; 3], KernelRuns), ObjectiveError> {
     let (budget, seed) = (request.budget, request.seed);
+    let space = dataset.space();
     let random = RandomSearch.run(&mut steps.arm(STRATEGY_RANDOM), budget, seed)?;
-    let gbdt_score = |evaluated: &[(Config, f64)], candidates: &[Config]| {
-        GbdtSearch::score(space, seed, evaluated, candidates)
-    };
-    let mut gbdt_search = gbdt.start(&mut steps.arm(STRATEGY_GBDT), budget, seed)?;
-    let mut scorer = llm.scorer(space, request.size, seed);
-    let mut llm_search = llm.start(&mut steps.arm(STRATEGY_LLM), budget, seed)?;
-    let mut reference = None;
-    while let Some((evaluated, candidates)) = llm_search.propose() {
-        // An error below drops `handles`, which cancels the pool's
-        // requests before the service shuts down.
-        let handles = scorer.submit(evaluated, candidates);
-        if !gbdt_search.step(&mut steps.arm(STRATEGY_GBDT), gbdt_score)? && reference.is_none() {
-            reference = Some(problem.run_reference());
+    let by_random = StrategyOutcome::of(STRATEGY_RANDOM, RandomSearch.name(), &random, space);
+    let (to_tune, from_helper) = channel();
+    std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new()
+            .name("tune-gbdt".into())
+            .spawn_scoped(scope, move || {
+                let mut objective = ForwardedSteps {
+                    inner: DatasetObjective::new(dataset),
+                    to_tune,
+                };
+                let walk = gbdt.run(&mut objective, budget, seed).ok()?;
+                objective.to_tune.send(None).ok()?;
+                let by_gbdt = StrategyOutcome::of(STRATEGY_GBDT, gbdt.name(), &walk, space);
+                let provisional = winner(&[by_random, by_gbdt]).best_index;
+                let reference = problem.run_reference();
+                let cfg = Syr2kConfig::from_config(space, &space.config_at(provisional));
+                let validation = validate_on_kernel(problem, &reference, cfg);
+                Some(KernelRuns {
+                    reference,
+                    validated_index: provisional,
+                    validation,
+                })
+            })
+            .expect("spawn the tune's GBDT helper thread");
+        // An error below drops `gbdt_steps` and with it the receiver, so the
+        // helper's next send fails; the scope then joins the helper.
+        let mut gbdt_steps = GbdtReceipts {
+            from_helper,
+            evaluated: Vec::with_capacity(budget),
+            walked: false,
+        };
+        for _ in 0..gbdt.init_random.min(budget) {
+            gbdt_steps.commit_next(steps)?;
         }
-        let config = llm_search.pick(&scorer.collect_scores(handles));
-        let runtime = steps.arm(STRATEGY_LLM).measure(&config)?;
-        llm_search.observe(config, runtime);
-    }
-    let gbdt = gbdt_search.run(&mut steps.arm(STRATEGY_GBDT), gbdt_score)?;
-    let reference = reference.unwrap_or_else(|| problem.run_reference());
-    Ok(([random, gbdt, llm_search.into_trajectory()], reference))
+        let mut scorer = llm.scorer(space, request.size, seed);
+        let mut llm_search = llm.start(&mut steps.arm(STRATEGY_LLM), budget, seed)?;
+        while let Some((evaluated, candidates)) = llm_search.propose() {
+            // An error below also drops `handles`, which cancels the
+            // pool's requests before the service shuts down.
+            let handles = scorer.submit(evaluated, candidates);
+            gbdt_steps.commit_next(steps)?;
+            let config = llm_search.pick(&scorer.collect_scores(handles));
+            let runtime = steps.arm(STRATEGY_LLM).measure(&config)?;
+            llm_search.observe(config, runtime);
+        }
+        while gbdt_steps.commit_next(steps)? {}
+        let kernel = helper
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .expect("a finished walk runs the kernel");
+        let by_gbdt = TuningTrajectory {
+            evaluated: gbdt_steps.evaluated,
+        };
+        Ok(([random, by_gbdt, llm_search.into_trajectory()], kernel))
+    })
 }
 
 /// Run the winning configuration on the real syr2k nest and check its
@@ -755,7 +874,7 @@ mod tests {
         let golden = golden_cache(&req, "crash-golden");
         // (commits before the crash, the last committed step's arm and
         // step, its phase). The crash fires at the next commit: at 24 it
-        // is the fitted GBDT step taken while the LLM's pool is in flight,
+        // is the fitted GBDT step committed while the LLM's pool is in flight,
         // at 29 the tune's last commit.
         let points = [
             (5, STRATEGY_RANDOM, 4, "random"),
@@ -852,6 +971,105 @@ mod tests {
             assert_eq!(report.ablation, alone, "seed {seed}");
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The reported validation is the winner's, whichever thread ran it:
+    /// at SM and budget 40, seed 0 is won by random search, seed 1 by the
+    /// GBDT arm (both validated on the helper thread) and seed 6 by the
+    /// LLM arm (validated after the search).
+    #[test]
+    fn reported_validation_is_the_winners() {
+        let path = tmp("validation");
+        let problem = Syr2kProblem::new(ArraySize::SM.dims().0, ArraySize::SM.dims().1);
+        let reference = problem.run_reference();
+        for (seed, ord) in [(0, STRATEGY_RANDOM), (1, STRATEGY_GBDT), (6, STRATEGY_LLM)] {
+            let _ = std::fs::remove_file(&path);
+            let (service, _) = TuneService::open(&path).unwrap();
+            let req = TuneRequest {
+                kernel: KERNEL_SYR2K.into(),
+                size: ArraySize::SM,
+                budget: 40,
+                seed,
+            };
+            let report = service.tune(&req, None).unwrap();
+            let entry = &report.entry;
+            assert_eq!(entry.strategy, report.ablation[ord as usize].strategy);
+            let space = service.dataset(req.size).space().clone();
+            let cfg = Syr2kConfig::from_config(&space, &space.config_at(entry.config_index));
+            let direct = validate_on_kernel(&problem, &reference, cfg);
+            let got = report.validation.unwrap();
+            assert_eq!(got.checksum_ok, direct.checksum_ok, "seed {seed}");
+            assert_eq!(
+                got.max_rel_diff.to_bits(),
+                direct.max_rel_diff.to_bits(),
+                "seed {seed}"
+            );
+            assert!(entry.validated, "seed {seed}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A journal that holds the GBDT arm's configuration at step `k` but a
+    /// different runtime is refused on resume: the helper's walk measured
+    /// the dataset's runtime, and the committed one must equal it bit for
+    /// bit.
+    #[test]
+    fn a_journaled_gbdt_runtime_unlike_the_walk_is_refused() {
+        let (cache, steps) = (tmp("runtime-cache"), tmp("runtime-steps"));
+        let _ = std::fs::remove_file(&cache);
+        let req = TuneRequest {
+            budget: 10,
+            ..small_request()
+        };
+        let (service, _) = TuneService::open(&cache).unwrap();
+        let dataset = service.dataset(req.size);
+        let space = dataset.space();
+        let random = RandomSearch.run_dataset(&dataset, req.budget, req.seed);
+        let gbdt = GbdtSearch::default().run_dataset(&dataset, req.budget, req.seed);
+        // Step 3 is in the GBDT init, step 8 its first fitted step.
+        for k in [3, 8] {
+            let _ = std::fs::remove_file(&steps);
+            let fp = service.request_fingerprint(&req);
+            let (mut journal, _) = RunJournal::open(&steps, fp).unwrap();
+            let arms = [(STRATEGY_RANDOM, &random), (STRATEGY_GBDT, &gbdt)];
+            for (ord, trajectory) in arms {
+                let last = if ord == STRATEGY_GBDT {
+                    k
+                } else {
+                    req.budget - 1
+                };
+                for (step, (config, runtime)) in trajectory.evaluated[..=last].iter().enumerate() {
+                    let runtime = if ord == STRATEGY_GBDT && step == k {
+                        f64::from_bits(runtime.to_bits() + 1)
+                    } else {
+                        *runtime
+                    };
+                    journal
+                        .commit(&StepRecord {
+                            strategy_ord: ord,
+                            step: step as u64,
+                            config_index: space.index_of(config),
+                            runtime,
+                        })
+                        .unwrap();
+                }
+            }
+            let err = service.tune(&req, Some(&mut journal)).unwrap_err();
+            let TuneError::Search(err) = err else {
+                panic!("expected a search error, got {err}");
+            };
+            let diverged = err
+                .downcast_ref::<RuntimeDiverged>()
+                .expect("runtime divergence");
+            assert_eq!(
+                (diverged.strategy_ord, diverged.step),
+                (STRATEGY_GBDT, k as u64)
+            );
+            assert_eq!(service.cache.lock().len(), 0, "nothing committed");
+        }
+        for p in [&cache, &steps] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     /// Pins every step of the shared pool loop under the LLM scorer: the
