@@ -224,13 +224,19 @@ proptest! {
             validated: g.bool(),
         };
         check_codec(&entry, &junk, edit, record_bytes, record_decode::<TuneEntry>)?;
+        // A step's runtime is drawn from the domain decode accepts: the
+        // bit patterns below +inf are exactly the finite doubles >= 0.
         let step = StepRecord {
             strategy_ord: g.u8(),
             step: g.u64(),
             config_index: g.u64(),
-            runtime: g.f64(),
+            runtime: f64::from_bits(g.u64() % f64::INFINITY.to_bits()),
         };
         check_codec(&step, &junk, edit, record_bytes, record_decode::<StepRecord>)?;
+        for runtime in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let bytes = record_bytes(&StepRecord { runtime, ..step.clone() });
+            prop_assert!(StepRecord::decode(&bytes).is_none(), "runtime {runtime} decoded");
+        }
         let cell = prediction_record(g);
         check_codec(&cell, &junk, edit, record_bytes, record_decode::<PredictionRecord>)?;
         let fit = FitRecord {

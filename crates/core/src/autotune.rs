@@ -8,11 +8,10 @@
 //! in experiments, the real journaled kernel in the tune service:
 //!
 //! * [`RandomSearch`] — the no-model baseline;
-//! * [`PoolSearch`] — the Bayesian-optimization-style loop every
-//!   surrogate shares, as a stepper: a few random evaluations, then rank
-//!   a random candidate pool with the surrogate and evaluate the most
-//!   promising candidate. The caller scores each proposed pool, so an
-//!   asynchronous scorer can overlap other work;
+//! * [`pool_search`] — the Bayesian-optimization-style loop every
+//!   surrogate shares: a few random evaluations, then rank a random
+//!   candidate pool with the surrogate and evaluate the most promising
+//!   candidate;
 //! * [`GbdtSearch`] — that loop with the boosted-tree surrogate, refit on
 //!   the observations at every step.
 //!
@@ -20,9 +19,9 @@
 //! autotuning: observations become in-context examples, each candidate is
 //! scored by a generated runtime prediction) is the same loop with another
 //! scorer; it is `lmpeel_tune::ServiceLlmSearch`, which decodes through
-//! the serving layer. The tune service walks the GBDT loop on a helper
-//! thread while its own thread steps the LLM loop, so trees are fitted
-//! while the service decodes.
+//! the serving layer. Each arm is one [`Tuner::run`]; the tune service
+//! runs the GBDT arm on a helper thread while its own thread runs the LLM
+//! arm.
 
 use lmpeel_configspace::{ArraySize, Config, ConfigSpace};
 use lmpeel_gbdt::{Gbdt, GbdtParams};
@@ -164,140 +163,51 @@ impl Tuner for RandomSearch {
     }
 }
 
-/// A pool to score: the measurements so far and the pool's unseen
-/// candidates ([`PoolSearch::propose`]).
-pub type Proposal<'a> = (&'a [(Config, f64)], &'a [Config]);
-
-/// The surrogate-search loop every model-guided [`Tuner`] shares, as a
-/// stepper: [`start`](Self::start) measures `init_random` distinct random
-/// configurations; then each step [`propose`](Self::propose)s a pool of
-/// `pool` sampled configurations minus the ones already measured, the
-/// caller scores it (one score per candidate, lower is better),
-/// [`pick`](Self::pick) takes the lowest-scoring candidate (the first one
-/// on ties) and [`observe`](Self::observe) records its measured runtime.
-/// Stops at `budget` measurements, or early when a pool holds nothing new.
-///
-/// Scoring between `propose` and `pick` is the caller's, so a scorer that
-/// runs elsewhere (the tune's LLM arm decodes on its service's scheduler
-/// thread) can overlap other work; [`step`](Self::step) and
-/// [`run`](Self::run) are the sequential drivers.
-pub struct PoolSearch {
-    space: ConfigSpace,
-    rng: ChaCha8Rng,
+/// The surrogate-search loop every model-guided [`Tuner`] shares: measure
+/// `init_random` distinct random configurations drawn from `rng`, then
+/// repeatedly draw a pool of `pool` configurations, drop the ones already
+/// measured, score the rest once with `score(evaluated, candidates)` (one
+/// score per candidate, lower is better) and measure the lowest-scoring
+/// candidate, the first one on ties. Stops at `budget` measurements, or
+/// early when a pool holds nothing new.
+pub fn pool_search(
+    objective: &mut dyn Objective,
     budget: usize,
+    mut rng: ChaCha8Rng,
+    init_random: usize,
     pool: usize,
-    evaluated: Vec<(Config, f64)>,
-    seen: HashSet<u64>,
-    candidates: Vec<Config>,
-    done: bool,
-}
-
-impl PoolSearch {
-    /// Begin a search of `objective`'s space: draw and measure the
-    /// `init_random.min(budget)` random configurations from `rng`, which
-    /// then draws every pool.
-    pub fn start(
-        objective: &mut dyn Objective,
-        budget: usize,
-        init_random: usize,
-        pool: usize,
-        mut rng: ChaCha8Rng,
-    ) -> Result<Self, ObjectiveError> {
-        // Clone the space once so measuring (which needs `&mut objective`)
-        // does not fight the space borrow.
-        let space = objective.space().clone();
-        let mut evaluated = Vec::with_capacity(budget);
-        let mut seen = HashSet::new();
-        for c in space.sample_distinct(init_random.min(budget), &mut rng) {
-            seen.insert(space.index_of(&c));
-            let r = objective.measure(&c)?;
-            evaluated.push((c, r));
-        }
-        Ok(Self {
-            space,
-            rng,
-            budget,
-            pool,
-            evaluated,
-            seen,
-            candidates: Vec::new(),
-            done: false,
-        })
+    mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
+) -> Result<TuningTrajectory, ObjectiveError> {
+    // Clone the space once so measuring (which needs `&mut objective`)
+    // does not fight the space borrow.
+    let space = objective.space().clone();
+    let mut evaluated: Vec<(Config, f64)> = Vec::with_capacity(budget);
+    let mut seen = HashSet::new();
+    for c in space.sample_distinct(init_random.min(budget), &mut rng) {
+        seen.insert(space.index_of(&c));
+        let r = objective.measure(&c)?;
+        evaluated.push((c, r));
     }
-
-    /// Draw the next pool: the measurements so far and the pool's unseen
-    /// candidates, to be scored and handed to [`pick`](Self::pick).
-    /// `None` once the search is done.
-    pub fn propose(&mut self) -> Option<Proposal<'_>> {
-        if self.done || self.evaluated.len() >= self.budget {
-            return None;
-        }
-        let mut candidates = self.space.sample_distinct(self.pool, &mut self.rng);
-        candidates.retain(|c| !self.seen.contains(&self.space.index_of(c)));
+    while evaluated.len() < budget {
+        let mut candidates = space.sample_distinct(pool, &mut rng);
+        candidates.retain(|c| !seen.contains(&space.index_of(c)));
         if candidates.is_empty() {
-            self.done = true;
-            return None;
+            break;
         }
-        self.candidates = candidates;
-        Some((&self.evaluated, &self.candidates))
-    }
-
-    /// The proposed candidate with the lowest of `scores` (one per
-    /// candidate, in pool order), to be measured and observed.
-    pub fn pick(&mut self, scores: &[f64]) -> Config {
-        assert_eq!(
-            scores.len(),
-            self.candidates.len(),
-            "one score per candidate"
-        );
+        let scores = score(&evaluated, &candidates);
+        assert_eq!(scores.len(), candidates.len(), "one score per candidate");
         let best = scores
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .map(|(i, _)| i)
             .expect("pool checked non-empty");
-        std::mem::take(&mut self.candidates).swap_remove(best)
-    }
-
-    /// Record the picked configuration's measured runtime.
-    pub fn observe(&mut self, config: Config, runtime: f64) {
-        self.seen.insert(self.space.index_of(&config));
-        self.evaluated.push((config, runtime));
-    }
-
-    /// One whole step on this thread: propose, `score`, pick, measure
-    /// and observe. `false` once the search is done.
-    pub fn step(
-        &mut self,
-        objective: &mut dyn Objective,
-        mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
-    ) -> Result<bool, ObjectiveError> {
-        let Some((evaluated, candidates)) = self.propose() else {
-            return Ok(false);
-        };
-        let scores = score(evaluated, candidates);
-        let c = self.pick(&scores);
+        let c = candidates.swap_remove(best);
+        seen.insert(space.index_of(&c));
         let r = objective.measure(&c)?;
-        self.observe(c, r);
-        Ok(true)
+        evaluated.push((c, r));
     }
-
-    /// [`step`](Self::step) until the search is done.
-    pub fn run(
-        mut self,
-        objective: &mut dyn Objective,
-        mut score: impl FnMut(&[(Config, f64)], &[Config]) -> Vec<f64>,
-    ) -> Result<TuningTrajectory, ObjectiveError> {
-        while self.step(objective, &mut score)? {}
-        Ok(self.into_trajectory())
-    }
-
-    /// Every measurement so far, in order.
-    pub fn into_trajectory(self) -> TuningTrajectory {
-        TuningTrajectory {
-            evaluated: self.evaluated,
-        }
-    }
+    Ok(TuningTrajectory { evaluated })
 }
 
 /// Boosted-tree surrogate search: seed with random evaluations, then
@@ -320,42 +230,6 @@ impl Default for GbdtSearch {
     }
 }
 
-impl GbdtSearch {
-    /// Begin this search against `objective`: its [`PoolSearch`], with
-    /// the initial random configurations measured.
-    pub fn start(
-        &self,
-        objective: &mut dyn Objective,
-        budget: usize,
-        seed: u64,
-    ) -> Result<PoolSearch, ObjectiveError> {
-        let rng = seeded_rng(seed, SeedDomain::Custom(0x6BD7));
-        PoolSearch::start(objective, budget, self.init_random, self.pool, rng)
-    }
-
-    /// Score a pool: fit the surrogate on the measurements so far and
-    /// predict each candidate's runtime.
-    pub fn score(
-        space: &ConfigSpace,
-        seed: u64,
-        evaluated: &[(Config, f64)],
-        candidates: &[Config],
-    ) -> Vec<f64> {
-        let params = GbdtParams {
-            n_estimators: 120,
-            learning_rate: 0.1,
-            ..Default::default()
-        };
-        let xs: Vec<Vec<f64>> = evaluated.iter().map(|(c, _)| space.featurize(c)).collect();
-        let ys: Vec<f64> = evaluated.iter().map(|&(_, r)| r).collect();
-        let model = Gbdt::fit(&xs, &ys, params, seed);
-        candidates
-            .iter()
-            .map(|c| model.predict_row(&space.featurize(c)))
-            .collect()
-    }
-}
-
 impl Tuner for GbdtSearch {
     fn name(&self) -> String {
         format!(
@@ -371,10 +245,27 @@ impl Tuner for GbdtSearch {
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
         let space = objective.space().clone();
-        self.start(objective, budget, seed)?
-            .run(objective, |evaluated, candidates| {
-                Self::score(&space, seed, evaluated, candidates)
-            })
+        let params = GbdtParams {
+            n_estimators: 120,
+            learning_rate: 0.1,
+            ..Default::default()
+        };
+        pool_search(
+            objective,
+            budget,
+            seeded_rng(seed, SeedDomain::Custom(0x6BD7)),
+            self.init_random,
+            self.pool,
+            |evaluated, candidates| {
+                let xs: Vec<Vec<f64>> = evaluated.iter().map(|(c, _)| space.featurize(c)).collect();
+                let ys: Vec<f64> = evaluated.iter().map(|&(_, r)| r).collect();
+                let model = Gbdt::fit(&xs, &ys, params, seed);
+                candidates
+                    .iter()
+                    .map(|c| model.predict_row(&space.featurize(c)))
+                    .collect()
+            },
+        )
     }
 }
 
@@ -509,15 +400,13 @@ mod tests {
         let rng = seeded_rng(3, SeedDomain::Custom(0x6BD7));
         let mut pools: Vec<(usize, Vec<u64>)> = Vec::new();
         // Budget past the space's size: the loop must stop on its own.
-        let t = PoolSearch::start(&mut objective, 20, 2, 4, rng)
-            .unwrap()
-            .run(&mut objective, |evaluated, candidates| {
-                let ix: Vec<u64> = candidates.iter().map(|c| space.index_of(c)).collect();
-                pools.push((evaluated.len(), ix.clone()));
-                // Reverse the index so the loop must pick the pool's maximum.
-                ix.iter().map(|&i| -(i as f64)).collect()
-            })
-            .unwrap();
+        let t = pool_search(&mut objective, 20, rng, 2, 4, |evaluated, candidates| {
+            let ix: Vec<u64> = candidates.iter().map(|c| space.index_of(c)).collect();
+            pools.push((evaluated.len(), ix.clone()));
+            // Reverse the index so the loop must pick the pool's maximum.
+            ix.iter().map(|&i| -(i as f64)).collect()
+        })
+        .unwrap();
         let got: Vec<u64> = t.evaluated.iter().map(|(c, _)| space.index_of(c)).collect();
         assert!(got.len() <= 8);
         let uniq: HashSet<_> = got.iter().collect();

@@ -57,6 +57,9 @@ impl JournalRecord for StepRecord {
         wire::put_f64(buf, self.runtime);
     }
 
+    /// Refuses trailing bytes and a runtime no measurement yields (NaN,
+    /// ±inf or negative), so [`RunJournal::open`] truncates at such a frame
+    /// and the step is measured again instead of replayed.
     fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let rec = StepRecord {
@@ -65,7 +68,8 @@ impl JournalRecord for StepRecord {
             config_index: r.u64()?,
             runtime: r.f64()?,
         };
-        r.is_done().then_some(rec)
+        let measurable = rec.runtime.is_finite() && rec.runtime >= 0.0;
+        (r.is_done() && measurable).then_some(rec)
     }
 }
 

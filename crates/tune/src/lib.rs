@@ -12,12 +12,13 @@
 //! 2. otherwise runs the surrogate-guided search as a reportable
 //!    ablation — GBDT surrogate vs LLM surrogate (scored through the
 //!    existing [`InferenceService`] serving layer) vs random search, each
-//!    at the same budget against the same deterministic objective. Random
-//!    search runs first. One helper thread then walks the GBDT arm against
-//!    its own lookup of the dataset and sends each step to the calling
-//!    thread, which runs the LLM arm and commits the GBDT steps in between
-//!    the LLM's, one per LLM step. Each arm keeps its own RNG, so its
-//!    trajectory is the one it walks alone;
+//!    at the same budget against the same deterministic objective. Each
+//!    arm is one plain [`Tuner::run`] with its own RNG, so its trajectory
+//!    is the one it walks alone. Random search runs first. One helper
+//!    thread then walks the GBDT arm against its own lookup of the dataset
+//!    while the calling thread runs the LLM arm; the calling thread then
+//!    commits the GBDT walk's steps. Steps commit arm by arm — random, LLM,
+//!    GBDT — whatever the threads' timing;
 //! 3. validates the winning configuration on the real
 //!    [`lmpeel_kernel`] syr2k nest (max |Δ| ÷ max(‖ref‖_F, 1) against
 //!    the untransformed reference must stay below 1e-9; wall-clock medians
@@ -47,9 +48,9 @@ pub use journal::{run_fingerprint, JournaledObjective, StepMeasurer, StepRecord}
 pub use wire::{TuneWireRequest, TuneWireResponse, TUNE_EXT_KIND};
 
 use journal::RuntimeDiverged;
-use lmpeel_configspace::{ArraySize, Config, ConfigSpace, Syr2kConfig};
+use lmpeel_configspace::{syr2k_space, ArraySize, Config, ConfigSpace, Syr2kConfig};
 use lmpeel_core::autotune::{
-    DatasetObjective, GbdtSearch, Objective, ObjectiveError, PoolSearch, RandomSearch, Tuner,
+    pool_search, DatasetObjective, GbdtSearch, Objective, ObjectiveError, RandomSearch, Tuner,
     TuningTrajectory,
 };
 use lmpeel_core::extract::extract_value;
@@ -60,11 +61,10 @@ use lmpeel_lm::{InductionLm, LanguageModel, Sampler};
 use lmpeel_perfdata::{CostModel, MachineModel, PerfDataset};
 use lmpeel_recover::{JournalError, Recovery, RunJournal};
 use lmpeel_serve::sync::RankedMutex;
-use lmpeel_serve::{GenerateRequest, InferenceService, ResponseHandle};
+use lmpeel_serve::{GenerateRequest, InferenceService};
 use lmpeel_stats::{seeded_rng, SeedDomain};
-use lmpeel_tokenizer::{TokenId, EOS};
+use lmpeel_tokenizer::EOS;
 use std::path::Path;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// The one kernel the service currently tunes.
@@ -82,6 +82,14 @@ pub enum TuneError {
     Search(ObjectiveError),
     /// The budget was zero: no measurement, no winner, nothing to cache.
     EmptyBudget,
+    /// The budget exceeds the configuration space: no arm can measure
+    /// that many distinct configurations.
+    BudgetExceedsSpace {
+        /// The requested budget.
+        budget: usize,
+        /// How many configurations the space holds.
+        space: u64,
+    },
 }
 
 impl std::fmt::Display for TuneError {
@@ -93,6 +101,10 @@ impl std::fmt::Display for TuneError {
             TuneError::Journal(e) => write!(f, "tune cache refused: {e}"),
             TuneError::Search(e) => write!(f, "search failed: {e}"),
             TuneError::EmptyBudget => write!(f, "tune budget must be at least 1"),
+            TuneError::BudgetExceedsSpace { budget, space } => write!(
+                f,
+                "tune budget {budget} exceeds the {space} configurations of the space"
+            ),
         }
     }
 }
@@ -194,9 +206,8 @@ pub struct TuneReport {
 /// the same admission/batching path as the experiments. Its prefix cache
 /// is off: each candidate's prompt ends with its own query line, so no
 /// prompt in a pool is a prefix of another and a snapshot would never be
-/// forked. The search itself is a [`PoolSearch`]; this type only supplies
-/// the scorer, whose submit and collect halves the tune service calls
-/// apart to work while the pool decodes.
+/// forked. The search itself is [`pool_search`]; this type only supplies
+/// the scorer.
 pub struct ServiceLlmSearch<M> {
     /// The surrogate model served behind the [`InferenceService`].
     pub model: Arc<M>,
@@ -206,41 +217,6 @@ pub struct ServiceLlmSearch<M> {
     pub pool: usize,
     /// Most recent observations used as in-context examples.
     pub max_icl: usize,
-}
-
-impl<M: LanguageModel + 'static> ServiceLlmSearch<M> {
-    /// Begin the search against `objective`, with the initial random
-    /// configurations measured.
-    fn start(
-        &self,
-        objective: &mut dyn Objective,
-        budget: usize,
-        seed: u64,
-    ) -> Result<PoolSearch, ObjectiveError> {
-        let rng = seeded_rng(seed, SeedDomain::Custom(0x7E5E));
-        PoolSearch::start(objective, budget, self.init_random, self.pool, rng)
-    }
-
-    /// The search's scorer, around an ephemeral service of its own with
-    /// the prefix cache off.
-    fn scorer(&self, space: &ConfigSpace, size: ArraySize, seed: u64) -> ServiceScorer<M> {
-        let service = InferenceService::builder()
-            .model("tune", self.model.clone())
-            .prefix_cache_capacity(0)
-            .queue_capacity(self.pool.max(1))
-            .max_batch(self.pool.max(1))
-            .build();
-        let t = self.model.tokenizer();
-        ServiceScorer {
-            model: self.model.clone(),
-            builder: PromptBuilder::new(space.clone(), size),
-            service,
-            stop: vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)],
-            max_icl: self.max_icl,
-            seed,
-            step: 0,
-        }
-    }
 }
 
 impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
@@ -254,77 +230,56 @@ impl<M: LanguageModel + 'static> Tuner for ServiceLlmSearch<M> {
         budget: usize,
         seed: u64,
     ) -> Result<TuningTrajectory, ObjectiveError> {
-        let mut scorer = self.scorer(objective.space(), objective.size(), seed);
-        self.start(objective, budget, seed)?
-            .run(objective, |evaluated, candidates| {
-                let handles = scorer.submit(evaluated, candidates);
-                scorer.collect_scores(handles)
-            })
-    }
-}
-
-/// [`ServiceLlmSearch`]'s scorer in two halves: [`submit`](Self::submit)
-/// queues one generation per candidate and returns at once, and
-/// [`collect_scores`](Self::collect_scores) waits for them and reads each
-/// prediction. Dropping the handles instead cancels the pool's requests.
-struct ServiceScorer<M> {
-    model: Arc<M>,
-    builder: PromptBuilder,
-    service: InferenceService,
-    stop: Vec<TokenId>,
-    max_icl: usize,
-    seed: u64,
-    step: u64,
-}
-
-impl<M: LanguageModel> ServiceScorer<M> {
-    /// Submit the pool: one request per candidate, each prompted with the
-    /// last `max_icl` observations and seeded from the step counter.
-    fn submit(
-        &mut self,
-        evaluated: &[(Config, f64)],
-        candidates: &[Config],
-    ) -> Vec<ResponseHandle> {
-        self.step += 1;
-        let step_seed = self.seed ^ self.step;
-        let examples = &evaluated[evaluated.len().saturating_sub(self.max_icl)..];
+        let builder = PromptBuilder::new(objective.space().clone(), objective.size());
+        let service = InferenceService::builder()
+            .model("tune", self.model.clone())
+            .prefix_cache_capacity(0)
+            .queue_capacity(self.pool.max(1))
+            .max_batch(self.pool.max(1))
+            .build();
         let t = self.model.tokenizer();
-        candidates
-            .iter()
-            .enumerate()
-            .map(|(i, cand)| {
-                let ids = self.builder.discriminative(examples, cand).to_tokens(t);
-                let request = GenerateRequest::builder("tune", ids)
-                    .sampler(Sampler::paper())
-                    .max_tokens(16)
-                    .stop_tokens(self.stop.clone())
-                    // Only the decoded text is read, so record no
-                    // alternatives: a floor above 1 makes each decode
-                    // step draw-only, with the same tokens.
-                    .trace_min_prob(2.0)
-                    .seed(step_seed ^ (i as u64 + 1))
-                    .build()
-                    .expect("valid surrogate request");
-                self.service
-                    .submit(request)
-                    .expect("service accepts while running")
-            })
-            .collect()
-    }
-
-    /// Wait for a submitted pool: each candidate's predicted runtime, in
-    /// pool order; a response with no value scores `INFINITY`.
-    fn collect_scores(&self, handles: Vec<ResponseHandle>) -> Vec<f64> {
-        let t = self.model.tokenizer();
-        handles
-            .into_iter()
-            .map(|h| {
-                let trace = h.wait().expect("surrogate decode").trace;
-                extract_value(&trace.decode(t))
-                    .map(|(v, _)| v)
-                    .unwrap_or(f64::INFINITY)
-            })
-            .collect()
+        let stop = vec![t.vocab().token_id("\n").expect("newline"), t.special(EOS)];
+        let mut step = 0u64;
+        // Score a pool by submitting one generation per candidate, each
+        // prompted with the last `max_icl` observations and seeded from the
+        // step counter; a response with no value scores `INFINITY`.
+        let score = |evaluated: &[(Config, f64)], candidates: &[Config]| {
+            step += 1;
+            let step_seed = seed ^ step;
+            let examples = &evaluated[evaluated.len().saturating_sub(self.max_icl)..];
+            let handles: Vec<_> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, cand)| {
+                    let ids = builder.discriminative(examples, cand).to_tokens(t);
+                    let request = GenerateRequest::builder("tune", ids)
+                        .sampler(Sampler::paper())
+                        .max_tokens(16)
+                        .stop_tokens(stop.clone())
+                        // Only the decoded text is read, so record no
+                        // alternatives: a floor above 1 makes each decode
+                        // step draw-only, with the same tokens.
+                        .trace_min_prob(2.0)
+                        .seed(step_seed ^ (i as u64 + 1))
+                        .build()
+                        .expect("valid surrogate request");
+                    service
+                        .submit(request)
+                        .expect("service accepts while running")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    let trace = h.wait().expect("surrogate decode").trace;
+                    extract_value(&trace.decode(t))
+                        .map(|(v, _)| v)
+                        .unwrap_or(f64::INFINITY)
+                })
+                .collect()
+        };
+        let rng = seeded_rng(seed, SeedDomain::Custom(0x7E5E));
+        pool_search(objective, budget, rng, self.init_random, self.pool, score)
     }
 }
 
@@ -416,6 +371,13 @@ impl TuneService {
         }
         if request.budget == 0 {
             return Err(TuneError::EmptyBudget);
+        }
+        let cardinality = syr2k_space().cardinality();
+        if request.budget as u64 > cardinality {
+            return Err(TuneError::BudgetExceedsSpace {
+                budget: request.budget,
+                space: cardinality,
+            });
         }
         let key = TuneEntry::key_of(&request.kernel, request.size, self.hw_fingerprint);
         if let Some(entry) = self.cache.lock().lookup(&key) {
@@ -526,80 +488,21 @@ struct KernelRuns {
     validation: ValidationReport,
 }
 
-/// The helper's view of the GBDT arm's objective: the dataset lookup,
-/// with every step also sent to the tune thread. A send fails once the
-/// tune thread has dropped its receiver, which ends the walk.
-struct ForwardedSteps<'a> {
-    inner: DatasetObjective<'a>,
-    to_tune: Sender<Option<(Config, f64)>>,
-}
-
-impl Objective for ForwardedSteps<'_> {
-    fn space(&self) -> &ConfigSpace {
-        self.inner.space()
-    }
-
-    fn size(&self) -> ArraySize {
-        self.inner.size()
-    }
-
-    fn measure(&mut self, config: &Config) -> Result<f64, ObjectiveError> {
-        let runtime = self.inner.measure(config)?;
-        self.to_tune.send(Some((config.clone(), runtime)))?;
-        Ok(runtime)
-    }
-}
-
-/// The GBDT arm as the tune thread sees it: the helper's steps, each
-/// committed through the [`StepMeasurer`] when the tune takes it.
-struct GbdtReceipts {
-    from_helper: Receiver<Option<(Config, f64)>>,
-    evaluated: Vec<(Config, f64)>,
-    walked: bool,
-}
-
-impl GbdtReceipts {
-    /// Commit the helper's next GBDT step, waiting for it if the helper
-    /// has not sent it yet. `false` once the walk is done. The committed
-    /// (or replayed) runtime must equal the helper's bit for bit.
-    fn commit_next(&mut self, steps: &mut StepMeasurer<'_>) -> Result<bool, ObjectiveError> {
-        if self.walked {
-            return Ok(false);
-        }
-        let Some((config, walked)) = self.from_helper.recv()? else {
-            self.walked = true;
-            return Ok(false);
-        };
-        let committed = steps.arm(STRATEGY_GBDT).measure(&config)?;
-        if committed.to_bits() != walked.to_bits() {
-            return Err(Box::new(RuntimeDiverged {
-                strategy_ord: STRATEGY_GBDT,
-                step: self.evaluated.len() as u64,
-                committed,
-                walked,
-            }));
-        }
-        self.evaluated.push((config, walked));
-        Ok(true)
-    }
-}
-
-/// Run the three arms, each measuring through `steps` under its strategy
-/// ordinal. Random search runs first. Then one named helper thread walks
-/// the whole GBDT arm against its own lookup of `dataset` (a pure
-/// function of the config, so its runtimes are the ones `steps` commits),
-/// sending each step here; then it runs the reference nest and validates
-/// the better of the random and GBDT winners. Meanwhile this thread runs
-/// the LLM arm and commits the helper's steps at fixed points: the GBDT
-/// init after random, one GBDT step in each LLM step while the pool
-/// decodes, and the rest after the LLM arm. So the commit order, and with
-/// it every crash point, does not depend on the helper's timing. Each arm
-/// keeps its own RNG and step seeds, so every trajectory is the one it
+/// Run the three arms, each a [`Tuner::run`] measuring through `steps`
+/// under its strategy ordinal, and commit them arm by arm: random, LLM,
+/// GBDT. Random search runs first. Then one named helper thread walks the
+/// GBDT arm against its own lookup of `dataset` (a pure function of the
+/// config, so its runtimes are the ones `steps` commits), runs the
+/// reference nest and validates the better of the random and GBDT
+/// winners, while this thread runs the LLM arm. Once the helper is joined,
+/// this thread commits the walk's steps in order; each committed or
+/// replayed runtime must equal the walk's bit for bit. The commit order,
+/// and with it every crash point, never depends on the helper's timing,
+/// and each arm keeps its own RNG, so every trajectory is the one it
 /// walks alone.
 ///
-/// Every return joins the helper. On an error or a panic this thread
-/// drops its receiver, the helper's next send fails, and the helper
-/// returns without running the kernel; a panic on the helper panics here.
+/// The scope joins the helper on every return, after an LLM-arm error
+/// too; a panic on the helper panics here.
 fn search_arms(
     steps: &mut StepMeasurer<'_>,
     dataset: &PerfDataset,
@@ -612,59 +515,41 @@ fn search_arms(
     let space = dataset.space();
     let random = RandomSearch.run(&mut steps.arm(STRATEGY_RANDOM), budget, seed)?;
     let by_random = StrategyOutcome::of(STRATEGY_RANDOM, RandomSearch.name(), &random, space);
-    let (to_tune, from_helper) = channel();
-    std::thread::scope(|scope| {
+    std::thread::scope(|scope| -> Result<_, ObjectiveError> {
         let helper = std::thread::Builder::new()
             .name("tune-gbdt".into())
             .spawn_scoped(scope, move || {
-                let mut objective = ForwardedSteps {
-                    inner: DatasetObjective::new(dataset),
-                    to_tune,
-                };
-                let walk = gbdt.run(&mut objective, budget, seed).ok()?;
-                objective.to_tune.send(None).ok()?;
+                let walk = gbdt.run_dataset(dataset, budget, seed);
                 let by_gbdt = StrategyOutcome::of(STRATEGY_GBDT, gbdt.name(), &walk, space);
                 let provisional = winner(&[by_random, by_gbdt]).best_index;
                 let reference = problem.run_reference();
                 let cfg = Syr2kConfig::from_config(space, &space.config_at(provisional));
                 let validation = validate_on_kernel(problem, &reference, cfg);
-                Some(KernelRuns {
+                let kernel = KernelRuns {
                     reference,
                     validated_index: provisional,
                     validation,
-                })
+                };
+                (walk, kernel)
             })
             .expect("spawn the tune's GBDT helper thread");
-        // An error below drops `gbdt_steps` and with it the receiver, so the
-        // helper's next send fails; the scope then joins the helper.
-        let mut gbdt_steps = GbdtReceipts {
-            from_helper,
-            evaluated: Vec::with_capacity(budget),
-            walked: false,
-        };
-        for _ in 0..gbdt.init_random.min(budget) {
-            gbdt_steps.commit_next(steps)?;
-        }
-        let mut scorer = llm.scorer(space, request.size, seed);
-        let mut llm_search = llm.start(&mut steps.arm(STRATEGY_LLM), budget, seed)?;
-        while let Some((evaluated, candidates)) = llm_search.propose() {
-            // An error below also drops `handles`, which cancels the
-            // pool's requests before the service shuts down.
-            let handles = scorer.submit(evaluated, candidates);
-            gbdt_steps.commit_next(steps)?;
-            let config = llm_search.pick(&scorer.collect_scores(handles));
-            let runtime = steps.arm(STRATEGY_LLM).measure(&config)?;
-            llm_search.observe(config, runtime);
-        }
-        while gbdt_steps.commit_next(steps)? {}
-        let kernel = helper
+        let by_llm = llm.run(&mut steps.arm(STRATEGY_LLM), budget, seed)?;
+        let (walk, kernel) = helper
             .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            .expect("a finished walk runs the kernel");
-        let by_gbdt = TuningTrajectory {
-            evaluated: gbdt_steps.evaluated,
-        };
-        Ok(([random, by_gbdt, llm_search.into_trajectory()], kernel))
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        let mut gbdt_arm = steps.arm(STRATEGY_GBDT);
+        for (step, (config, walked)) in walk.evaluated.iter().enumerate() {
+            let committed = gbdt_arm.measure(config)?;
+            if committed.to_bits() != walked.to_bits() {
+                return Err(Box::new(RuntimeDiverged {
+                    strategy_ord: STRATEGY_GBDT,
+                    step: step as u64,
+                    committed,
+                    walked: *walked,
+                }));
+            }
+        }
+        Ok(([random, walk, by_llm], kernel))
     })
 }
 
@@ -778,6 +663,17 @@ mod tests {
             service.tune(&req, None),
             Err(TuneError::EmptyBudget)
         ));
+        // One past the space's 10,648 configurations: refused before any
+        // arm samples, so nothing panics.
+        req.budget = 10_649;
+        assert!(matches!(
+            service.tune(&req, None),
+            Err(TuneError::BudgetExceedsSpace {
+                budget: 10_649,
+                space: 10_648
+            })
+        ));
+        assert_eq!(service.cache.lock().len(), 0, "nothing committed");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -790,22 +686,37 @@ mod tests {
         ]
     }
 
-    /// The newest record in the step journal at `path`. Commits append
-    /// frames (`len: u32 | fnv1a64: u64 | payload`) in commit order, so
-    /// the file's tail is the last committed step.
-    fn last_committed(path: &Path) -> StepRecord {
-        let bytes = std::fs::read(path).unwrap();
+    /// `record` as a step-journal frame: `len: u32 | fnv1a64: u64 |
+    /// payload`.
+    fn frame(record: &StepRecord) -> Vec<u8> {
         let mut payload = Vec::new();
-        StepRecord {
+        record.encode(&mut payload);
+        let mut frame = Vec::new();
+        lmpeel_recover::wire::put_u32(&mut frame, payload.len() as u32);
+        lmpeel_recover::wire::put_u64(&mut frame, lmpeel_recover::fnv1a64(&payload));
+        frame.extend(payload);
+        frame
+    }
+
+    /// The length of every step-journal frame.
+    fn frame_len() -> usize {
+        frame(&StepRecord {
             strategy_ord: 0,
             step: 0,
             config_index: 0,
             runtime: 0.0,
-        }
-        .encode(&mut payload);
-        let frame = &bytes[bytes.len() - payload.len() - 12..];
+        })
+        .len()
+    }
+
+    /// The newest record in the step journal at `path`. Commits append
+    /// frames in commit order, so the file's tail is the last committed
+    /// step.
+    fn last_committed(path: &Path) -> StepRecord {
+        let bytes = std::fs::read(path).unwrap();
+        let frame = &bytes[bytes.len() - frame_len()..];
         let mut r = lmpeel_recover::wire::Reader::new(frame);
-        assert_eq!(r.u32(), Some(payload.len() as u32), "a whole last frame");
+        assert_eq!(r.u32(), Some(frame.len() as u32 - 12), "a whole last frame");
         r.u64().unwrap();
         StepRecord::decode(&frame[12..]).unwrap()
     }
@@ -863,26 +774,22 @@ mod tests {
     #[test]
     fn crashed_tune_resumes_to_byte_identical_cache() {
         let (cache, steps) = (tmp("crash-cache"), tmp("crash-steps"));
-        // Budget 10 per arm. Commits land as: random 1–10; GBDT init
-        // 11–18; LLM init 19–22; then each LLM step submits its pool and
-        // a fitted GBDT step commits while it decodes: GBDT 23, LLM 24,
-        // GBDT 25, LLM 26; the LLM's last four scored steps 27–30.
+        // Budget 10 per arm. Commits land arm by arm: random 1–10; LLM
+        // init 11–14 and scored 15–20; GBDT init 21–28 and scored 29–30.
         let req = TuneRequest {
             budget: 10,
             ..small_request()
         };
         let golden = golden_cache(&req, "crash-golden");
         // (commits before the crash, the last committed step's arm and
-        // step, its phase). The crash fires at the next commit: at 24 it
-        // is the fitted GBDT step committed while the LLM's pool is in flight,
-        // at 29 the tune's last commit.
+        // step, its phase). The crash fires at the next commit: at 29 it
+        // is the tune's last.
         let points = [
             (5, STRATEGY_RANDOM, 4, "random"),
-            (14, STRATEGY_GBDT, 3, "init"),
-            (20, STRATEGY_LLM, 1, "init"),
-            (23, STRATEGY_GBDT, 8, "scored"),
-            (24, STRATEGY_LLM, 4, "scored"),
-            (29, STRATEGY_LLM, 8, "scored"),
+            (12, STRATEGY_LLM, 1, "init"),
+            (17, STRATEGY_LLM, 6, "scored"),
+            (24, STRATEGY_GBDT, 3, "init"),
+            (29, STRATEGY_GBDT, 8, "scored"),
         ];
         let init = |ord| match ord {
             STRATEGY_GBDT => GbdtSearch::default().init_random,
@@ -913,10 +820,51 @@ mod tests {
         }
     }
 
-    /// A journal committed one arm after another (random, then GBDT, then
-    /// LLM, each run alone) resumes through the interleaved tune to the
-    /// same cache bytes: replay is keyed by `(strategy_ord, step)`, not by
-    /// commit order.
+    /// A checksum-valid step frame holding a runtime no measurement yields
+    /// ends the journal's salvage there: the resume replays the frames
+    /// before it, measures the rest fresh and publishes the golden cache.
+    #[test]
+    fn a_journaled_unmeasurable_runtime_is_measured_again() {
+        let (cache, steps) = (tmp("poison-cache"), tmp("poison-steps"));
+        let req = small_request();
+        let golden = golden_cache(&req, "poison-golden");
+        for poison in [f64::NAN, f64::INFINITY, -1.0] {
+            for p in [&cache, &steps] {
+                let _ = std::fs::remove_file(p);
+            }
+            let (service, _) = TuneService::open(&cache).unwrap();
+            let fp = service.request_fingerprint(&req);
+            {
+                let (mut journal, _) = RunJournal::open(&steps, fp).unwrap();
+                journal.crash_after(CrashAfter {
+                    commits: 5,
+                    mode: CrashMode::Error,
+                });
+                assert!(service.tune(&req, Some(&mut journal)).is_err());
+            }
+            // Rewrite frame 2 of the 5 with the poisoned runtime.
+            let mut bytes = std::fs::read(&steps).unwrap();
+            let at = bytes.len() - 3 * frame_len();
+            let mut record = StepRecord::decode(&bytes[at + 12..at + frame_len()]).unwrap();
+            record.runtime = poison;
+            bytes[at..at + frame_len()].copy_from_slice(&frame(&record));
+            std::fs::write(&steps, bytes).unwrap();
+
+            let (mut journal, rc) = RunJournal::open(&steps, fp).unwrap();
+            assert_eq!(rc.records, 2, "salvage stops at the {poison} frame");
+            let report = service.tune(&req, Some(&mut journal)).unwrap();
+            assert_eq!(report.replayed_measurements, 2);
+            assert_eq!(std::fs::read(&cache).unwrap(), golden, "{poison}");
+        }
+        for p in [&cache, &steps] {
+            std::fs::remove_file(p).unwrap();
+        }
+    }
+
+    /// A journal committed one arm after another in ordinal order (random,
+    /// then GBDT, then LLM, each run alone) resumes through the tune, which
+    /// commits random, LLM, GBDT, to the same cache bytes: replay is keyed
+    /// by `(strategy_ord, step)`, not by commit order.
     #[test]
     fn a_journal_committed_arm_by_arm_resumes_to_byte_identical_cache() {
         let (cache, steps) = (tmp("order-cache"), tmp("order-steps"));
@@ -945,8 +893,9 @@ mod tests {
         }
     }
 
-    /// Interleaving changes no arm: at SM and budget 40, each strategy's
-    /// outcome in the tune equals that of the strategy run alone.
+    /// The tune's two threads change no arm: at SM and budget 40, each
+    /// strategy's outcome in the tune equals that of the strategy run
+    /// alone.
     #[test]
     fn interleaved_arms_match_the_arms_run_alone() {
         let path = tmp("arms");

@@ -198,6 +198,26 @@ mod tests {
             .unwrap();
         assert!(client.recv_ext().unwrap().result.is_err());
 
+        // A budget past the space's size is an error answer, not a panic,
+        // and the connection keeps serving.
+        let oversized = TuneWireRequest {
+            budget: 10_649,
+            ..req.clone()
+        };
+        client
+            .send_ext(&ext(5, TUNE_EXT_KIND, oversized.encode()))
+            .unwrap();
+        let refused = client.recv_ext().unwrap();
+        assert_eq!(refused.id, 5);
+        let err = refused.result.unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
+        client
+            .send_ext(&ext(6, TUNE_EXT_KIND, req.encode()))
+            .unwrap();
+        let again = client.recv_ext().unwrap();
+        let again = TuneWireResponse::decode(&again.result.expect("tune ok")).unwrap();
+        assert!(again.cache_hit);
+
         drop(client);
         frontend.shutdown();
         std::fs::remove_file(&path).unwrap();
